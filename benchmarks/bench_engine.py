@@ -2,8 +2,9 @@
 """Timing comparison of the pure-Python and compiled enumeration backends.
 
 Runs the same workloads through both implementations and prints a table.
-The compiled extension is exercised directly, so ABSOPT_DISABLE_EXT has no
-effect here; a missing extension just drops the compiled column.
+The compiled core is loaded directly from the library that
+``python3 setup.py build_ext --inplace`` builds, so ABSOPT_DISABLE_EXT has no
+effect here; a missing library just drops the compiled column.
 """
 
 import argparse
@@ -11,13 +12,9 @@ import random
 import time
 
 from absopt import _engine_py as pure
+from absopt.engine import CompiledCore, library_path
 
-try:
-    from absopt import _engine as compiled
-except ImportError:
-    compiled = None
-
-CMP_CODES = {"atleast": 0, "exact": 1, "atmost": 2}
+compiled = CompiledCore(library_path()) if library_path() is not None else None
 
 
 def random_clauses(rng, n, m, max_weight=9):
@@ -38,19 +35,11 @@ def random_clauses(rng, n, m, max_weight=9):
     return clauses
 
 
-def run_pure(work, n, clauses, alpha):
+def run(core, work, n, clauses, alpha):
     if work == "extremes":
-        return pure.extremes(n, clauses, dnf=True)
-    return pure.decide(
+        return core.extremes(n, clauses, dnf=True)
+    return core.decide(
         n, clauses, dnf=True, alpha=alpha, absolute=True, comparison="atleast"
-    )
-
-
-def run_compiled(work, n, clauses, alpha):
-    if work == "extremes":
-        return compiled.extremes(n, list(clauses), dnf=True)
-    return compiled.decide(
-        n, list(clauses), dnf=True, alpha=alpha, absolute=True, cmp_code=0
     )
 
 
@@ -72,8 +61,8 @@ def main():
     args = ap.parse_args()
 
     if compiled is None:
-        print("note: compiled extension not importable, timing the pure path only")
-    header = f"{'workload':<12} {'n':>3} {'pure (s)':>10} {'compiled (s)':>13} {'speedup':>8}"
+        print("note: compiled core not built, timing the pure path only")
+    header = f"{'workload':<12} {'n':>3} {'pure (ms)':>10} {'compiled (ms)':>13} {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for n in args.sizes:
@@ -85,20 +74,20 @@ def main():
         tight = max(abs(mx), abs(mn)) + 1
         for work, alpha in (("decide-no", tight), ("extremes", 0)):
             t_pure, r_pure = best_of(
-                lambda: run_pure(work, n, clauses, alpha), args.repeats
+                lambda: run(pure, work, n, clauses, alpha), args.repeats
             )
             if compiled is None:
-                print(f"{work:<12} {n:>3} {t_pure:>10.4f} {'-':>13} {'-':>8}")
+                print(f"{work:<12} {n:>3} {t_pure * 1e3:>10.3f} {'-':>13} {'-':>8}")
                 continue
             t_comp, r_comp = best_of(
-                lambda: run_compiled(work, n, clauses, alpha), args.repeats
+                lambda: run(compiled, work, n, clauses, alpha), args.repeats
             )
             if tuple(r_pure) != tuple(r_comp):
                 raise SystemExit(
                     f"backend mismatch on {work} n={n}: {r_pure} vs {r_comp}"
                 )
             ratio = t_pure / t_comp if t_comp > 0 else float("inf")
-            print(f"{work:<12} {n:>3} {t_pure:>10.4f} {t_comp:>13.4f} {ratio:>7.1f}x")
+            print(f"{work:<12} {n:>3} {t_pure * 1e3:>10.3f} {t_comp * 1e3:>13.3f} {ratio:>7.1f}x")
 
 
 if __name__ == "__main__":

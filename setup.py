@@ -1,19 +1,11 @@
 """Build script for the optional compiled enumeration core.
 
-The package is fully functional without the extension; engine.py falls back to
-the pure-Python implementation when the import fails.
+``python3 setup.py build_ext --inplace`` compiles ``src/absopt/_core.c``, a
+plain C library with no Python API, next to the package sources, where
+engine.py loads it through ctypes.  The package is fully functional without
+it; engine.py falls back to the pure-Python core when no library is present.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension("absopt._engine", ["src/absopt/_engine.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup(ext_modules=[Extension("absopt._core", ["src/absopt/_core.c"], optional=True)])

@@ -7,13 +7,11 @@ positive and negative weight sums bound every completion's value.  A subtree
 is pruned only when those bounds show no completion can qualify, so the first
 hit found is the true lexicographic first.
 
-The compiled backend mirrors this file exactly; any semantic change must land
-in both.
+The compiled backend (_core.c) mirrors this file exactly; any semantic change
+must land in both.
 """
 
 from __future__ import annotations
-
-CMP_CODES = {"atleast": 0, "exact": 1, "atmost": 2}
 
 
 def _setup(num_vars: int, clauses, dnf: bool):
@@ -120,12 +118,12 @@ def _undo(changes, status, rem):
             status[c] = 0
 
 
-def _reach_fn(alpha, absolute, cmp_code):
-    if cmp_code == 0:
+def _reach_fn(alpha, absolute, comparison):
+    if comparison == "atleast":
         if absolute:
             return lambda lb, ub: ub >= alpha or lb <= -alpha
         return lambda lb, ub: ub >= alpha
-    if cmp_code == 1:
+    if comparison == "exact":
         if absolute:
             return lambda lb, ub: lb <= alpha <= ub or lb <= -alpha <= ub
         return lambda lb, ub: lb <= alpha <= ub
@@ -134,12 +132,12 @@ def _reach_fn(alpha, absolute, cmp_code):
     return lambda lb, ub: lb <= alpha
 
 
-def _hit_fn(alpha, absolute, cmp_code):
-    if cmp_code == 0:
+def _hit_fn(alpha, absolute, comparison):
+    if comparison == "atleast":
         if absolute:
             return lambda v: v >= alpha or v <= -alpha
         return lambda v: v >= alpha
-    if cmp_code == 1:
+    if comparison == "exact":
         if absolute:
             return lambda v: v == alpha or v == -alpha
         return lambda v: v == alpha
@@ -155,8 +153,8 @@ def decide(num_vars, clauses, *, dnf, alpha, absolute, comparison):
     variable i is true.
     """
     status, rem, weights, occ, cur0, pos0, neg0 = _setup(num_vars, clauses, dnf)
-    reach = _reach_fn(alpha, absolute, CMP_CODES[comparison])
-    hit = _hit_fn(alpha, absolute, CMP_CODES[comparison])
+    reach = _reach_fn(alpha, absolute, comparison)
+    hit = _hit_fn(alpha, absolute, comparison)
     path = bytearray(num_vars)
 
     def rec(depth, cur, opos, oneg):

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .engine import I64_SAFE
 from .errors import (
     BudgetExceededError,
     ContractViolationError,
@@ -29,8 +30,6 @@ from .kernel import MODE_EDGECOUNT, STATUS_TRIVIAL_YES, kernelize
 from .model import Verdict, WeightedHypergraph
 
 DEFAULT_POINT_CAP = 2_000_000
-
-_I64_SAFE = 1 << 62
 
 Bound = int | None
 
@@ -439,7 +438,7 @@ def brute_force_absio(
         )
         for j, w in enumerate(inst.weights)
     )
-    if bound < _I64_SAFE and inst.alpha < _I64_SAFE:
+    if bound < I64_SAFE and inst.alpha < I64_SAFE:
         shape = tuple(inst.upper[i] - inst.lower[i] + 1 for i in range(n))
         point = _numpy_leaf(inst, shape)
         if point is None:

@@ -205,8 +205,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_ERROR on a usage error; argparse's own 2 is EXIT_BUDGET."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="absopt",
         description="weighted clause, hypergraph, and polynomial imbalance solver",
     )
@@ -222,8 +230,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="print the rule transcript as comments")
     p.add_argument("--cap", type=int, default=None,
                    help="enumeration budget override")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="reserved; solving is sequential")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("reduce", help="rewrite a formula file")

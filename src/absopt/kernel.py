@@ -53,6 +53,17 @@ def g(i: int, alpha: int, d: int) -> int:
     return (i**i * 2 * alpha * 2 ** (2**d)) ** (2**i - 1)
 
 
+def _links_below_g(edge_count: int, d: int) -> bool:
+    """True when edge_count < 2^(2^d + 1), so no link reaches any g(i), i >= 1.
+
+    For alpha >= 1, g(i) >= 2*alpha*2^(2^d) >= 2^(2^d + 1) whenever i >= 1,
+    and a link never holds more edges than the instance.  Only bit lengths
+    are compared, with d capped where the bound already passes 2^129, so no
+    integer of size 2^d is built.
+    """
+    return edge_count.bit_length() <= (1 << min(d, 7)) + 1
+
+
 @dataclass(frozen=True)
 class GThreshold:
     """The g thresholds of one instance, fixed alpha and d."""
@@ -193,7 +204,7 @@ def rule4_subedge(h: WeightedHypergraph) -> VertexSet | None:
     rejected and non-subedge supersets having empty links.  Returns the core
     or None.  Size-d candidates are skipped: nothing strictly contains them.
     """
-    if h.alpha < 1 or h.d < 1:
+    if h.alpha < 1 or h.d < 1 or _links_below_g(len(h.edges), h.d):
         return None
     thresholds = GThreshold(h.alpha, h.d)
     # One pass gives every candidate's link size: an edge strictly contains
@@ -312,7 +323,9 @@ def kernelize(
                     f"rule4 core={_fmt_edge(core)} link={len(link(h, core))}"
                 )
                 return KernelOutcome(STATUS_TRIVIAL_YES, h, witness, tuple(transcript))
-        if mode == MODE_EDGECOUNT and h.d >= 1:
+        if mode == MODE_EDGECOUNT and h.d >= 1 and (
+            edge_threshold is not None or not _links_below_g(len(h.edges), h.d)
+        ):
             threshold = (
                 edge_threshold
                 if edge_threshold is not None

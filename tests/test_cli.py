@@ -1,6 +1,6 @@
 import pytest
 
-from absopt import WeightedFormula, eval_formula
+from absopt import WeightedFormula, brute_force_formula, eval_formula
 from absopt.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from absopt.formats import parse_formula, parse_hypergraph, parse_instance, parse_witness
 
@@ -86,6 +86,36 @@ def test_solve_budget(tmp_path, capsys):
 def test_solve_missing_file(capsys):
     assert main(["solve", "/nonexistent/zzz.wdnf"]) == EXIT_ERROR
     assert "error:" in capsys.readouterr().err
+
+
+# one 15-literal clause and one unit clause: the encoding has edge-size bound 15
+WIDE_DNF = "p wdnf 15 2 5\nw 4 " + " ".join(map(str, range(1, 16))) + " 0\nw 1 1 0\n"
+STAR13 = "p edge 14 13\n" + "".join(f"e 1 {v}\n" for v in range(2, 15))
+
+
+def _solve_matches_brute_force(path, capsys):
+    phi = parse_formula(open(path).read())
+    want = brute_force_formula(phi)
+    code = main(["solve", path])
+    assert code == (EXIT_YES if want.decision else EXIT_NO)
+    out = capsys.readouterr().out
+    if want.decision:
+        v_line = next(l for l in out.splitlines() if l.startswith("v "))
+        value = eval_formula(phi, parse_witness(v_line + "\n", phi))
+        assert abs(value) >= phi.alpha
+        assert f"o {value}" in out.splitlines()
+
+
+def test_solve_wide_clause_needs_no_huge_threshold(tmp_path, capsys, small_g_only):
+    _solve_matches_brute_force(_write(tmp_path, "wide.wdnf", WIDE_DNF), capsys)
+
+
+def test_solve_abs_w1_star_needs_no_huge_threshold(tmp_path, capsys, small_g_only):
+    graph = _write(tmp_path, "star.col", STAR13)
+    phi_path = str(tmp_path / "star.wdnf")
+    for k in (13, 14):
+        assert main(["generate", "abs-w1", graph, str(k), "-o", phi_path]) == 0
+        _solve_matches_brute_force(phi_path, capsys)
 
 
 def test_reduce_monotonize(tmp_path, capsys):
@@ -205,8 +235,18 @@ def test_parse_error_exit(tmp_path, capsys):
 
 
 def test_unknown_subcommand_exits():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
+    assert exc.value.code == EXIT_ERROR
+
+
+@pytest.mark.parametrize("flag", [["--bogus", "x"], ["--jobs", "2"]])
+def test_unknown_flag_exits_with_usage_error(tmp_path, capsys, flag):
+    f = _write(tmp_path, "a.wdnf", YES_DNF)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", f, *flag])
+    assert exc.value.code == EXIT_ERROR
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_solve_output_is_deterministic(tmp_path, capsys):

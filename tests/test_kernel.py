@@ -24,6 +24,7 @@ from absopt.kernel import (
     rule2_zero_weight,
     rule3_degree,
     rule4_subedge,
+    _links_below_g,
 )
 from helpers import naive_hypergraph_decide, random_hypergraph
 
@@ -221,6 +222,28 @@ def test_edgecount_threshold_knob():
     # without the override the true threshold is far out of reach
     calm = kernelize(h, MODE_EDGECOUNT)
     assert calm.status == STATUS_REDUCED
+
+
+def test_links_below_g_is_a_lower_bound():
+    # g(1) is the smallest threshold over i >= 1; the guard holds below it
+    # and, up to the cap at d = 7, is tight at alpha = 1
+    for d in range(1, 10):
+        bound = 1 << ((1 << min(d, 7)) + 1)
+        assert _links_below_g(bound - 1, d)
+        assert bound - 1 < g(1, 1, d)
+        if d < 7:
+            assert not _links_below_g(g(1, 1, d), d)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_kernelize_high_d_builds_no_threshold(mode, small_g_only):
+    # two edges under a declared edge-size bound of 20
+    for edges, alpha in (((((1, 2), 2), ((3,), -1)), 2), ((((1, 2), 1), ((3,), 1)), 3)):
+        h = WeightedHypergraph(3, edges, alpha, 20)
+        out = kernelize(h, mode)
+        assert out.status == STATUS_REDUCED
+        want = naive_hypergraph_decide(h) is not None
+        assert (naive_hypergraph_decide(out.instance) is not None) == want
 
 
 @pytest.mark.parametrize("mode", MODES)
