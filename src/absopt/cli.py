@@ -21,6 +21,7 @@ from .absio import AbsIoInstance, brute_force_absio, solve_absio
 from .errors import (
     BudgetExceededError,
     ContractViolationError,
+    InternalGuaranteeError,
     InvalidInstanceError,
     ParseError,
 )
@@ -174,7 +175,9 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
     if outcome.status == STATUS_TRIVIAL_YES:
         ok, value = pipeline.verify_witness(instance, outcome.witness)
         if not ok:
-            raise InvalidInstanceError("extracted witness failed re-verification")
+            raise InternalGuaranteeError(
+                f"kernel witness {sorted(outcome.witness)} scores {value} < {instance.alpha}"
+            )
         print("s YES")
         print(f"o {value}")
         sys.stdout.write(formats.serialize_witness(instance, outcome.witness))

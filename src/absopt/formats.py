@@ -155,7 +155,7 @@ def serialize_formula(phi: WeightedFormula) -> str:
 
 def parse_hypergraph(text: str) -> WeightedHypergraph:
     header = None
-    ids: list[int] | None = None
+    known: set[int] | None = None
     edges: list[tuple[list[int], int]] = []
     for no, toks in _lines(text):
         if toks[0] == "p":
@@ -171,14 +171,15 @@ def parse_hypergraph(text: str) -> WeightedHypergraph:
         elif toks[0] == "n":
             if header is None:
                 raise ParseError(no, "vertex list before the problem line")
-            if ids is not None:
+            if known is not None:
                 raise ParseError(no, "second vertex list")
             if edges:
                 raise ParseError(no, "vertex list must come before the edges")
             ids = [_int(t, no, "vertex id") for t in _terminated(toks[1:], no)]
             if len(ids) != header[0]:
                 raise ParseError(no, f"header promises {header[0]} vertices, list has {len(ids)}")
-            if len(set(ids)) != len(ids) or any(v < 1 for v in ids):
+            known = set(ids)
+            if len(known) != len(ids) or any(v < 1 for v in ids):
                 raise ParseError(no, "vertex ids must be distinct positive integers")
         elif toks[0] == "e":
             if header is None:
@@ -187,7 +188,6 @@ def parse_hypergraph(text: str) -> WeightedHypergraph:
                 raise ParseError(no, "edge line needs a weight and a 0 terminator")
             weight = _int(toks[1], no, "weight")
             vs = [_int(t, no, "vertex") for t in _terminated(toks[2:], no)]
-            known = set(ids) if ids is not None else None
             seen = set()
             for v in vs:
                 if v < 1 or (known is None and v > header[0]) or (known is not None and v not in known):
@@ -202,7 +202,7 @@ def parse_hypergraph(text: str) -> WeightedHypergraph:
         raise ParseError(0, "no problem line found")
     if len(edges) != header[1]:
         raise ParseError(0, f"header promises {header[1]} edges, file has {len(edges)}")
-    vertices = frozenset(ids) if ids is not None else header[0]
+    vertices = frozenset(known) if known is not None else header[0]
     return WeightedHypergraph(vertices, tuple((tuple(e), w) for e, w in edges), header[2])
 
 
@@ -317,6 +317,7 @@ def serialize_absio(inst: AbsIoInstance) -> str:
 def parse_graph(text: str) -> Graph:
     header = None
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for no, toks in _lines(text):
         if toks[0] == "p":
             if header is not None:
@@ -337,8 +338,9 @@ def parse_graph(text: str) -> Graph:
             if u == v:
                 raise ParseError(no, f"self-loop at {u}")
             key = (min(u, v), max(u, v))
-            if key in edges:
+            if key in seen:
                 raise ParseError(no, f"edge {key} repeats")
+            seen.add(key)
             edges.append(key)
         else:
             raise ParseError(no, f"unexpected line {toks[0]!r} in a graph file")

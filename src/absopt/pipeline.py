@@ -131,9 +131,9 @@ def solve_abs_dnf(
     an assignment re-checked on the input formula.
     """
     _require_abs_atleast(phi, KIND_DNF)
-    mono, receipt = monotonize_abs_dnf(phi)
+    mono, _ = monotonize_abs_dnf(phi)
     transcript = ()
-    if receipt.origins and mono.clauses != phi.clauses:
+    if mono.clauses != phi.clauses:
         transcript = (f"monotonize clauses={len(mono.clauses)}",)
     h, _ = encode_dnf_as_hypergraph(mono)
     transcript = transcript + (
@@ -162,7 +162,7 @@ def solve_abs_cnf(
 ) -> Verdict:
     """Decide |value| >= alpha for a weighted disjunction-clause formula."""
     _require_abs_atleast(phi, KIND_CNF)
-    as_dnf, receipt = abs_cnf_to_abs_dnf(phi, max_width=max_width)
+    as_dnf, _ = abs_cnf_to_abs_dnf(phi, max_width=max_width)
     verdict = solve_abs_dnf(as_dnf, mode, max_vertices=max_vertices)
     transcript = (f"minterms clauses={len(as_dnf.clauses)}",) + verdict.transcript
     if not verdict.decision:

@@ -97,54 +97,34 @@ class _MergeList:
         return tuple(tuple(sorted(self.origins[k])) for k in self.order)
 
 
-def monotonize_abs_dnf(
-    phi: WeightedFormula, *, _elimination: str = "lowest"
-) -> tuple[WeightedFormula, ReductionReceipt]:
+def monotonize_abs_dnf(phi: WeightedFormula) -> tuple[WeightedFormula, ReductionReceipt]:
     """Rewrite a DNF with negated variables into a monotone DNF.
 
-    A clause with a negated variable x splits into the clause without the
-    negation (same weight) and that clause extended by plain x (negated
-    weight); iterating removes every negation.  Clauses with equal literal
-    sets merge after each elimination step.  Clause width never grows, and
-    every assignment keeps its exact signed value.
-
-    ``_elimination`` is a testing hook: ``lowest`` (default) or ``highest``
-    picks which negated variable of a clause is resolved first.  The merged
-    result is the same either way.
+    Each clause expands on its own by inclusion-exclusion: with P its plain
+    variables and N its negated ones, ``AND(P) AND NOT(N)`` equals the sum over
+    subsets S of N of ``(-1)^|S| AND(P | S)``.  Every assignment keeps its
+    exact signed value, and clause width never grows.  Subsets are taken in
+    ``iter_subsets_lex`` order and equal literal sets merge once, in order of
+    first appearance, keeping weights that cancel to zero; that fixes the
+    output clause order.  A clause with more than ``DEFAULT_WIDTH_CAP``
+    negated literals exceeds the budget, since it expands into 2^|N| clauses.
     """
     if phi.kind != KIND_DNF:
         raise ContractViolationError("monotonization expects a DNF")
-    if _elimination not in ("lowest", "highest"):
-        raise ContractViolationError(f"unknown elimination order {_elimination!r}")
-    work: list[list] = [[lits, wt, {i}] for i, (lits, wt) in enumerate(phi.clauses)]
-
-    def merge(entries: list[list]) -> list[list]:
-        acc = _MergeList()
-        for lits, wt, org in entries:
-            acc.add(lits, wt, org)
-        return [[k, acc.weights[k], acc.origins[k]] for k in acc.order]
-
-    while True:
-        target = next((e for e in work if any(l < 0 for l in e[0])), None)
-        if target is None:
-            break
-        lits, wt, org = target
-        neg_vars = sorted(-l for l in lits if l < 0)
-        x = neg_vars[0] if _elimination == "lowest" else neg_vars[-1]
-        c_plus = lits - {-x}
-        c_minus = c_plus | {x}
-        pos = work.index(target)
-        work[pos:pos + 1] = [[c_plus, wt, set(org)], [c_minus, -wt, set(org)]]
-        work = merge(work)
-
+    acc = _MergeList()
+    for i, (lits, wt) in enumerate(phi.clauses):
+        negated = [-l for l in lits if l < 0]
+        if len(negated) > DEFAULT_WIDTH_CAP:
+            raise BudgetExceededError(
+                f"{len(negated)} negated literals in one clause exceed cap {DEFAULT_WIDTH_CAP}"
+            )
+        positive = frozenset(l for l in lits if l > 0)
+        for subset in iter_subsets_lex(negated):
+            acc.add(positive | subset, -wt if len(subset) % 2 else wt, (i,))
     out = WeightedFormula(
-        KIND_DNF, phi.num_vars, tuple((lits, wt) for lits, wt, _ in work),
-        phi.alpha, phi.objective, phi.comparison,
+        KIND_DNF, phi.num_vars, tuple(acc.items()), phi.alpha, phi.objective, phi.comparison
     )
-    receipt = ReductionReceipt(
-        "monotonize", KIND_DNF, KIND_DNF,
-        tuple(tuple(sorted(org)) for _, _, org in work),
-    )
+    receipt = ReductionReceipt("monotonize", KIND_DNF, KIND_DNF, acc.origin_tuples())
     return out, receipt
 
 
@@ -293,11 +273,15 @@ def gen_is_to_abs_monotone_dnf_w1(g: Graph, k: int) -> WeightedFormula:
     merged formula has the same value on every assignment.
     """
     _check_k(k)
+    neighbors: list[set[int]] = [set() for _ in range(g.num_vertices + 1)]
+    for u, v in g.edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
     clauses: list[tuple[tuple[int, ...], int]] = []
     for v in range(1, g.num_vertices + 1):
-        nb = tuple(sorted(g.neighbors(v)))
+        nb = tuple(sorted(neighbors[v]))
         clauses.append((nb, 1))
-        clauses.append((tuple(sorted(set(nb) | {v})), -1))
+        clauses.append((tuple(sorted(neighbors[v] | {v})), -1))
     return WeightedFormula(KIND_DNF, g.num_vertices, tuple(clauses), k, OBJ_ABS, CMP_ATLEAST)
 
 

@@ -1,8 +1,10 @@
 import pytest
 
-from absopt import WeightedFormula, brute_force_formula, eval_formula
+from absopt import WeightedFormula, brute_force_formula, cli, eval_formula
 from absopt.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_NO, EXIT_YES, main
+from absopt.errors import InternalGuaranteeError
 from absopt.formats import parse_formula, parse_hypergraph, parse_instance, parse_witness
+from absopt.kernel import STATUS_TRIVIAL_YES, KernelOutcome
 
 YES_DNF = "p wdnf 3 2 3\nw 5 1 -2 0\nw -2 3 0\n"
 NO_DNF = "p wdnf 2 1 9\nw 5 1 2 0\n"
@@ -80,6 +82,13 @@ def test_solve_budget(tmp_path, capsys):
     wide = "p wdnf 30 1 1\nw 1 " + " ".join(str(v) for v in range(1, 31)) + " 0\n"
     f = _write(tmp_path, "wide.wdnf", wide)
     assert main(["solve", f, "--oracle", "--cap", "25"]) == EXIT_BUDGET
+    assert "budget:" in capsys.readouterr().err
+    # 30 negated literals would expand into 2^30 monotone clauses
+    negated = "p wdnf 30 1 1\nw 1 " + " ".join(str(-v) for v in range(1, 31)) + " 0\n"
+    g = _write(tmp_path, "negated.wdnf", negated)
+    assert main(["solve", g]) == EXIT_BUDGET
+    assert "budget:" in capsys.readouterr().err
+    assert main(["reduce", "monotonize", g]) == EXIT_BUDGET
     assert "budget:" in capsys.readouterr().err
 
 
@@ -178,6 +187,16 @@ def test_kernelize_trivial_yes(tmp_path, capsys):
     from absopt import induced_weight
 
     assert abs(induced_weight(h, vs)) >= 1
+
+
+def test_kernelize_bad_witness_is_a_bug(tmp_path, monkeypatch):
+    f = _write(tmp_path, "star.uhg", STAR_UHG)
+    h = parse_hypergraph(STAR_UHG)
+    monkeypatch.setattr(
+        cli, "kernelize", lambda inst, mode: KernelOutcome(STATUS_TRIVIAL_YES, h, frozenset(), ())
+    )
+    with pytest.raises(InternalGuaranteeError):
+        main(["kernelize", f])
 
 
 def test_kernelize_reduced_output(tmp_path, capsys):

@@ -55,13 +55,28 @@ def test_monotonize_width_never_grows():
         assert mono.width <= max(phi.width, 0)
 
 
-def test_elimination_orders_agree_on_values():
-    rng = random.Random(13)
-    for _ in range(60):
-        phi = random_formula(rng, kind="dnf", max_vars=6)
-        low, _ = monotonize_abs_dnf(phi, _elimination="lowest")
-        high, _ = monotonize_abs_dnf(phi, _elimination="highest")
-        assert np.array_equal(value_profile(low), value_profile(high))
+def test_monotonize_exact_output():
+    # clause 1 expands onto clause 2's {1, 2}, which cancels to a kept 0; the
+    # all-negated clause 3 lands on the empty clause 0 and on clause 1's {1}
+    phi = WeightedFormula("dnf", 3, (((), 4), ((1, -2), 3), ((1, 2), 3), ((-1, -3), 2)), 1)
+    mono, receipt = monotonize_abs_dnf(phi)
+    assert mono.clauses == (
+        (frozenset(), 6),
+        (frozenset({1}), 1),
+        (frozenset({1, 2}), 0),
+        (frozenset({3}), -2),
+        (frozenset({1, 3}), 2),
+    )
+    assert receipt.origins == ((0, 3), (1, 3), (1, 2), (3,), (3,))
+    assert np.array_equal(value_profile(phi), value_profile(mono))
+
+
+def test_monotonize_negation_cap():
+    at_cap = WeightedFormula("dnf", 10, ((tuple(range(-10, 0)), 1),), 1)
+    assert len(monotonize_abs_dnf(at_cap)[0].clauses) == 1 << 10
+    over = WeightedFormula("dnf", 12, ((tuple(range(-11, 0)) + (12,), 1),), 1)
+    with pytest.raises(BudgetExceededError):
+        monotonize_abs_dnf(over)
 
 
 def test_encode_hypergraph_matches_assignments():
