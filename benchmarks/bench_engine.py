@@ -3,8 +3,8 @@
 
 Runs the same workloads through both implementations and prints a table.
 The compiled core is loaded directly from the library that
-``python3 setup.py build_ext --inplace`` builds, so ABSOPT_DISABLE_EXT has no
-effect here; a missing library just drops the compiled column.
+``python3 setup.py build_ext --inplace`` builds; a missing library just drops
+the compiled column.
 """
 
 import argparse

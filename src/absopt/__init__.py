@@ -15,7 +15,7 @@ from .errors import (
     InvalidInstanceError,
     ParseError,
 )
-from .kernel import GThreshold, KernelOutcome, g, kernelize
+from .kernel import KernelOutcome, g, kernelize
 from .model import (
     Assignment,
     Verdict,
@@ -59,7 +59,6 @@ __all__ = [
     "BACKEND",
     "BudgetExceededError",
     "ContractViolationError",
-    "GThreshold",
     "Graph",
     "InternalGuaranteeError",
     "InvalidInstanceError",

@@ -472,9 +472,7 @@ def _replay(
     return tuple(vals[g] for g in target_ids)
 
 
-def _support_shortcut(
-    inst: AbsIoInstance, edge_threshold: int | None
-) -> tuple[tuple[int, ...] | None, tuple[str, ...]]:
+def _support_shortcut(inst: AbsIoInstance) -> tuple[tuple[int, ...] | None, tuple[str, ...]]:
     # Monomial supports as hyperedges; a heavy enough edge count certifies a
     # 0/1 witness, which the normalized box always contains.
     if inst.num_vars == 0:
@@ -492,7 +490,7 @@ def _support_shortcut(
     h = WeightedHypergraph(inst.num_vars, edges, inst.alpha)
     if h.d < 1:
         return None, ()
-    outcome = kernelize(h, MODE_EDGECOUNT, edge_threshold=edge_threshold)
+    outcome = kernelize(h, MODE_EDGECOUNT)
     if outcome.status != STATUS_TRIVIAL_YES:
         return None, ()
     point = tuple(1 if i + 1 in outcome.witness else 0 for i in range(inst.num_vars))
@@ -553,12 +551,7 @@ def _scan_window(
     return None
 
 
-def solve_absio(
-    inst: AbsIoInstance,
-    *,
-    max_points: int | None = None,
-    edge_threshold: int | None = None,
-) -> Verdict:
+def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdict:
     """Full decision procedure for |p(x)| >= alpha over the box.
 
     Phases: cleanup and normalization rules to a fixpoint, the monomial
@@ -602,7 +595,7 @@ def solve_absio(
             )
         return Verdict(True, point, value, tuple(transcript))
 
-    shortcut, lines = _support_shortcut(cur, edge_threshold)
+    shortcut, lines = _support_shortcut(cur)
     transcript.extend(lines)
     if shortcut is not None:
         return finish(shortcut)
@@ -624,9 +617,7 @@ def solve_absio(
         if child.num_terms == 0:
             transcript.append(f"child k={k} empty")
             continue
-        sub = solve_absio(
-            child, max_points=max_points, edge_threshold=edge_threshold
-        )
+        sub = solve_absio(child, max_points=max_points)
         transcript.extend(f"k={k}:{line}" for line in sub.transcript)
         if not sub.decision:
             transcript.append(f"child k={k} no")

@@ -1,8 +1,8 @@
 """Backend selection for the enumeration core.
 
 The compiled core (``_core.c``, built in place by ``python3 setup.py build_ext
---inplace``) is loaded through ctypes at import when its library file exists;
-set ABSOPT_DISABLE_EXT to force the pure path.  Nothing is built at import.
+--inplace``) is loaded through ctypes at import when its library file exists,
+and the pure core runs otherwise.  Nothing is built at import.
 Dispatch is additionally per call: an instance runs compiled only when its
 variable count and exact weight magnitudes are known to fit 64-bit arithmetic,
 so oversized weights silently take the pure path and stay exact.
@@ -72,7 +72,7 @@ def library_path() -> str | None:
     return None
 
 
-_library = None if os.environ.get("ABSOPT_DISABLE_EXT") else library_path()
+_library = library_path()
 _compiled = CompiledCore(_library) if _library is not None else None
 
 BACKEND = "compiled" if _compiled is not None else "pure"

@@ -65,21 +65,6 @@ def _links_below_g(edge_count: int, d: int) -> bool:
 
 
 @dataclass(frozen=True)
-class GThreshold:
-    """The g thresholds of one instance, fixed alpha and d."""
-
-    alpha: int
-    d: int
-
-    def __call__(self, i: int) -> int:
-        return g(i, self.alpha, self.d)
-
-    def edge_count(self) -> int:
-        """Global edge-count certificate threshold; equals g(d)."""
-        return g(self.d, self.alpha, self.d)
-
-
-@dataclass(frozen=True)
 class KernelOutcome:
     """Result of kernelization: a verified trivial yes or a reduced instance.
 
@@ -128,38 +113,43 @@ def rule2_zero_weight(h: WeightedHypergraph) -> tuple[WeightedHypergraph, tuple[
 def extract_witness_packing(h: WeightedHypergraph) -> VertexSet:
     """Witness from a greedy self-induced packing of pairwise disjoint edges.
 
-    Repeatedly takes the lexicographically smallest remaining nonempty edge
-    that strictly contains no other remaining nonempty edge, then discards
-    everything touching the vertices its neighborhood covers.  The picked
-    edges are pairwise disjoint and induce only themselves (plus possibly the
-    empty edge).  Splitting them by weight sign, the union of one of the two
-    sides reaches |w[X]| >= alpha whenever the packing has at least 2*alpha
-    members: the two unions' values differ by at least |M|, which the empty
-    edge's weight cannot cancel.  Both sides are tried, larger first, ties
-    preferring the positive side.
+    Scans the nonempty edges once in lexicographic order and picks each one
+    that strictly contains no other nonempty edge and meets no covered vertex,
+    then covers the union of the not-yet-covered edges it meets.  Whatever
+    covers a subedge also covers every edge containing it, so an edge that is
+    not minimal at the start never becomes pickable, and a minimal edge once
+    passed over stays covered: the scan picks exactly what repeatedly taking
+    the smallest minimal uncovered edge would.  Subedges and met edges all
+    pass through the edge's own vertices, found in a vertex index built once.
+
+    The picked edges are pairwise disjoint and induce only themselves (plus
+    possibly the empty edge).  Splitting them by weight sign, the union of one
+    of the two sides reaches |w[X]| >= alpha whenever the packing has at least
+    2*alpha members: the two unions' values differ by at least |M|, which the
+    empty edge's weight cannot cancel.  Both sides are tried, larger first,
+    ties preferring the positive side.
     """
-    remaining = sorted((e for e, wt in h.edges if e), key=_edge_key)
+    edges = sorted((e for e, _ in h.edges if e), key=_edge_key)
     weight = dict(h.edges)
+    incident: dict[int, list[VertexSet]] = {}
+    for e in edges:
+        for v in e:
+            incident.setdefault(v, []).append(e)
+    covered: set[int] = set()
     m_plus: list[VertexSet] = []
     m_minus: list[VertexSet] = []
-    while remaining:
-        eligible = None
-        for e in remaining:
-            if not any(f < e for f in remaining if f != e):
-                eligible = e
-                break
-        if eligible is None:  # cannot happen: a minimal edge always exists
-            raise InternalGuaranteeError("packing greedy found no minimal edge")
-        wt = weight[eligible]
-        if wt > 0:
-            m_plus.append(eligible)
-        elif wt < 0:
-            m_minus.append(eligible)
-        neighborhood = [f for f in remaining if f & eligible]
-        covered: set[int] = set()
-        for f in neighborhood:
+    for e in edges:
+        if not covered.isdisjoint(e):
+            continue
+        met = [f for v in e for f in incident[v] if covered.isdisjoint(f)]
+        if any(f < e for f in met):
+            continue
+        if weight[e] > 0:
+            m_plus.append(e)
+        elif weight[e] < 0:
+            m_minus.append(e)
+        for f in met:
             covered |= f
-        remaining = [f for f in remaining if not (f & covered)]
     sides = [m_plus, m_minus]
     if len(m_minus) > len(m_plus):
         sides = [m_minus, m_plus]
@@ -206,7 +196,6 @@ def rule4_subedge(h: WeightedHypergraph) -> VertexSet | None:
     """
     if h.alpha < 1 or h.d < 1 or _links_below_g(len(h.edges), h.d):
         return None
-    thresholds = GThreshold(h.alpha, h.d)
     # One pass gives every candidate's link size: an edge strictly contains
     # exactly its proper subsets among the candidates.
     link_count: dict[VertexSet, int] = {}
@@ -222,7 +211,7 @@ def rule4_subedge(h: WeightedHypergraph) -> VertexSet | None:
     for c in link_count:
         by_size.setdefault(len(c), []).append(c)
     for size in sorted(by_size, reverse=True):
-        threshold = thresholds(h.d - size)
+        threshold = g(h.d - size, h.alpha, h.d)
         for c in sorted(by_size[size], key=_edge_key):
             if link_count[c] >= threshold:
                 return c
@@ -232,39 +221,36 @@ def rule4_subedge(h: WeightedHypergraph) -> VertexSet | None:
 def extract_witness_sunflower(h: WeightedHypergraph, core: VertexSet) -> VertexSet:
     """Witness from a sunflower with the given core.
 
-    Greedily collects edges strictly containing the core that (a) strictly
-    contain no other such edge, (b) meet every picked edge in exactly the
-    core, and (c) keep the picked set self-induced among the core's link.
+    Scans the core's link (the edges strictly containing it) once in
+    lexicographic order and picks each edge that (a) strictly contains no
+    other link edge, (b) meets every picked edge in exactly the core, and (c)
+    keeps the picked set self-induced among the link: the picked union grown
+    by the edge contains no unpicked link edge.  Before each pick the union
+    holds no unpicked link edge, so the three hold together exactly when no
+    other link edge through the candidate's petal (the candidate minus the
+    core) lies inside the union grown by the candidate: such an edge is
+    inside the candidate for (a), picked for (b), newly enclosed for (c).
+    One test over the link edges through the petal's vertices, indexed once,
+    decides all three.
+
     The candidates are every core subset joined with nothing, with the
     positive petals, or with the negative petals; at least one verifies when
     the rule's thresholds fired.
     """
     core = frozenset(core)
     e_c = sorted(link(h, core), key=_edge_key)
-    e_c_set = set(e_c)
-    weight = dict(h.edges)
-    picked: list[VertexSet] = []
-    picked_set: set[VertexSet] = set()
-    union: set[int] = set()
+    through: dict[int, list[VertexSet]] = {}
     for e in e_c:
-        if any(f < e for f in e_c_set if f != e):
-            continue
-        if any((e & m) != core for m in picked):
-            continue
-        candidate_union = union | e
-        ok = True
-        for f in e_c:
-            if f != e and f not in picked_set and f <= candidate_union:
-                ok = False
-                break
-        if not ok:
-            continue
-        picked.append(e)
-        picked_set.add(e)
-        union = candidate_union
+        for v in e - core:
+            through.setdefault(v, []).append(e)
+    weight = dict(h.edges)
+    union: set[int] = set()
     plus: set[int] = set()
     minus: set[int] = set()
-    for e in picked:
+    for e in e_c:
+        if any(f != e and f - e <= union for v in e - core for f in through[v]):
+            continue
+        union |= e
         if weight[e] > 0:
             plus |= e
         elif weight[e] < 0:
@@ -278,16 +264,9 @@ def extract_witness_sunflower(h: WeightedHypergraph, core: VertexSet) -> VertexS
     raise InternalGuaranteeError("sunflower extraction produced no verifying candidate")
 
 
-def kernelize(
-    h: WeightedHypergraph,
-    mode: str = MODE_SUBEDGE,
-    *,
-    edge_threshold: int | None = None,
-) -> KernelOutcome:
+def kernelize(h: WeightedHypergraph, mode: str = MODE_SUBEDGE) -> KernelOutcome:
     """Exhaustively apply the mode's rules, smallest rule first after any firing.
 
-    ``edge_threshold`` overrides the edge-count certificate threshold and
-    exists for tests only (the true threshold is astronomically large).
     Returns a verified trivial yes or the reduced instance; reduction never
     changes the answer, and deleting isolated vertices or zero-weight edges
     never changes any subset's induced weight.
@@ -323,14 +302,8 @@ def kernelize(
                     f"rule4 core={_fmt_edge(core)} link={len(link(h, core))}"
                 )
                 return KernelOutcome(STATUS_TRIVIAL_YES, h, witness, tuple(transcript))
-        if mode == MODE_EDGECOUNT and h.d >= 1 and (
-            edge_threshold is not None or not _links_below_g(len(h.edges), h.d)
-        ):
-            threshold = (
-                edge_threshold
-                if edge_threshold is not None
-                else GThreshold(h.alpha, h.d).edge_count()
-            )
+        if mode == MODE_EDGECOUNT and h.d >= 1 and not _links_below_g(len(h.edges), h.d):
+            threshold = g(h.d, h.alpha, h.d)
             if len(h.edges) >= threshold:
                 transcript.append(f"edgecount |E|={len(h.edges)} threshold={threshold}")
                 core = rule4_subedge(h)

@@ -158,11 +158,10 @@ def solve_abs_cnf(
     mode: str = MODE_SUBEDGE,
     *,
     max_vertices: int | None = None,
-    max_width: int | None = None,
 ) -> Verdict:
     """Decide |value| >= alpha for a weighted disjunction-clause formula."""
     _require_abs_atleast(phi, KIND_CNF)
-    as_dnf, _ = abs_cnf_to_abs_dnf(phi, max_width=max_width)
+    as_dnf, _ = abs_cnf_to_abs_dnf(phi)
     verdict = solve_abs_dnf(as_dnf, mode, max_vertices=max_vertices)
     transcript = (f"minterms clauses={len(as_dnf.clauses)}",) + verdict.transcript
     if not verdict.decision:

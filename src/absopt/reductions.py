@@ -150,9 +150,7 @@ def encode_dnf_as_hypergraph(
     return h, receipt
 
 
-def abs_cnf_to_abs_dnf(
-    phi: WeightedFormula, *, max_width: int | None = None
-) -> tuple[WeightedFormula, ReductionReceipt]:
+def abs_cnf_to_abs_dnf(phi: WeightedFormula) -> tuple[WeightedFormula, ReductionReceipt]:
     """CNF to DNF by expanding each disjunction into its satisfying minterms.
 
     Every assignment satisfies exactly one minterm over a clause's variables,
@@ -163,9 +161,8 @@ def abs_cnf_to_abs_dnf(
     """
     if phi.kind != KIND_CNF:
         raise ContractViolationError("minterm expansion expects a CNF")
-    cap = DEFAULT_WIDTH_CAP if max_width is None else max_width
-    if phi.width > cap:
-        raise BudgetExceededError(f"clause width {phi.width} exceeds cap {cap}")
+    if phi.width > DEFAULT_WIDTH_CAP:
+        raise BudgetExceededError(f"clause width {phi.width} exceeds cap {DEFAULT_WIDTH_CAP}")
     acc = _MergeList()
     for i, (lits, wt) in enumerate(phi.clauses):
         variables = sorted(abs(l) for l in lits)
@@ -183,7 +180,7 @@ def abs_cnf_to_abs_dnf(
 
 
 def expand_conjunctions_to_disjunctions(
-    phi: WeightedFormula, *, max_width: int | None = None
+    phi: WeightedFormula,
 ) -> tuple[WeightedFormula, ReductionReceipt]:
     """Monotone DNF to monotone CNF via inclusion-exclusion over clause subsets.
 
@@ -196,9 +193,8 @@ def expand_conjunctions_to_disjunctions(
         raise ContractViolationError("disjunction expansion expects a monotone DNF")
     if any(not lits for lits, _ in phi.clauses):
         raise ContractViolationError("disjunction expansion rejects the empty clause")
-    cap = DEFAULT_WIDTH_CAP if max_width is None else max_width
-    if phi.width > cap:
-        raise BudgetExceededError(f"clause width {phi.width} exceeds cap {cap}")
+    if phi.width > DEFAULT_WIDTH_CAP:
+        raise BudgetExceededError(f"clause width {phi.width} exceeds cap {DEFAULT_WIDTH_CAP}")
     acc = _MergeList()
     for i, (lits, wt) in enumerate(phi.clauses):
         for subset in iter_subsets_lex(lits):

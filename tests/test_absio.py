@@ -299,20 +299,24 @@ def test_solve_budget_propagates():
         solve_absio(inst, max_points=1000)
 
 
-def test_support_shortcut_knob():
-    # after shifting [2,3] boxes to [0,1], the constant monomial alone
-    # certifies yes once the edge-count threshold is forced down
-    inst = _inst(
-        [(1, 0, 0), (0, 1, 0)], (1, 1, 16), (2, 2), (3, 3), 16
-    )
-    v = solve_absio(inst, edge_threshold=2)
-    assert v.decision
-    assert any("support yes" in line for line in v.transcript)
-    ok, value = verify_point(inst, v.witness)
-    assert ok and abs(value) >= 16
-    # same instance without the knob still solves, just not via the shortcut
-    w = solve_absio(inst)
+def test_support_shortcut_real_threshold():
+    # n linear monomials over [0,1] are n singleton supports under d=1, and
+    # g(1) = 8 edges certify alpha = 1
+    def linear(n, lo, hi):
+        rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        return _inst(rows, (1,) * n, (lo,) * n, (hi,) * n, 1)
+
+    v = solve_absio(linear(8, 0, 1))
+    assert v.decision and v.witness == (1,) * 8
+    assert v.transcript == ("edgecount |E|=8 threshold=8", "support yes |X|=8")
+    w = solve_absio(linear(7, 0, 1))
     assert w.decision and not any("support yes" in line for line in w.transcript)
+    # shifting [2,3] boxes to [0,1] adds the constant monomial as an eighth edge
+    inst = linear(7, 2, 3)
+    u = solve_absio(inst)
+    assert u.decision and "support yes |X|=7" in u.transcript
+    ok, value = verify_point(inst, u.witness)
+    assert ok and abs(value) >= 1
 
 
 def test_solve_transcript_shapes():

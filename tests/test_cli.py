@@ -90,6 +90,11 @@ def test_solve_budget(tmp_path, capsys):
     assert "budget:" in capsys.readouterr().err
     assert main(["reduce", "monotonize", g]) == EXIT_BUDGET
     assert "budget:" in capsys.readouterr().err
+    # a width-11 conjunction would expand into 2^11 - 1 disjunctions
+    conj = "p wdnf 11 1 1\nw 1 " + " ".join(str(v) for v in range(1, 12)) + " 0\n"
+    h = _write(tmp_path, "conj.wdnf", conj)
+    assert main(["reduce", "expand", h]) == EXIT_BUDGET
+    assert "budget:" in capsys.readouterr().err
 
 
 def test_solve_missing_file(capsys):

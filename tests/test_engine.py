@@ -187,20 +187,18 @@ def test_backend_selection(core_library, tmp_path):
     # a copy of the package, so that no library is written next to the sources
     pkg = tmp_path / "absopt"
     shutil.copytree(PACKAGE, pkg, ignore=shutil.ignore_patterns("*.so", "__pycache__"))
-    env = {k: v for k, v in os.environ.items() if k != "ABSOPT_DISABLE_EXT"}
-    env["PYTHONPATH"] = str(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
 
-    def backend(**extra):
+    def backend():
         proc = subprocess.run(
             [sys.executable, "-c", "import absopt; print(absopt.BACKEND)"],
-            env={**env, **extra}, capture_output=True, text=True, check=True,
+            env=env, capture_output=True, text=True, check=True,
         )
         return proc.stdout.strip()
 
     assert backend() == "pure"
     shutil.copy(core_library, pkg / ("_core" + EXTENSION_SUFFIXES[0]))
     assert backend() == "compiled"
-    assert backend(ABSOPT_DISABLE_EXT="1") == "pure"
 
 
 def test_empty_clause_and_zero_vars():

@@ -1,10 +1,10 @@
 import random
+import time
 
 import pytest
 
 from absopt import (
     ContractViolationError,
-    GThreshold,
     KernelOutcome,
     WeightedHypergraph,
     g,
@@ -36,9 +36,6 @@ def test_g_values():
     assert g(2, 1, 2) == 2_097_152
     for alpha in (1, 2, 5, 11):
         assert g(1, alpha, 1) == 8 * alpha
-    th = GThreshold(1, 2)
-    assert th(1) == 32 and th(2) == 2_097_152
-    assert th.edge_count() == g(2, 1, 2)
     with pytest.raises(ContractViolationError):
         g(-1, 1, 1)
     with pytest.raises(ContractViolationError):
@@ -107,6 +104,18 @@ def test_packing_survives_hostile_empty_edge():
     assert abs(induced_weight(h, w)) >= 2
 
 
+def test_packing_exact_witnesses():
+    # {1,5} sorts before its subedge {5} but is never picked: {2}, {3,4} and
+    # {5} are, and the positive side {2} + {5} reaches alpha = 2
+    h = WeightedHypergraph(range(1, 6), (((1, 5), 1), ((5,), 1), ((2,), 1), ((3, 4), -1)), 2, 2)
+    assert extract_witness_packing(h) == frozenset({2, 5})
+    # picking {1} covers {1,2}, which knocks out the minimal edge {2,3}; the
+    # negative side {1}, {4}, {5} outnumbers {6} and is tried first
+    edges = (((1,), -1), ((1, 2), 1), ((2, 3), -1), ((4,), -1), ((5,), -1), ((6,), 1))
+    h = WeightedHypergraph(range(1, 7), edges, 3, 2)
+    assert extract_witness_packing(h) == frozenset({1, 4, 5})
+
+
 def test_rule4_empty_core_direct():
     # 8*alpha disjoint singletons make link(empty) hit its threshold
     for alpha in (1, 2):
@@ -149,6 +158,35 @@ def test_rule4_star_mixed_signs():
     assert core == frozenset({1})
     w = extract_witness_sunflower(h, core)
     assert abs(induced_weight(h, w)) >= 1
+
+
+def test_sunflower_exact_witness():
+    # core {1}, link in scan order: {1,2,3} picked; {1,2,5} and {1,3,4} meet
+    # it outside the core; {1,5} would bring the unpicked {1,2,5} inside the
+    # picked union; {1,6,9} strictly contains the later {1,9}; then {1,7},
+    # {1,8} and {1,9} are picked
+    edges = (
+        ((1, 2, 3), 1), ((1, 2, 5), 1), ((1, 3, 4), 1), ((1, 5), 1),
+        ((1, 6, 9), 1), ((1, 7), 1), ((1, 8), -1), ((1, 9), 1),
+    )
+    h = WeightedHypergraph(range(1, 10), edges, 3, 3)
+    assert extract_witness_sunflower(h, frozenset({1})) == frozenset({1, 2, 3, 7, 9})
+
+
+def test_extraction_scales_near_linearly():
+    # one pass over a vertex index takes a fraction of a second on 40,000
+    # edges; the 5 s bounds leave room for slow machines
+    n = 40_000
+    pairs = WeightedHypergraph(2 * n, tuple(((2 * i + 1, 2 * i + 2), 1) for i in range(n)), 1, 2)
+    start = time.perf_counter()
+    w = extract_witness_packing(pairs)
+    assert time.perf_counter() - start < 5
+    assert w == pairs.vertices
+    star = _star(1, range(2, n + 2), [1] * n, 1)
+    start = time.perf_counter()
+    w = extract_witness_sunflower(star, frozenset({1}))
+    assert time.perf_counter() - start < 5
+    assert w == star.vertices
 
 
 def test_rule4_prefers_larger_cores():
@@ -213,15 +251,15 @@ def test_degree_mode_skips_rule4():
     assert out.instance == h
 
 
-def test_edgecount_threshold_knob():
-    h = WeightedHypergraph({1, 2}, (((1,), 1), ((2,), 1)), 1, 1)
-    out = kernelize(h, MODE_EDGECOUNT, edge_threshold=2)
+def test_edgecount_real_threshold():
+    # at d=1 and alpha=1 the certificate needs g(1) = 8 edges
+    h = WeightedHypergraph(range(1, 9), _singletons(8, [1] * 8), 1, 1)
+    out = kernelize(h, MODE_EDGECOUNT)
     assert out.status == STATUS_TRIVIAL_YES
-    assert any(line.startswith("edgecount |E|=2 threshold=2") for line in out.transcript)
+    assert out.transcript == ("edgecount |E|=8 threshold=8",)
     assert abs(induced_weight(h, out.witness)) >= 1
-    # without the override the true threshold is far out of reach
-    calm = kernelize(h, MODE_EDGECOUNT)
-    assert calm.status == STATUS_REDUCED
+    short = WeightedHypergraph(range(1, 8), _singletons(7, [1] * 7), 1, 1)
+    assert kernelize(short, MODE_EDGECOUNT).status == STATUS_REDUCED
 
 
 def test_links_below_g_is_a_lower_bound():

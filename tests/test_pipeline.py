@@ -155,5 +155,6 @@ def test_solve_abs_cnf_transcript_and_width_cap():
     verdict = solve_abs_cnf(phi)
     assert verdict.decision
     assert verdict.transcript[0].startswith("minterms clauses=")
+    wide = WeightedFormula("cnf", 11, ((tuple(range(1, 12)), 1),), 1)
     with pytest.raises(BudgetExceededError):
-        solve_abs_cnf(phi, max_width=2)
+        solve_abs_cnf(wide)

@@ -123,7 +123,7 @@ def test_cnf_to_dnf_preserves_values():
 def test_cnf_to_dnf_width_cap():
     phi = WeightedFormula("cnf", 12, ((tuple(range(1, 13)), 1),), 1)
     with pytest.raises(BudgetExceededError):
-        abs_cnf_to_abs_dnf(phi, max_width=8)
+        abs_cnf_to_abs_dnf(phi)
 
 
 def test_expand_inclusion_exclusion_signs():
