@@ -13,7 +13,6 @@ internal substitution is logged and replayed backwards before returning.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +29,10 @@ from .kernel import MODE_EDGECOUNT, STATUS_TRIVIAL_YES, kernelize
 from .model import Verdict, WeightedHypergraph
 
 DEFAULT_POINT_CAP = 2_000_000
+
+# Points per slab of the numpy leaf: slabs are whole rows along variable 1,
+# at least one row, so memory follows the slab and a hit ends the scan early.
+SLAB_POINTS = 1 << 16
 
 Bound = int | None
 
@@ -294,23 +297,14 @@ def shift_variable(inst: AbsIoInstance, i: int, t: int) -> tuple[AbsIoInstance, 
     """
     if not 0 <= i < inst.num_vars:
         raise InvalidInstanceError(f"no variable at row {i}")
-    rows = [list(r) for r in inst.exponents]
-    m = len(inst.weights)
-    new_cols: list[tuple[tuple[int, ...], int]] = []
-    for j in range(m):
-        c = rows[i][j]
-        base = [rows[r][j] for r in range(len(rows))]
+    merged: dict[tuple[int, ...], int] = {}
+    for col, w in zip(zip(*inst.exponents), inst.weights):
+        c = col[i]
         for k in range(c + 1):
-            col = list(base)
-            col[i] = c - k
-            new_cols.append((tuple(col), math.comb(c, k) * inst.weights[j] * t**k))
-    out_rows: list[list[int]] = [[] for _ in rows]
-    out_weights: list[int] = []
-    for col, w in new_cols:
-        for r in range(len(rows)):
-            out_rows[r].append(col[r])
-        out_weights.append(w)
-    _merge_columns(out_rows, out_weights)
+            key = col[:i] + (c - k,) + col[i + 1:]
+            merged[key] = merged.get(key, 0) + math.comb(c, k) * w * t**k
+    out_rows = [[key[r] for key in merged] for r in range(inst.num_vars)]
+    out_weights = list(merged.values())
     lower = list(inst.lower)
     upper = list(inst.upper)
     lower[i] = None if lower[i] is None else lower[i] - t
@@ -375,31 +369,102 @@ def rule6_shift(inst: AbsIoInstance) -> tuple[AbsIoInstance, tuple[LogEntry, ...
 # --- exact enumeration ----------------------------------------------------
 
 
+def _horner_scan(
+    coeffs: list[int], lo: int, hi: int, alpha: int
+) -> tuple[int, int] | None:
+    """First x in [lo, hi] with |sum_k coeffs[k] x^k| >= alpha, and its value."""
+    top = coeffs[::-1]
+    for x in range(lo, hi + 1):
+        value = 0
+        for c in top:
+            value = value * x + c
+        if abs(value) >= alpha:
+            return x, value
+    return None
+
+
+def _fix_first(terms: dict[tuple[int, ...], int], x: int) -> dict[tuple[int, ...], int]:
+    # Substitute x for the first variable; monomials whose remaining
+    # exponent vectors agree merge.
+    out: dict[tuple[int, ...], int] = {}
+    powers: dict[int, int] = {}
+    for key, c in terms.items():
+        a = key[0]
+        p = powers.get(a)
+        if p is None:
+            p = powers[a] = x**a
+        rest = key[1:]
+        out[rest] = out.get(rest, 0) + c * p
+    return out
+
+
+def _pure_leaf(inst: AbsIoInstance) -> tuple[int, ...] | None:
+    # Depth-first in lexicographic order: variables 1..n-1 are fixed one at a
+    # time, each level holding the polynomial left in the later variables,
+    # and the last variable is scanned by Horner's rule.
+    last = inst.num_vars - 1
+    terms: dict[tuple[int, ...], int] = {}
+    for col, w in zip(zip(*inst.exponents), inst.weights):
+        terms[col] = terms.get(col, 0) + w
+    levels = [terms]
+    point: list[int] = []
+    while True:
+        if len(point) < last:
+            x = inst.lower[len(point)]
+            levels.append(_fix_first(levels[-1], x))
+            point.append(x)
+            continue
+        coeffs = [0] * (max((key[0] for key in levels[-1]), default=0) + 1)
+        for (a,), c in levels[-1].items():
+            coeffs[a] += c
+        hit = _horner_scan(coeffs, inst.lower[last], inst.upper[last], inst.alpha)
+        if hit is not None:
+            return tuple(point) + (hit[0],)
+        while point and point[-1] == inst.upper[len(point) - 1]:
+            point.pop()
+            levels.pop()
+        if not point:
+            return None
+        point[-1] += 1
+        levels[-1] = _fix_first(levels[-2], point[-1])
+
+
 def _numpy_leaf(
     inst: AbsIoInstance, shape: tuple[int, ...]
 ) -> tuple[int, ...] | None:
+    # Slabs of whole rows along variable 1, in order; within a slab the
+    # C-ordered argmax of the hit mask is the lexicographically first hit.
     n = inst.num_vars
-    axes = [
-        np.arange(inst.lower[i], inst.upper[i] + 1, dtype=np.int64) for i in range(n)
-    ]
-    total = np.zeros(shape, dtype=np.int64)
+    powers: dict[tuple[int, int], np.ndarray] = {}
+    terms = []
     for j, w in enumerate(inst.weights):
         if w == 0:
             continue
-        term = np.int64(w)
+        factors = []
         for i in range(n):
             a = inst.exponents[i][j]
             if a:
-                p = axes[i] ** a
-                term = term * p.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
-        total = total + term
-    flat = np.abs(total.ravel())
-    hits = flat >= inst.alpha
-    if not hits.any():
-        return None
-    idx = int(np.argmax(hits))
-    coords = np.unravel_index(idx, shape)
-    return tuple(int(inst.lower[i]) + int(coords[i]) for i in range(n))
+                if (i, a) not in powers:
+                    axis = np.arange(inst.lower[i], inst.upper[i] + 1, dtype=np.int64)
+                    powers[i, a] = (axis**a).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+                factors.append((i, powers[i, a]))
+        terms.append((w, factors))
+    rows = max(1, SLAB_POINTS // math.prod(shape[1:]))
+    for start in range(0, shape[0], rows):
+        stop = min(start + rows, shape[0])
+        total = np.zeros((stop - start,) + shape[1:], dtype=np.int64)
+        for w, factors in terms:
+            term = np.int64(w)
+            for i, p in factors:
+                term = term * (p[start:stop] if i == 0 else p)
+            total += term
+        hits = np.abs(total) >= inst.alpha
+        if hits.any():
+            coords = np.unravel_index(int(np.argmax(hits)), hits.shape)
+            return (int(inst.lower[0]) + start + int(coords[0]),) + tuple(
+                int(inst.lower[i]) + int(coords[i]) for i in range(1, n)
+            )
+    return None
 
 
 def brute_force_absio(
@@ -444,13 +509,10 @@ def brute_force_absio(
         if point is None:
             return Verdict(False, transcript=transcript)
         return Verdict(True, point, eval_poly(inst, point), transcript)
-    for pt in itertools.product(
-        *(range(inst.lower[i], inst.upper[i] + 1) for i in range(n))
-    ):
-        value = eval_poly(inst, pt)
-        if abs(value) >= inst.alpha:
-            return Verdict(True, pt, value, transcript)
-    return Verdict(False, transcript=transcript)
+    point = _pure_leaf(inst)
+    if point is None:
+        return Verdict(False, transcript=transcript)
+    return Verdict(True, point, eval_poly(inst, point), transcript)
 
 
 # --- solver ---------------------------------------------------------------
@@ -539,16 +601,16 @@ def _scan_window(
         start = hi - width
     else:
         start = 0
-    point = [0] * inst.num_vars
-    for r in range(inst.num_vars):
-        if r != i:
-            point[r] = partial[inst.var_ids[r]]
-    for x in range(start, start + width + 1):
-        point[i] = x
-        value = eval_poly(inst, point)
-        if abs(value) >= inst.alpha:
-            return x, value
-    return None
+    # Collapse p at the partial witness to q(x) = sum_k coeffs[k] x^k.
+    coeffs = [0] * (e + 1)
+    for j, w in enumerate(inst.weights):
+        term = w
+        for r in range(inst.num_vars):
+            a = inst.exponents[r][j]
+            if a and r != i:
+                term *= partial[inst.var_ids[r]] ** a
+        coeffs[inst.exponents[i][j]] += term
+    return _horner_scan(coeffs, start, start + width, inst.alpha)
 
 
 def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdict:

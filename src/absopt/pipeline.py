@@ -22,6 +22,8 @@ from .model import (
     Verdict,
     WeightedFormula,
     WeightedHypergraph,
+    _check_cap,
+    brute_force_formula,
     brute_force_hypergraph,
     eval_formula,
     induced_weight,
@@ -118,6 +120,36 @@ def _require_abs_atleast(phi: WeightedFormula, expected_kind: str) -> None:
         )
 
 
+def _enumerate_survivors(
+    phi: WeightedFormula, reduced: WeightedHypergraph, max_vertices: int | None
+) -> frozenset[int] | None:
+    """First qualifying set of true variables among the kernel's survivors.
+
+    A deleted vertex is in no surviving edge, so setting it false changes no
+    value: the input clauses restricted to the survivors (clauses with a
+    deleted plain literal dropped, negated deleted literals dropped,
+    survivors renumbered in ascending order) agree with the reduced
+    hypergraph at every point, in the same variable order.  Whichever has
+    fewer clauses is enumerated (the formula's counted before clauses that
+    become equal merge); both give the same lex-first witness.
+    """
+    order = sorted(reduced.vertices)
+    _check_cap(len(order), max_vertices, "subset")
+    index = {v: k for k, v in enumerate(order, start=1)}
+    kept = [(lits, wt) for lits, wt in phi.clauses if all(l < 0 or l in index for l in lits)]
+    if len(kept) >= len(reduced.edges):
+        return brute_force_hypergraph(reduced, max_vertices=max_vertices).witness
+    clauses = [
+        (tuple(index[l] if l > 0 else -index[-l] for l in lits if abs(l) in index), wt)
+        for lits, wt in kept
+    ]
+    restricted = WeightedFormula(KIND_DNF, len(order), clauses, phi.alpha)
+    verdict = brute_force_formula(restricted, max_vars=max_vertices)
+    if not verdict.decision:
+        return None
+    return frozenset(order[k - 1] for k in verdict.witness.true_vars())
+
+
 def solve_abs_dnf(
     phi: WeightedFormula,
     mode: str = MODE_SUBEDGE,
@@ -127,8 +159,9 @@ def solve_abs_dnf(
     """Decide |value| >= alpha for a weighted conjunction-clause formula.
 
     The formula is monotonized (value preserved pointwise), its clause sets
-    become hyperedges, and the hypergraph solver runs.  A yes answer carries
-    an assignment re-checked on the input formula.
+    become hyperedges, and the hypergraph is kernelized.  When no rule
+    certifies the answer, the surviving vertices are enumerated exactly.  A
+    yes answer carries an assignment re-checked on the input formula.
     """
     _require_abs_atleast(phi, KIND_DNF)
     mono, _ = monotonize_abs_dnf(phi)
@@ -136,18 +169,23 @@ def solve_abs_dnf(
     if mono.clauses != phi.clauses:
         transcript = (f"monotonize clauses={len(mono.clauses)}",)
     h, _ = encode_dnf_as_hypergraph(mono)
+    outcome = kernelize(h, mode)
     transcript = transcript + (
         f"encode |V|={h.num_vertices} |E|={len(h.edges)} d={h.d}",
-    )
-    sub = solve_unbalanced(h, mode, max_vertices=max_vertices)
-    transcript = transcript + sub.transcript
-    if not sub.decision:
-        return Verdict(False, transcript=transcript)
-    beta = Assignment.from_true_vars(phi.num_vars, sub.witness)
+    ) + outcome.transcript
+    if outcome.status == STATUS_TRIVIAL_YES:
+        subset = outcome.witness
+    else:
+        reduced = outcome.instance
+        transcript = transcript + (f"enumerate |V|={reduced.num_vertices}",)
+        subset = _enumerate_survivors(phi, reduced, max_vertices)
+        if subset is None:
+            return Verdict(False, transcript=transcript)
+    beta = Assignment.from_true_vars(phi.num_vars, subset)
     ok, value = verify_witness(phi, beta)
     if not ok:
         raise InternalGuaranteeError(
-            f"assignment from subset {sorted(sub.witness)} scores {value}, "
+            f"assignment from subset {sorted(subset)} scores {value}, "
             f"target {phi.alpha}"
         )
     return Verdict(True, beta, value, transcript)

@@ -15,7 +15,9 @@ from absopt import (
     verify_point,
 )
 from absopt.absio import (
+    SLAB_POINTS,
     _replay,
+    _scan_window,
     negate_variable,
     rule5_simplify,
     rule6_shift,
@@ -238,6 +240,111 @@ def test_numpy_and_pure_leaves_agree():
         assert a.decision == b.decision
         if a.decision:
             assert a.witness == b.witness
+
+
+def _slab_box(alpha):
+    # p = 1000 * x1 + x2 over x1 in [0, about 3 slabs of rows], x2 in
+    # [-350, 349]: the box spans more than one slab, and p grows in lex order.
+    side = 700
+    rows = 3 * (SLAB_POINTS // side) - 5
+    return _inst([(1, 0), (0, 1)], (1000, 1), (0, -350), (rows - 1, side - 351), alpha)
+
+
+def _leaf_agrees_with_naive(inst):
+    verdict = brute_force_absio(inst)
+    points = (inst.upper[0] + 1) * (inst.upper[1] - inst.lower[1] + 1)
+    assert points > SLAB_POINTS
+    assert verdict.transcript == (f"leaf points={points}",)
+    want = naive_absio_decide(inst)
+    if want is None:
+        assert not verdict.decision
+    else:
+        assert (verdict.decision, verdict.witness, verdict.achieved) == (True,) + want
+    return verdict
+
+
+def test_numpy_leaf_hit_in_later_slab():
+    verdict = _leaf_agrees_with_naive(_slab_box(200 * 1000 + 300))
+    assert verdict.witness == (200, 300)
+    assert verdict.witness[0] >= SLAB_POINTS // 700  # past the first slab's rows
+
+
+def test_numpy_leaf_only_hit_is_last_point():
+    top = _slab_box(0).upper
+    verdict = _leaf_agrees_with_naive(_slab_box(1000 * top[0] + top[1]))
+    assert verdict.witness == top
+
+
+def test_numpy_leaf_no_hit():
+    top = _slab_box(0).upper
+    assert not _leaf_agrees_with_naive(_slab_box(1000 * top[0] + top[1] + 1)).decision
+
+
+def _window_reference(inst, i, e, partial):
+    # The window rule, scanned point by point through eval_poly.
+    width = 2 * e * inst.alpha
+    lo, hi = inst.lower[i], inst.upper[i]
+    start = lo if lo is not None else (hi - width if hi is not None else 0)
+    point = [partial.get(g, 0) for g in inst.var_ids]
+    for x in range(start, start + width + 1):
+        point[i] = x
+        value = eval_poly(inst, point)
+        if abs(value) >= inst.alpha:
+            return x, value
+    return None
+
+
+def test_scan_window_matches_pointwise_scan():
+    # x1 unbounded below: the window ends at hi
+    inst = _inst([(1, 0), (0, 1)], (1, 1), (None, 0), (-40, 3), 7)
+    assert _scan_window(inst, 0, 1, {2: 2}) == _window_reference(inst, 0, 1, {2: 2})
+    assert _scan_window(inst, 0, 1, {2: 2})[0] == -40 - 14
+    rng = random.Random(29)
+    ends = (None, -9, 0, 4)
+    for _ in range(400):
+        inst = random_absio(rng, max_vars=3, max_terms=5, max_exp=3, bound_range=(-3, 3),
+                            max_alpha=40)
+        if inst.num_vars == 0 or inst.alpha == 0:
+            continue
+        i = rng.randrange(inst.num_vars)
+        e = max(inst.exponents[i], default=0)
+        if e == 0:
+            continue
+        lo = rng.choice(ends)
+        hi = None if lo is None and rng.random() < 0.5 else rng.choice((None, 9, 30))
+        lower = inst.lower[:i] + (lo,) + inst.lower[i + 1:]
+        upper = inst.upper[:i] + (hi,) + inst.upper[i + 1:]
+        inst = _inst(inst.exponents, inst.weights, lower, upper, inst.alpha)
+        partial = {g: rng.randint(-3, 3) for r, g in enumerate(inst.var_ids) if r != i}
+        assert _scan_window(inst, i, e, partial) == _window_reference(inst, i, e, partial)
+
+
+def _pure_leaf_agrees(inst):
+    # weights scaled past 2^62 send the leaf down the exact pure path
+    verdict = brute_force_absio(inst)
+    want = naive_absio_decide(inst)
+    if want is None:
+        assert not verdict.decision
+    else:
+        assert (verdict.decision, verdict.witness, verdict.achieved) == (True,) + want
+
+
+def test_pure_leaf_matches_naive():
+    scale = 10**19
+    # n = 1, and a value past 2^62 from the power alone
+    _pure_leaf_agrees(_inst([(21, 1)], (1, -3), (-4,), (9,), 5**21))
+    _pure_leaf_agrees(_inst([(21, 1)], (1, -3), (-4,), (9,), 9**21))
+    _pure_leaf_agrees(_inst([(21, 1)], (1, -3), (-4,), (9,), 9**21 + 1))
+    rng = random.Random(31)
+    for _ in range(150):
+        inst = random_absio(rng, max_vars=4, max_terms=6, max_exp=3, bound_range=(-4, 4))
+        if rng.random() < 0.5:
+            # one-point sides, which rule5 would otherwise have substituted
+            lower = tuple(hi if rng.random() < 0.5 else lo for lo, hi in zip(inst.lower, inst.upper))
+            upper = tuple(lo if rng.random() < 0.5 else hi for lo, hi in zip(lower, inst.upper))
+            inst = _inst(inst.exponents, inst.weights, lower, upper, inst.alpha)
+        _pure_leaf_agrees(_inst(inst.exponents, tuple(w * scale for w in inst.weights),
+                                inst.lower, inst.upper, inst.alpha * scale))
 
 
 def test_solve_matches_brute_finite():

@@ -9,6 +9,8 @@ from absopt import (
     WeightedFormula,
     WeightedHypergraph,
     brute_force_formula,
+    cli,
+    engine,
     eval_formula,
     qualifies,
     solve_abs_cnf,
@@ -17,6 +19,8 @@ from absopt import (
     verify_witness,
 )
 from absopt.absio import AbsIoInstance
+from absopt.kernel import kernelize
+from absopt.reductions import encode_dnf_as_hypergraph, monotonize_abs_dnf
 from helpers import naive_hypergraph_decide, random_formula, random_hypergraph
 
 
@@ -113,6 +117,72 @@ def test_solve_abs_dnf_matches_brute():
             value = eval_formula(phi, verdict.witness)
             assert abs(value) >= phi.alpha
             assert value == verdict.achieved
+
+
+def test_solve_abs_dnf_enumeration_matches_brute():
+    # after kernelization the survivors are enumerated in input-variable
+    # order, so the first witness is the formula's own lex-first one
+    rng = random.Random(53)
+    enumerated = 0
+    for _ in range(300):
+        phi = random_formula(
+            rng, kind="dnf", max_vars=8, max_clauses=10, objective="abs", comparison="atleast"
+        )
+        verdict = solve_abs_dnf(phi)
+        if not verdict.transcript[-1].startswith("enumerate"):
+            continue
+        enumerated += 1
+        want = brute_force_formula(phi)
+        assert (verdict.decision, verdict.witness, verdict.achieved) == (
+            want.decision, want.witness, want.achieved
+        ), phi
+    assert enumerated > 150
+
+
+def _reduced_edges(phi):
+    h, _ = encode_dnf_as_hypergraph(monotonize_abs_dnf(phi)[0])
+    return len(kernelize(h).instance.edges)
+
+
+def test_solve_abs_dnf_enumerates_the_shorter_form(monkeypatch):
+    seen = []
+    decide = engine.decide
+
+    def counting(num_vars, clauses, **kw):
+        seen.append(len(clauses))
+        return decide(num_vars, clauses, **kw)
+
+    monkeypatch.setattr(engine, "decide", counting)
+    # three negated literals per clause expand to eight monotone clauses
+    # each, so the restricted formula is the shorter form
+    phi = WeightedFormula(
+        "dnf", 6, (((1, -2, -3, -4), 3), ((2, -5, -6, 1), -2), ((-1, 3, -5, -6), 1)), 7
+    )
+    verdict = solve_abs_dnf(phi)
+    assert verdict.transcript[-1] == "enumerate |V|=6"
+    assert seen == [3] and _reduced_edges(phi) > 3
+    rng = random.Random(59)
+    for _ in range(200):
+        phi = random_formula(
+            rng, kind="dnf", max_vars=8, max_clauses=10, objective="abs", comparison="atleast"
+        )
+        seen.clear()
+        solve_abs_dnf(phi)
+        assert len(seen) <= 1
+        if seen:
+            assert seen[0] <= min(len(phi.clauses), _reduced_edges(phi))
+
+
+def test_solve_cap_counts_surviving_vertices(tmp_path, capsys):
+    rng = random.Random(61)
+    lines = ["p wdnf 20 60 1000 abs atleast"]
+    for _ in range(60):
+        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 21), 4)]
+        lines.append(f"w {rng.choice((-1, 1)) * rng.randint(1, 9)} {' '.join(map(str, lits))} 0")
+    path = tmp_path / "wide.wdnf"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["solve", "--cap", "12", str(path)]) == cli.EXIT_BUDGET
+    assert capsys.readouterr().err == "budget: subset enumeration over 20 exceeds cap 12\n"
 
 
 def test_solve_abs_dnf_transcript():
