@@ -3,29 +3,31 @@
    Mirrors _engine_py.py exactly: depth-first search over assignments in
    lexicographic order (variable 1 first, false before true), the same bounds
    and pruning, and the same witness tie-breaking.  Plain C with no Python
-   API.  The caller guarantees at most 62 variables and absolute weight sums
-   and targets below 2^62, so no int64 sum the search forms can overflow.
+   API.  The caller guarantees at most 62 variables and an absolute weight
+   sum T below 2^62, and closes every target endpoint within [-T-1, T+1], so
+   no int64 sum or comparison the search forms can overflow.
 
-   Clauses arrive as m rows of (positive mask, negative mask, weight); bit i
-   of a mask stands for variable i + 1, and so does bit i of a witness. */
+   The input is m DNF rows of (positive mask, negative mask, weight), each a
+   conjunction of its literals; bit i of a mask stands for variable i + 1, and
+   so does bit i of a witness.  The target is two closed intervals
+   (lo1, hi1, lo2, hi2), and a value qualifies when it lies in either. */
 
 #include <stdint.h>
 #include <stdlib.h>
 
 enum { OPEN = 0, SATISFIED = 1, DEAD = 2 };
-enum { ATLEAST = 0, EXACT = 1, ATMOST = 2 };
 /* Undo records: restore rem, restore status and rem, or restore status. */
 enum { UNDO_REM = 0, UNDO_BOTH = 1, UNDO_STATUS = 2 };
 
 typedef struct {
-    int n, dnf, absolute, cmp, top;
-    int64_t alpha;
+    int n, top;
+    int64_t lo1, hi1, lo2, hi2;
     char *mem;      /* one block holding the arrays below */
     int64_t *w;
     int *rem;
     int *occ_start; /* n + 1 offsets into occ */
-    int *occ;       /* clause << 1 | literal is positive, grouped by variable */
-    int *trail;     /* clause << 2 | undo record */
+    int *occ;       /* row << 1 | literal is positive, grouped by variable */
+    int *trail;     /* row << 2 | undo record */
     unsigned char *status;
     uint64_t path;  /* values on the current branch */
     int64_t value;  /* decide: the value of the hit */
@@ -43,8 +45,8 @@ static int popcount(uint64_t x)
 }
 
 /* Builds the occurrence lists and the open bounds; returns -1 when out of
-   memory.  Empty clauses start satisfied in a DNF and dead in a CNF. */
-static int build(Core *k, int n, int m, const int64_t *cl, int dnf,
+   memory.  Empty rows start satisfied. */
+static int build(Core *k, int n, int m, const int64_t *cl,
                  int64_t *cur, int64_t *pos, int64_t *neg)
 {
     int total = 0, c, i;
@@ -61,7 +63,6 @@ static int build(Core *k, int n, int m, const int64_t *cl, int dnf,
     k->trail = k->occ + total + 1;
     k->status = (unsigned char *)(k->trail + total + 1);
     k->n = n;
-    k->dnf = dnf != 0;
     /* Count each variable's occurrences into occ_start[i + 2]; after the
        prefix sums, occ_start[i + 1] is variable i's fill cursor. */
     for (c = 0; c < m; c++)
@@ -81,8 +82,8 @@ static int build(Core *k, int n, int m, const int64_t *cl, int dnf,
         k->w[c] = wt;
         k->rem[c] = popcount((uint64_t)cl[3 * c]) + popcount((uint64_t)cl[3 * c + 1]);
         if (k->rem[c] == 0) {
-            k->status[c] = dnf ? SATISFIED : DEAD;
-            *cur += dnf ? wt : 0;
+            k->status[c] = SATISFIED;
+            *cur += wt;
         } else if (wt > 0) {
             *pos += wt;
         } else {
@@ -102,14 +103,12 @@ static void apply(Core *k, int depth, int val, int64_t *dc, int64_t *dp, int64_t
         int64_t wt = k->w[c];
         if (k->status[c] != OPEN)
             continue;
-        /* A matching literal advances a conjunction and satisfies a
-           disjunction; a clashing one kills a conjunction and advances a
-           disjunction. */
-        if (match != k->dnf) {
-            k->status[c] = match ? SATISFIED : DEAD;
+        /* A matching literal advances the row, a clashing one kills it. */
+        if (!match) {
+            k->status[c] = DEAD;
             kind = UNDO_STATUS;
         } else if (--k->rem[c] == 0) {
-            k->status[c] = k->dnf ? SATISFIED : DEAD;
+            k->status[c] = SATISFIED;
             kind = UNDO_BOTH;
         } else {
             kind = UNDO_REM;
@@ -137,24 +136,11 @@ static void unwind(Core *k, int mark)
     }
 }
 
+/* Whether [lb, ub] meets either target interval.  At a leaf lb == ub is the
+   value, so this is also the hit test. */
 static int reach(const Core *k, int64_t lb, int64_t ub)
 {
-    int64_t a = k->alpha;
-    if (k->cmp == ATLEAST)
-        return ub >= a || (k->absolute && lb <= -a);
-    if (k->cmp == EXACT)
-        return (lb <= a && a <= ub) || (k->absolute && lb <= -a && -a <= ub);
-    return k->absolute ? !(lb > a || ub < -a) : lb <= a;
-}
-
-static int hit(const Core *k, int64_t v)
-{
-    int64_t a = k->alpha;
-    if (k->cmp == ATLEAST)
-        return v >= a || (k->absolute && v <= -a);
-    if (k->cmp == EXACT)
-        return v == a || (k->absolute && v == -a);
-    return k->absolute ? -a <= v && v <= a : v <= a;
+    return (lb <= k->hi1 && ub >= k->lo1) || (lb <= k->hi2 && ub >= k->lo2);
 }
 
 static int decide_rec(Core *k, int depth, int64_t cur, int64_t opos, int64_t oneg)
@@ -164,7 +150,7 @@ static int decide_rec(Core *k, int depth, int64_t cur, int64_t opos, int64_t one
         return 0;
     if (depth == k->n) {
         k->value = cur;
-        return hit(k, cur);
+        return 1;
     }
     for (val = 0; val < 2; val++) {
         int64_t dc = 0, dp = 0, dn = 0;
@@ -206,19 +192,19 @@ static void extremes_rec(Core *k, int depth, int64_t cur, int64_t opos, int64_t 
     }
 }
 
-/* The first assignment meeting the comparison: returns 1 with out = (mask,
-   value), 0 when none exists, -1 when out of memory. */
-int absopt_decide(int n, int m, const int64_t *clauses, int dnf, int64_t alpha,
-                  int absolute, int cmp, int64_t *out)
+/* The first assignment whose value lies in a target interval: returns 1 with
+   out = (mask, value), 0 when none exists, -1 when out of memory. */
+int absopt_decide(int n, int m, const int64_t *rows, const int64_t *targets, int64_t *out)
 {
     Core k = {0};
     int64_t cur, pos, neg;
     int found;
-    if (build(&k, n, m, clauses, dnf, &cur, &pos, &neg) < 0)
+    if (build(&k, n, m, rows, &cur, &pos, &neg) < 0)
         return -1;
-    k.alpha = alpha;
-    k.absolute = absolute;
-    k.cmp = cmp;
+    k.lo1 = targets[0];
+    k.hi1 = targets[1];
+    k.lo2 = targets[2];
+    k.hi2 = targets[3];
     found = decide_rec(&k, 0, cur, pos, neg);
     out[0] = (int64_t)k.path;
     out[1] = k.value;
@@ -227,11 +213,11 @@ int absopt_decide(int n, int m, const int64_t *clauses, int dnf, int64_t alpha,
 }
 
 /* out = (max, argmax, min, argmin); returns 0, or -1 when out of memory. */
-int absopt_extremes(int n, int m, const int64_t *clauses, int dnf, int64_t *out)
+int absopt_extremes(int n, int m, const int64_t *rows, int64_t *out)
 {
     Core k = {0};
     int64_t cur, pos, neg;
-    if (build(&k, n, m, clauses, dnf, &cur, &pos, &neg) < 0)
+    if (build(&k, n, m, rows, &cur, &pos, &neg) < 0)
         return -1;
     extremes_rec(&k, 0, cur, pos, neg);
     out[0] = k.maxv;

@@ -107,19 +107,6 @@ class AbsIoInstance:
     def num_terms(self) -> int:
         return len(self.weights)
 
-    @property
-    def degree(self) -> int:
-        """Largest total degree over the monomials (0 when there are none)."""
-        if not self.weights:
-            return 0
-        return max(
-            sum(self.exponents[i][j] for i in range(self.num_vars))
-            for j in range(self.num_terms)
-        )
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.exponents[i][j] for i in range(self.num_vars))
-
 
 def _box_has(lo: Bound, hi: Bound, v: int) -> bool:
     return (lo is None or v >= lo) and (hi is None or v <= hi)

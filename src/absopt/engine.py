@@ -1,11 +1,18 @@
 """Backend selection for the enumeration core.
 
+Both cores keep one contract: ``decide(num_vars, rows, targets)`` and
+``extremes(num_vars, rows)``.  ``rows`` are DNF ``(pos, neg, weight)`` rows,
+and ``targets`` is a pair of closed integer intervals; a value qualifies when
+it lies in either one.  ``model.py`` folds disjunctions into rows and maps
+every objective and comparison to intervals, writing an open end as ``None``;
+``decide`` here closes it.
+
 The compiled core (``_core.c``, built in place by ``python3 setup.py build_ext
 --inplace``) is loaded through ctypes at import when its library file exists,
 and the pure core runs otherwise.  Nothing is built at import.
 Dispatch is additionally per call: an instance runs compiled only when its
-variable count and exact weight magnitudes are known to fit 64-bit arithmetic,
-so oversized weights silently take the pure path and stay exact.
+variable count and total absolute weight fit 64-bit arithmetic, so oversized
+weights silently take the pure path and stay exact.
 """
 
 from __future__ import annotations
@@ -17,10 +24,8 @@ from itertools import chain
 
 from . import _engine_py as _pure
 
-CMP_CODES = {"atleast": 0, "exact": 1, "atmost": 2}
-
-# Conservative 64-bit safety margin: every partial sum the search forms is
-# bounded by the total absolute weight, and targets are compared directly.
+# Conservative 64-bit safety margin: every partial sum the search forms lies
+# within the total absolute weight, and targets are closed just outside it.
 I64_SAFE = 1 << 62
 
 
@@ -33,31 +38,29 @@ class CompiledCore:
         lib = ctypes.CDLL(path)
         c_int, c_i64, c_ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
         self._decide = lib.absopt_decide
-        self._decide.argtypes = [c_int, c_int, c_ptr, c_int, c_i64, c_int, c_int, c_ptr]
+        self._decide.argtypes = [c_int, c_int, c_ptr, c_ptr, c_ptr]
         self._decide.restype = c_int
         self._extremes = lib.absopt_extremes
-        self._extremes.argtypes = [c_int, c_int, c_ptr, c_int, c_ptr]
+        self._extremes.argtypes = [c_int, c_int, c_ptr, c_ptr]
         self._extremes.restype = c_int
-        self._out = c_i64 * 4
+        self._quad = c_i64 * 4
 
     @staticmethod
-    def _rows(clauses) -> bytes:
+    def _rows(rows) -> bytes:
         """The (pos, neg, weight) rows as one packed int64 buffer."""
-        return struct.pack(f"{3 * len(clauses)}q", *chain.from_iterable(clauses))
+        return struct.pack(f"{3 * len(rows)}q", *chain.from_iterable(rows))
 
-    def decide(self, num_vars, clauses, *, dnf, alpha, absolute, comparison):
-        out = self._out()
-        found = self._decide(
-            num_vars, len(clauses), self._rows(clauses), dnf, alpha, absolute,
-            CMP_CODES[comparison], out,
-        )
+    def decide(self, num_vars, rows, targets):
+        out = self._quad()
+        bounds = self._quad(*chain.from_iterable(targets))
+        found = self._decide(num_vars, len(rows), self._rows(rows), bounds, out)
         if found < 0:
             raise MemoryError("enumeration core could not allocate its tables")
         return (True, out[0], out[1]) if found else (False, None, None)
 
-    def extremes(self, num_vars, clauses, *, dnf):
-        out = self._out()
-        if self._extremes(num_vars, len(clauses), self._rows(clauses), dnf, out) < 0:
+    def extremes(self, num_vars, rows):
+        out = self._quad()
+        if self._extremes(num_vars, len(rows), self._rows(rows), out) < 0:
             raise MemoryError("enumeration core could not allocate its tables")
         return out[0], out[1], out[2], out[3]
 
@@ -78,26 +81,37 @@ _compiled = CompiledCore(_library) if _library is not None else None
 BACKEND = "compiled" if _compiled is not None else "pure"
 
 
-def _fits_compiled(num_vars: int, clauses, alpha: int) -> bool:
-    if num_vars > 62:
-        return False
+def _weight_total(rows) -> int:
     total = 0
-    for _pos, _neg, wt in clauses:
+    for _pos, _neg, wt in rows:
         total += wt if wt >= 0 else -wt
-    return total < I64_SAFE and -I64_SAFE < alpha < I64_SAFE
+    return total
 
 
-def decide(num_vars, clauses, *, dnf, alpha, absolute, comparison):
-    """(found, witness_mask, value) for the first qualifying assignment."""
-    if comparison not in CMP_CODES:
-        raise ValueError(f"unknown comparison {comparison!r}")
-    fits = _compiled is not None and _fits_compiled(num_vars, clauses, alpha)
-    return (_compiled if fits else _pure).decide(
-        num_vars, clauses, dnf=dnf, alpha=alpha, absolute=absolute, comparison=comparison
-    )
+def _core_for(num_vars: int, total: int):
+    fits = _compiled is not None and num_vars <= 62 and total < I64_SAFE
+    return _compiled if fits else _pure
 
 
-def extremes(num_vars, clauses, *, dnf):
+def _close(targets, total: int):
+    """Each endpoint clamped to, and each open end closed at, -(total+1) or total+1.
+
+    No value leaves [-total, total], so the intervals admit the same values.
+    """
+    edge = total + 1
+
+    def clamp(end, open_end):
+        return open_end if end is None else min(max(end, -edge), edge)
+
+    return tuple((clamp(lo, -edge), clamp(hi, edge)) for lo, hi in targets)
+
+
+def decide(num_vars, rows, targets):
+    """(found, witness_mask, value) for the first assignment in a target interval."""
+    total = _weight_total(rows)
+    return _core_for(num_vars, total).decide(num_vars, rows, _close(targets, total))
+
+
+def extremes(num_vars, rows):
     """(max, argmax_mask, min, argmin_mask) over all assignments."""
-    fits = _compiled is not None and _fits_compiled(num_vars, clauses, 0)
-    return (_compiled if fits else _pure).extremes(num_vars, clauses, dnf=dnf)
+    return _core_for(num_vars, _weight_total(rows)).extremes(num_vars, rows)

@@ -265,6 +265,14 @@ def max_degree(h: WeightedHypergraph) -> int:
 
 
 def _formula_engine_clauses(phi: WeightedFormula) -> list[tuple[int, int, int]]:
+    """The formula as DNF rows (pos, neg, weight) for the enumeration core.
+
+    A disjunction of weight w holds unless all its literals fail, so it is the
+    constant w plus the conjunction of its complemented literals at weight -w:
+    ``(P, N, w)`` becomes ``(N, P, -w)``, and the constants go into one
+    literal-free row.
+    """
+    cnf = phi.kind == KIND_CNF
     out = []
     for lits, wt in phi.clauses:
         pos = 0
@@ -274,8 +282,26 @@ def _formula_engine_clauses(phi: WeightedFormula) -> list[tuple[int, int, int]]:
                 pos |= 1 << (l - 1)
             else:
                 neg |= 1 << (-l - 1)
-        out.append((pos, neg, wt))
+        out.append((neg, pos, -wt) if cnf else (pos, neg, wt))
+    if cnf:
+        out.append((0, 0, sum(wt for _, wt in phi.clauses)))
     return out
+
+
+def _target_intervals(alpha: int, objective: str, comparison: str):
+    """The pair of closed value intervals that meet the target; None is an open end.
+
+    A value qualifies when it lies in either one; a signed objective gives
+    the same interval twice.
+    """
+    if comparison == CMP_ATMOST:
+        one = (-alpha if objective == OBJ_ABS else None, alpha)
+        return one, one
+    if comparison == CMP_EXACT:
+        one, mirror = (alpha, alpha), (-alpha, -alpha)
+    else:
+        one, mirror = (alpha, None), (None, -alpha)
+    return one, mirror if objective == OBJ_ABS else one
 
 
 def _check_cap(size: int, cap: int | None, what: str) -> None:
@@ -294,10 +320,7 @@ def brute_force_formula(phi: WeightedFormula, *, max_vars: int | None = None) ->
     found, mask, value = engine.decide(
         phi.num_vars,
         _formula_engine_clauses(phi),
-        dnf=phi.kind == KIND_DNF,
-        alpha=phi.alpha,
-        absolute=phi.objective == OBJ_ABS,
-        comparison=phi.comparison,
+        _target_intervals(phi.alpha, phi.objective, phi.comparison),
     )
     if not found:
         return Verdict(False)
@@ -332,10 +355,7 @@ def brute_force_hypergraph(h: WeightedHypergraph, *, max_vertices: int | None = 
     found, mask, value = engine.decide(
         len(order),
         _hypergraph_engine_clauses(h, order),
-        dnf=True,
-        alpha=h.alpha,
-        absolute=True,
-        comparison=CMP_ATLEAST,
+        _target_intervals(h.alpha, OBJ_ABS, CMP_ATLEAST),
     )
     if not found:
         return Verdict(False)
@@ -366,9 +386,7 @@ def _pick_abs_extreme(n: int, maxv: int, argmax: int, minv: int, argmin: int) ->
 def max_abs_formula(phi: WeightedFormula, *, max_vars: int | None = None) -> tuple[int, Assignment]:
     """Largest |value| over all assignments, with its earliest witness."""
     _check_cap(phi.num_vars, max_vars, "assignment")
-    maxv, argmax, minv, argmin = engine.extremes(
-        phi.num_vars, _formula_engine_clauses(phi), dnf=phi.kind == KIND_DNF
-    )
+    maxv, argmax, minv, argmin = engine.extremes(phi.num_vars, _formula_engine_clauses(phi))
     best, mask = _pick_abs_extreme(phi.num_vars, maxv, argmax, minv, argmin)
     return best, Assignment.from_mask(phi.num_vars, mask)
 
@@ -377,9 +395,7 @@ def max_abs_hypergraph(h: WeightedHypergraph, *, max_vertices: int | None = None
     """Largest |w[X]| over all subsets, with its earliest witness."""
     _check_cap(h.num_vertices, max_vertices, "subset")
     order = sorted(h.vertices)
-    maxv, argmax, minv, argmin = engine.extremes(
-        len(order), _hypergraph_engine_clauses(h, order), dnf=True
-    )
+    maxv, argmax, minv, argmin = engine.extremes(len(order), _hypergraph_engine_clauses(h, order))
     best, mask = _pick_abs_extreme(len(order), maxv, argmax, minv, argmin)
     return best, _mask_to_subset(mask, order)
 

@@ -5,11 +5,13 @@ test run, so its tests run whenever a C compiler exists, whether or not a
 library was built in place.
 """
 
+import itertools
 import os
 import random
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -18,9 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absopt import engine
-from absopt.engine import CompiledCore, _fits_compiled
+from absopt.engine import I64_SAFE, CompiledCore
 from absopt import _engine_py as pure
-from absopt.model import _formula_engine_clauses
+from absopt.model import (
+    WeightedFormula,
+    _formula_engine_clauses,
+    _target_intervals,
+    brute_force_formula,
+)
 
 from helpers import assignments_lex, naive_formula_value, random_formula
 
@@ -29,6 +36,8 @@ PACKAGE = Path(engine.__file__).parent
 # The compiled entry names the fixture that builds it, keeping the pure
 # entry's test id.
 BACKENDS = [("pure", pure), ("compiled", "absopt._core")]
+
+VARIANTS = list(itertools.product(("dnf", "cnf"), ("abs", "sum"), ("atleast", "exact", "atmost")))
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +48,8 @@ def core_library(tmp_path_factory):
         pytest.skip("no C compiler (cc or gcc) on PATH to build _core.c")
     lib = tmp_path_factory.mktemp("core") / "_core.so"
     subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", "-o", str(lib), str(PACKAGE / "_core.c")],
+        [cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-shared", "-fPIC",
+         "-o", str(lib), str(PACKAGE / "_core.c")],
         check=True,
     )
     return lib
@@ -57,21 +67,27 @@ def backend(request):
     return request.param
 
 
+def _formulas(seed, count, max_vars):
+    """Random formulas cycling through every kind x objective x comparison."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind, objective, comparison = VARIANTS[i % len(VARIANTS)]
+        yield random_formula(
+            rng, max_vars=max_vars, kind=kind, objective=objective, comparison=comparison
+        )
+
+
 def _call_decide(backend, phi):
+    """The core's answer on the rows and closed targets that model.py builds."""
+    rows = _formula_engine_clauses(phi)
+    targets = _target_intervals(phi.alpha, phi.objective, phi.comparison)
     return backend.decide(
-        phi.num_vars,
-        _formula_engine_clauses(phi),
-        dnf=phi.kind == "dnf",
-        alpha=phi.alpha,
-        absolute=phi.objective == "abs",
-        comparison=phi.comparison,
+        phi.num_vars, rows, engine._close(targets, engine._weight_total(rows))
     )
 
 
 def _call_extremes(backend, phi):
-    return backend.extremes(
-        phi.num_vars, _formula_engine_clauses(phi), dnf=phi.kind == "dnf"
-    )
+    return backend.extremes(phi.num_vars, _formula_engine_clauses(phi))
 
 
 def _naive_decide(phi):
@@ -86,26 +102,18 @@ def _naive_decide(phi):
         if hit:
             mask = sum(1 << i for i, v in enumerate(values) if v)
             return True, mask, val
-    return False, 0, 0
+    return False, None, None
 
 
 @pytest.mark.parametrize("name,backend", BACKENDS, indirect=["backend"])
 def test_decide_matches_naive(name, backend):
-    rng = random.Random(42)
-    for _ in range(400):
-        phi = random_formula(rng, max_vars=6)
-        got = _call_decide(backend, phi)
-        want = _naive_decide(phi)
-        assert got[0] == want[0], phi
-        if want[0]:
-            assert (got[1], got[2]) == (want[1], want[2]), phi
+    for phi in _formulas(42, 480, 6):
+        assert _call_decide(backend, phi) == _naive_decide(phi), phi
 
 
 @pytest.mark.parametrize("name,backend", BACKENDS, indirect=["backend"])
 def test_extremes_matches_naive(name, backend):
-    rng = random.Random(43)
-    for _ in range(300):
-        phi = random_formula(rng, max_vars=6)
+    for phi in _formulas(43, 360, 6):
         maxv, argmax, minv, argmin = _call_extremes(backend, phi)
         values = {}
         for values_t in assignments_lex(phi.num_vars):
@@ -118,12 +126,14 @@ def test_extremes_matches_naive(name, backend):
 
 
 def test_backends_agree_exactly(compiled_core):
-    rng = random.Random(44)
-    for _ in range(300):
-        phi = random_formula(rng, max_vars=7)
-        a = _call_decide(pure, phi)
-        b = _call_decide(compiled_core, phi)
-        assert a == b, f"decide: pure core {a} != compiled core {b} on {phi}"
+    for phi in _formulas(44, 360, 7):
+        total = sum(abs(wt) for _, wt in phi.clauses)
+        # 2^64 would wrap to 0 in an int64, so it checks that targets are closed
+        for alpha in (phi.alpha, 0, total + 1, 10**30, 1 << 64):
+            phi = replace(phi, alpha=alpha)
+            a = _call_decide(pure, phi)
+            b = _call_decide(compiled_core, phi)
+            assert a == b, f"decide: pure core {a} != compiled core {b} on {phi}"
         ea = _call_extremes(pure, phi)
         eb = _call_extremes(compiled_core, phi)
         assert ea == eb, f"extremes: pure core {ea} != compiled core {eb} on {phi}"
@@ -144,43 +154,63 @@ class _Recording:
         return self.core.extremes(*args, **kwargs)
 
 
-def test_dispatch_boundaries(compiled_core, monkeypatch):
-    small = [(0b1, 0, 3)]
-    assert _fits_compiled(4, small, 2)
-    assert not _fits_compiled(63, small, 2)
-    assert not _fits_compiled(4, small, 1 << 62)
-    assert not _fits_compiled(4, small, -(1 << 62))
-    big = [(0b1, 0, 1 << 62)]
-    assert not _fits_compiled(4, big, 2)
-    # with the compiled core installed, only instances that fit reach it
+def _install_recording(monkeypatch, compiled_core):
     log = []
     fast, slow = _Recording(compiled_core, log), _Recording(pure, log)
     monkeypatch.setattr(engine, "_compiled", fast)
     monkeypatch.setattr(engine, "_pure", slow)
-    for clauses in (small, big):
-        engine.decide(4, clauses, dnf=True, alpha=2, absolute=True, comparison="atleast")
-        engine.extremes(4, clauses, dnf=True)
-    assert log == [fast, fast, slow, slow]
+    return log, fast, slow
+
+
+def test_dispatch_boundaries(compiled_core, monkeypatch):
+    log, fast, slow = _install_recording(monkeypatch, compiled_core)
+    targets = ((2, None), (None, -2))
+    # a CNF whose clause weights sum below the bound but whose folded rows,
+    # with their constant row, cross it
+    cnf = WeightedFormula("cnf", 2, (((1,), 1 << 61), ((-2,), 1 << 60)), 1)
+    cases = [
+        (4, [(0b1, 0, I64_SAFE - 4), (0b10, 0, -3)], fast),
+        (4, [(0b1, 0, I64_SAFE - 3), (0b10, 0, -3)], slow),
+        (4, [(0b1, 0, 3), (0b10, 0, -(I64_SAFE << 40))], slow),
+        (62, [(0b1, 0, 3)], fast),
+        (63, [(0b1, 0, 3)], slow),
+        (2, _formula_engine_clauses(cnf), slow),
+    ]
+    for num_vars, rows, core in cases:
+        log.clear()
+        engine.decide(num_vars, rows, targets)
+        engine.extremes(num_vars, rows)
+        assert log == [core, core], (num_vars, rows)
+    assert sum(abs(wt) for _, wt in cnf.clauses) < I64_SAFE
 
 
 def test_huge_weights_stay_exact(compiled_core, monkeypatch):
-    monkeypatch.setattr(engine, "_compiled", compiled_core)
-    # weights beyond the 64-bit safety bound must route to the pure backend
+    log, fast, slow = _install_recording(monkeypatch, compiled_core)
+    # weights beyond the 64-bit safety bound route to the pure core
     w = 10**30
-    clauses = [(0b01, 0, w), (0b10, 0, -w - 7)]
-    found, mask, value = engine.decide(
-        2, clauses, dnf=True, alpha=w + 7, absolute=True, comparison="atleast"
-    )
-    assert found and value == -w - 7
-    maxv, _, minv, _ = engine.extremes(2, clauses, dnf=True)
+    rows = [(0b01, 0, w), (0b10, 0, -w - 7)]
+    assert engine.decide(2, rows, ((w + 7, None), (None, -w - 7))) == (True, 0b10, -w - 7)
+    maxv, _, minv, _ = engine.extremes(2, rows)
     assert maxv == w and minv == -w - 7
+    assert log == [slow, slow]
     # weights just inside the bound run compiled and stay exact
+    log.clear()
     w = (1 << 61) - 1
-    clauses = [(0b01, 0, w), (0b10, 0, -w)]
-    assert compiled_core.extremes(2, clauses, dnf=True) == (w, 0b01, -w, 0b10)
-    assert compiled_core.decide(
-        2, clauses, dnf=True, alpha=w, absolute=True, comparison="exact"
-    ) == (True, 0b10, -w)
+    rows = [(0b01, 0, w), (0b10, 0, -w)]
+    assert engine.extremes(2, rows) == (w, 0b01, -w, 0b10)
+    assert engine.decide(2, rows, ((w, w), (-w, -w))) == (True, 0b10, -w)
+    assert log == [fast, fast]
+    # a huge target over small weights is closed to the weights' range and
+    # runs compiled, with the pure core's and the naive answer
+    for phi in _formulas(45, 120, 5):
+        phi = replace(phi, alpha=10**30)
+        rows = _formula_engine_clauses(phi)
+        log.clear()
+        got = engine.decide(
+            phi.num_vars, rows, _target_intervals(phi.alpha, phi.objective, phi.comparison)
+        )
+        assert log == [fast]
+        assert got == _call_decide(pure, phi) == _naive_decide(phi), phi
 
 
 def test_backend_selection(core_library, tmp_path):
@@ -203,40 +233,43 @@ def test_backend_selection(core_library, tmp_path):
 
 def test_empty_clause_and_zero_vars():
     # the empty conjunction is satisfied by the empty assignment
-    found, mask, value = engine.decide(
-        0, [(0, 0, 5)], dnf=True, alpha=5, absolute=True, comparison="atleast"
-    )
-    assert found and mask == 0 and value == 5
-    found, _, _ = engine.decide(
-        0, [(0, 0, 5)], dnf=False, alpha=0, absolute=False, comparison="atleast"
-    )
-    assert found  # empty disjunction unsatisfied, value 0 >= 0
+    assert engine.decide(0, [(0, 0, 5)], ((5, None), (None, -5))) == (True, 0, 5)
+    # the empty disjunction never holds: value 0 meets >= 0 but not >= 1
+    verdict = brute_force_formula(WeightedFormula("cnf", 0, (((), 5),), 0, "sum"))
+    assert verdict.decision and verdict.achieved == 0
+    assert not brute_force_formula(WeightedFormula("cnf", 0, (((), 5),), 1, "sum")).decision
 
 
-@settings(deadline=None, max_examples=60)
+def _interval(data):
+    # values stay within 5 rows of weight at most 6
+    ends = st.one_of(st.none(), st.integers(-32, 32))
+    return data.draw(ends), data.draw(ends)
+
+
+@settings(deadline=None, max_examples=80)
 @given(st.data())
 def test_decide_property(data):
     n = data.draw(st.integers(0, 5))
     m = data.draw(st.integers(0, 5))
-    clauses = []
+    rows = []
     for _ in range(m):
         pos = data.draw(st.integers(0, (1 << n) - 1 if n else 0))
         neg = data.draw(st.integers(0, (1 << n) - 1 if n else 0)) & ~pos
         w = data.draw(st.integers(-6, 6))
-        clauses.append((pos, neg, w))
-    alpha = data.draw(st.integers(0, 8))
-    dnf = data.draw(st.booleans())
-    found, mask, value = engine.decide(
-        n, clauses, dnf=dnf, alpha=alpha, absolute=True, comparison="atleast"
-    )
+        rows.append((pos, neg, w))
+    targets = (_interval(data), _interval(data))
+
+    def value(mask):
+        return sum(w for pos, neg, w in rows if mask & pos == pos and not mask & neg)
+
+    def inside(v):
+        return any(
+            (lo is None or lo <= v) and (hi is None or v <= hi) for lo, hi in targets
+        )
+
+    found, mask, got = engine.decide(n, rows, targets)
     if found:
         # recompute the reported value at the reported witness
-        total = 0
-        for pos, neg, w in clauses:
-            if dnf:
-                sat = (mask & pos) == pos and (mask & neg) == 0
-            else:
-                sat = (mask & pos) != 0 or (neg & ~mask & ((1 << n) - 1)) != 0
-            if sat:
-                total += w
-        assert total == value and abs(value) >= alpha
+        assert value(mask) == got and inside(got)
+    else:
+        assert not any(inside(value(mask)) for mask in range(1 << n))

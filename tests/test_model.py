@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from absopt import engine
 from absopt.errors import BudgetExceededError, InvalidInstanceError
 from absopt.model import (
     Assignment,
@@ -17,7 +19,10 @@ from absopt.model import (
     max_abs_formula,
     max_abs_hypergraph,
     max_degree,
+    _formula_engine_clauses,
+    _target_intervals,
 )
+from absopt.pipeline import qualifies
 
 from helpers import (
     assignments_lex,
@@ -194,3 +199,37 @@ def test_iter_subsets_lex_order():
         frozenset({1, 3}),
         frozenset({1, 3, 7}),
     ]
+
+
+def _inside(v, intervals):
+    return any((lo is None or lo <= v) and (hi is None or v <= hi) for lo, hi in intervals)
+
+
+def test_target_intervals_match_qualifies():
+    total = 7
+    for objective, comparison in itertools.product(("abs", "sum"), ("atleast", "exact", "atmost")):
+        for alpha in (0, 1, total, total + 1, 10**30):
+            intervals = _target_intervals(alpha, objective, comparison)
+            closed = engine._close(intervals, total)
+            assert all(-total - 1 <= end <= total + 1 for pair in closed for end in pair)
+            for v in range(-total - 2, total + 3):
+                want = qualifies(v, alpha, objective, comparison)
+                assert _inside(v, intervals) == want, (objective, comparison, alpha, v)
+                # the search never forms a value outside [-total, total]
+                if -total <= v <= total:
+                    assert _inside(v, closed) == want, (objective, comparison, alpha, v)
+            for v in (10**30 - 1, 10**30, 10**30 + 1, -(10**30) - 1, -(10**30), -(10**30) + 1):
+                assert _inside(v, intervals) == qualifies(v, alpha, objective, comparison)
+
+
+def test_folded_rows_match_eval_formula():
+    rng = random.Random(8)
+    for i in range(200):
+        phi = random_formula(rng, kind="cnf" if i % 4 else "dnf")
+        phi = WeightedFormula(
+            phi.kind, phi.num_vars, phi.clauses + (((), rng.randint(-5, 5)),), phi.alpha
+        )
+        rows = _formula_engine_clauses(phi)
+        for mask in range(1 << phi.num_vars):
+            value = sum(w for pos, neg, w in rows if mask & pos == pos and not mask & neg)
+            assert value == eval_formula(phi, Assignment.from_mask(phi.num_vars, mask)), phi

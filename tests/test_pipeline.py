@@ -148,9 +148,9 @@ def test_solve_abs_dnf_enumerates_the_shorter_form(monkeypatch):
     seen = []
     decide = engine.decide
 
-    def counting(num_vars, clauses, **kw):
-        seen.append(len(clauses))
-        return decide(num_vars, clauses, **kw)
+    def counting(num_vars, rows, targets):
+        seen.append(len(rows))
+        return decide(num_vars, rows, targets)
 
     monkeypatch.setattr(engine, "decide", counting)
     # three negated literals per clause expand to eight monotone clauses
