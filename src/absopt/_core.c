@@ -1,11 +1,13 @@
 /* Compiled enumeration core, loaded through ctypes by engine.py.
 
-   Mirrors _engine_py.py exactly: depth-first search over assignments in
-   lexicographic order (variable 1 first, false before true), the same bounds
-   and pruning, and the same witness tie-breaking.  Plain C with no Python
-   API.  The caller guarantees at most 62 variables and an absolute weight
-   sum T below 2^62, and closes every target endpoint within [-T-1, T+1], so
-   no int64 sum or comparison the search forms can overflow.
+   Matches _engine_py.py node for node: depth-first search over assignments
+   in lexicographic order (variable 1 first, false before true), the same
+   bounds and pruning, and the same witness tie-breaking.  The data layout
+   differs: per-row counters and an undo trail here, row sets held in ints
+   there.  Plain C with no Python API.  The caller guarantees at most 62
+   variables and an absolute weight sum T below 2^62, and closes every target
+   endpoint within [-T-1, T+1], so no int64 sum or comparison the search
+   forms can overflow.
 
    The input is m DNF rows of (positive mask, negative mask, weight), each a
    conjunction of its literals; bit i of a mask stands for variable i + 1, and

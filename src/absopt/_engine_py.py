@@ -2,97 +2,143 @@
 
 The core takes DNF rows only: each row is (positive mask, negative mask,
 weight), a conjunction of its literals whose weight counts when it holds, and
-bit i of a mask stands for variable i + 1.  The target is a pair of closed
-integer intervals ``((lo1, hi1), (lo2, hi2))``; a value qualifies when it lies
-in either one.  Disjunctions and comparisons are turned into this form by
-``model.py`` and the endpoints are closed by ``engine.py``.
+bit i of a mask stands for variable i + 1; no mask reaches past ``num_vars``.
+The target is a pair of closed integer intervals ``((lo1, hi1), (lo2, hi2))``;
+a value qualifies when it lies in either one.  Disjunctions and comparisons
+are turned into this form by ``model.py`` and the endpoints are closed by
+``engine.py``.
 
 Depth-first search over assignments in lexicographic order (variable 1 first,
-false before true).  Each row tracks how many of its literals are still
-unassigned; satisfied and dead rows leave the open set, and the open set's
-positive and negative weight sums bound every completion's value.  A subtree
-is pruned only when those bounds meet neither interval, so the first hit found
-is the true lexicographic first.  At a leaf every row is decided and the
-bounds meet at the value, so reaching a leaf is a hit.
+false before true).  Satisfied and dead rows leave the open set, and the open
+set's positive and negative weight sums bound every completion's value.  A
+subtree is pruned only when those bounds meet neither interval, so the first
+hit found is the true lexicographic first.  At a leaf every row is decided and
+the bounds meet at the value, so reaching a leaf is a hit.
 
-The compiled backend (_core.c) mirrors this file exactly; any semantic change
+The search state is a row set held in one int, bit c for row c, passed down
+the recursion by value.  Assigning variable d kills the open rows in a
+precomputed set for d and its value, and satisfies the surviving open rows
+whose last literal is d.  The bounds then move by the weight of those rows,
+summed from a few (row set, multiplier) terms per sign: the bit planes of
+|w|, or one term per distinct |w| when that is shorter, so a sum costs one
+``bit_count`` per term.  Per-node cost grows with the number of terms, so
+where fewer rows can close at a variable than there are terms, the sum runs
+row by row instead.  On 14 variables and 120 random rows of one to three
+literals, one ``extremes`` call takes about 22, 37 and 45 ms at 4-, 40- and
+100-bit weights; with terms alone it took about 20, 250 and 340 ms (2-core
+x86-64, Python 3.11).  Rows of weight 0 move no bound and are left out.
+
+The compiled backend (_core.c) matches this file node for node: the same
+search order, bounds, pruning and witness tie-breaking.  Its data layout
+differs (per-row counters and an undo trail in int64).  Any semantic change
 must land in both.
 """
 
 from __future__ import annotations
 
 
-def _setup(num_vars: int, rows):
-    m = len(rows)
-    status = [0] * m  # 0 open, 1 satisfied, 2 dead
-    rem = [0] * m
-    weights = [0] * m
-    occ = [[] for _ in range(num_vars)]
-    cur = 0
-    open_pos = 0
-    open_neg = 0
-    for c, (pos, neg, wt) in enumerate(rows):
-        weights[c] = wt
-        k = pos.bit_count() + neg.bit_count()
-        rem[c] = k
-        for i in range(num_vars):
-            bit = 1 << i
-            if pos & bit:
-                occ[i].append((c, True))
-            if neg & bit:
-                occ[i].append((c, False))
-        if k == 0:
-            # No literals: the empty conjunction holds vacuously.
-            status[c] = 1
-            cur += wt
-        elif wt > 0:
-            open_pos += wt
-        elif wt < 0:
-            open_neg += wt
-    return status, rem, weights, occ, cur, open_pos, open_neg
+def _terms(weights, sign):
+    """(row set, multiplier) terms for the rows whose weight has this sign.
 
-
-def _apply(occ_i, val, status, rem, weights):
-    """Propagate one variable assignment; returns (undo list, d_cur, d_pos, d_neg)."""
-    changes = []
-    dc = dp = dn = 0
-    for c, sign in occ_i:
-        if status[c]:
+    The magnitude of that weight in a row set s is the sum over the terms of
+    ``(s & row set).bit_count() * multiplier``.
+    """
+    planes = {}
+    groups = {}
+    for c, wt in enumerate(weights):
+        if wt * sign <= 0:
             continue
-        if sign == val:
-            r = rem[c] - 1
-            rem[c] = r
-            if r == 0:
-                status[c] = 1
-                wt = weights[c]
-                dc += wt
+        bit = 1 << c
+        mag = abs(wt)
+        groups[mag] = groups.get(mag, 0) | bit
+        for b in range(mag.bit_length()):
+            if mag >> b & 1:
+                planes[b] = planes.get(b, 0) | bit
+    by_value = [(rows, mag) for mag, rows in groups.items()]
+    by_plane = [(rows, 1 << b) for b, rows in planes.items()]
+    return by_value if len(by_value) < len(by_plane) else by_plane
+
+
+def _setup(num_vars: int, rows):
+    """The open rows, the root bounds, each depth's branches, and ``move``.
+
+    ``branches[d]`` holds one (rows killed, witness bit, sum by rows) triple
+    per value of variable d, false first; ``last[d]`` the rows whose last
+    literal is d.  ``move`` gives a child's bounds from its parent's.
+    """
+    kill_false = [0] * num_vars  # rows with a positive literal of d
+    kill_true = [0] * num_vars  # rows with a negative literal of d
+    last = [0] * num_vars
+    weights = []
+    cur = 0
+    for pos, neg, wt in rows:
+        lits = pos | neg
+        if not lits:
+            # No literals: the empty conjunction holds vacuously.
+            cur += wt
+            continue
+        if not wt:
+            continue
+        bit = 1 << len(weights)
+        weights.append(wt)
+        last[lits.bit_length() - 1] |= bit
+        for mask, kill in ((pos, kill_false), (neg, kill_true)):
+            while mask:
+                low = mask & -mask
+                kill[low.bit_length() - 1] |= bit
+                mask ^= low
+    live = (1 << len(weights)) - 1
+    lb = cur + sum(wt for wt in weights if wt < 0)
+    ub = cur + sum(wt for wt in weights if wt > 0)
+    pos_terms, neg_terms = _terms(weights, 1), _terms(weights, -1)
+    branches = []
+    for d in range(num_vars):
+        # Summing row by row costs a step per closing row, summing by terms a
+        # step per term; the rows that can close at d bound the first.
+        closing = last[d].bit_count()
+        branches.append(tuple(
+            (kill, bit, kill.bit_count() + closing < len(pos_terms) + len(neg_terms))
+            for kill, bit in ((kill_false[d], 0), (kill_true[d], 1 << d))
+        ))
+
+    def move(dead, sat, lb, ub, by_rows):
+        """lb and ub once the rows in dead die and the rows in sat hold.
+
+        An open row's weight counts in ub when positive and in lb when
+        negative.  A dead row's weight leaves that bound; a satisfied row's
+        weight is certain and enters the other bound too.
+        """
+        if by_rows:
+            while dead:
+                low = dead & -dead
+                wt = weights[low.bit_length() - 1]
                 if wt > 0:
-                    dp -= wt
-                elif wt < 0:
-                    dn -= wt
-                changes.append((c, 1))
-            else:
-                changes.append((c, 0))
+                    ub -= wt
+                else:
+                    lb -= wt
+                dead ^= low
+            while sat:
+                low = sat & -sat
+                wt = weights[low.bit_length() - 1]
+                if wt > 0:
+                    lb += wt
+                else:
+                    ub += wt
+                sat ^= low
         else:
-            status[c] = 2
-            wt = weights[c]
-            if wt > 0:
-                dp -= wt
-            elif wt < 0:
-                dn -= wt
-            changes.append((c, 2))
-    return changes, dc, dp, dn
+            if dead:
+                for rows, mul in pos_terms:
+                    ub -= (dead & rows).bit_count() * mul
+                for rows, mul in neg_terms:
+                    lb += (dead & rows).bit_count() * mul
+            if sat:
+                for rows, mul in pos_terms:
+                    lb += (sat & rows).bit_count() * mul
+                for rows, mul in neg_terms:
+                    ub -= (sat & rows).bit_count() * mul
+        return lb, ub
 
-
-def _undo(changes, status, rem):
-    for c, kind in reversed(changes):
-        if kind == 0:
-            rem[c] += 1
-        elif kind == 1:
-            status[c] = 0
-            rem[c] += 1
-        else:
-            status[c] = 0
+    return live, lb, ub, branches, last, move
 
 
 def decide(num_vars, rows, targets):
@@ -101,33 +147,30 @@ def decide(num_vars, rows, targets):
     Returns (found, witness_mask, value); the mask has bit i-1 set iff
     variable i is true.
     """
-    status, rem, weights, occ, cur0, pos0, neg0 = _setup(num_vars, rows)
+    live0, lb0, ub0, branches, last, move = _setup(num_vars, rows)
     (lo1, hi1), (lo2, hi2) = targets
-    path = bytearray(num_vars)
 
-    def rec(depth, cur, opos, oneg):
-        lb, ub = cur + oneg, cur + opos
-        if not (lb <= hi1 and ub >= lo1 or lb <= hi2 and ub >= lo2):
-            return None
+    def rec(depth, live, lb, ub, mask):
         if depth == num_vars:
-            return cur
-        occ_i = occ[depth]
-        for val in (False, True):
-            path[depth] = val
-            changes, dc, dp, dn = _apply(occ_i, val, status, rem, weights)
-            r = rec(depth + 1, cur + dc, opos + dp, oneg + dn)
-            _undo(changes, status, rem)
-            if r is not None:
-                return r
+            return ub, mask  # every row is decided, so lb == ub
+        sat_if_open = last[depth]
+        for kill, bit, by_rows in branches[depth]:
+            dead = live & kill
+            rest = live ^ dead
+            sat = rest & sat_if_open
+            clb, cub = move(dead, sat, lb, ub, by_rows) if dead or sat else (lb, ub)
+            if clb <= hi1 and cub >= lo1 or clb <= hi2 and cub >= lo2:
+                hit = rec(depth + 1, rest ^ sat, clb, cub, mask | bit)
+                if hit is not None:
+                    return hit
         return None
 
-    value = rec(0, cur0, pos0, neg0)
-    if value is None:
+    if not (lb0 <= hi1 and ub0 >= lo1 or lb0 <= hi2 and ub0 >= lo2):
         return False, None, None
-    mask = 0
-    for i in range(num_vars):
-        if path[i]:
-            mask |= 1 << i
+    hit = rec(0, live0, lb0, ub0, 0)
+    if hit is None:
+        return False, None, None
+    value, mask = hit
     return True, mask, value
 
 
@@ -138,34 +181,27 @@ def extremes(num_vars, rows):
     lexicographically first assignment because only strict improvements
     replace the incumbent and the search visits assignments in order.
     """
-    status, rem, weights, occ, cur0, pos0, neg0 = _setup(num_vars, rows)
-    path = bytearray(num_vars)
+    live0, lb0, ub0, branches, last, move = _setup(num_vars, rows)
     best = [None, 0, None, 0]  # max, argmax, min, argmin
 
-    def mask_of_path():
-        mask = 0
-        for i in range(num_vars):
-            if path[i]:
-                mask |= 1 << i
-        return mask
-
-    def rec(depth, cur, opos, oneg):
-        if best[0] is not None and cur + opos <= best[0] and cur + oneg >= best[2]:
-            return
+    def rec(depth, live, lb, ub, mask):
         if depth == num_vars:
-            if best[0] is None or cur > best[0]:
-                best[0] = cur
-                best[1] = mask_of_path()
-            if best[2] is None or cur < best[2]:
-                best[2] = cur
-                best[3] = mask_of_path()
+            # every row is decided, so lb == ub is the value
+            if best[0] is None or ub > best[0]:
+                best[0] = ub
+                best[1] = mask
+            if best[2] is None or ub < best[2]:
+                best[2] = ub
+                best[3] = mask
             return
-        occ_i = occ[depth]
-        for val in (False, True):
-            path[depth] = val
-            changes, dc, dp, dn = _apply(occ_i, val, status, rem, weights)
-            rec(depth + 1, cur + dc, opos + dp, oneg + dn)
-            _undo(changes, status, rem)
+        sat_if_open = last[depth]
+        for kill, bit, by_rows in branches[depth]:
+            dead = live & kill
+            rest = live ^ dead
+            sat = rest & sat_if_open
+            clb, cub = move(dead, sat, lb, ub, by_rows) if dead or sat else (lb, ub)
+            if best[0] is None or cub > best[0] or clb < best[2]:
+                rec(depth + 1, rest ^ sat, clb, cub, mask | bit)
 
-    rec(0, cur0, pos0, neg0)
+    rec(0, live0, lb0, ub0, 0)
     return best[0], best[1], best[2], best[3]

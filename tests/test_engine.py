@@ -240,6 +240,131 @@ def test_empty_clause_and_zero_vars():
     assert not brute_force_formula(WeightedFormula("cnf", 0, (((), 5),), 1, "sum")).decision
 
 
+def _row_values(num_vars, rows):
+    """(mask, value) of every assignment in lexicographic order, from the rows."""
+    out = []
+    for values in assignments_lex(num_vars):
+        mask = sum(1 << i for i, v in enumerate(values) if v)
+        out.append((mask, sum(w for pos, neg, w in rows if mask & pos == pos and not mask & neg)))
+    return out
+
+
+def _naive_rows_decide(num_vars, rows, targets):
+    for mask, val in _row_values(num_vars, rows):
+        if any(lo <= val <= hi for lo, hi in targets):
+            return True, mask, val
+    return False, None, None
+
+
+def _naive_rows_extremes(num_vars, rows):
+    best = None
+    for mask, val in _row_values(num_vars, rows):
+        if best is None:
+            best = [val, mask, val, mask]
+        if val > best[0]:
+            best[:2] = val, mask
+        if val < best[2]:
+            best[2:] = val, mask
+    return tuple(best)
+
+
+def _mixed_rows(rng, num_vars, count, bits, few_planes=False):
+    """Random rows with weights of both signs and bit length exactly ``bits``.
+
+    With ``few_planes`` every |w| sets the top bit and three middle ones at
+    most, so there are fewer bit planes than distinct weights.
+    """
+    rows = []
+    for _ in range(count):
+        pos = rng.getrandbits(num_vars) & rng.getrandbits(num_vars)
+        neg = rng.getrandbits(num_vars) & rng.getrandbits(num_vars) & ~pos
+        if few_planes:
+            w = 1 << (bits - 1) | rng.getrandbits(3) << (bits // 2)
+        else:
+            w = rng.randrange(1 << (bits - 1), 1 << bits)
+        rows.append((pos, neg, rng.choice((w, -w))))
+    return rows
+
+
+def _edge_cases():
+    rng = random.Random(46)
+    cases = [
+        # no variables: only literal-free rows, which hold vacuously
+        (0, []),
+        (0, [(0, 0, 5)]),
+        (0, [(0, 0, 0), (0, 0, 3), (0, 0, -7)]),
+        # one variable, with zero-weight, constant and self-contradictory rows
+        (1, [(1, 0, 3)]),
+        (1, [(0, 1, -2), (1, 0, 0)]),
+        (1, [(0, 0, 2), (1, 0, -2), (1, 1, 9)]),
+        # zero-weight rows mixed into open ones, and constant rows beside them
+        (5, [(p, n, w if i % 3 else 0) for i, (p, n, w) in enumerate(_mixed_rows(rng, 5, 12, 3))]),
+        (5, [(0, 0, 4), (0, 0, -9)] + _mixed_rows(rng, 5, 8, 2) + [(0b11, 0, 0)] * 3),
+    ]
+    # mixed signs at bit lengths 1, 40, 63 and 100: few terms, more terms than
+    # rows that can close at one variable, and high bit planes
+    for bits in (1, 40, 63, 100):
+        for num_vars, count in ((6, 12), (7, 30)):
+            cases.append((num_vars, _mixed_rows(rng, num_vars, count, bits)))
+        if bits > 1:
+            cases.append((7, _mixed_rows(rng, 7, 30, bits, few_planes=True)))
+    # one |w| for every row: one term per sign instead of one per bit plane
+    for mag in ((1 << 50) + 12345, (1 << 80) + 12345):
+        rows = _mixed_rows(rng, 6, 14, 1)
+        cases.append((6, [(p, n, w * mag) for p, n, w in rows]))
+    return cases
+
+
+@pytest.mark.parametrize("name,backend", BACKENDS, indirect=["backend"])
+def test_weight_term_edge_cases(name, backend):
+    for num_vars, rows in _edge_cases():
+        total = engine._weight_total(rows)
+        if backend is not pure and total >= I64_SAFE:
+            continue  # the compiled core never sees these; engine.py routes them pure
+        assert backend.extremes(num_vars, rows) == _naive_rows_extremes(num_vars, rows), rows
+        values = sorted({val for _, val in _row_values(num_vars, rows)})
+        lo, mid, hi = values[0], values[len(values) // 2], values[-1]
+        for targets in (
+            ((hi, hi), (lo, lo)),
+            ((mid, mid), (hi + 1, None)),
+            ((None, lo - 1), (hi + 1, None)),
+            ((mid, None), (None, lo)),
+        ):
+            closed = engine._close(targets, total)
+            got = backend.decide(num_vars, rows, closed)
+            assert got == _naive_rows_decide(num_vars, rows, closed), (rows, targets)
+    # the cases reach both ways of summing weights and both kinds of terms
+    weights_equal = [w for _, _, w in _edge_cases()[-1][1]]
+    assert len(pure._terms(weights_equal, 1)) == 1
+    by_rows = {
+        flag
+        for num_vars, rows in _edge_cases()
+        for branch in pure._setup(num_vars, rows)[3]
+        for _, _, flag in branch
+    }
+    assert by_rows == {False, True}
+
+
+@pytest.mark.parametrize("name,backend", BACKENDS, indirect=["backend"])
+def test_merged_zero_weight_clauses(name, backend):
+    # clauses with equal literal sets merge at construction, and the model
+    # keeps a merged weight of zero as a row of weight 0
+    rng = random.Random(47)
+    for i, (kind, objective, comparison) in enumerate(VARIANTS * 10):
+        phi = random_formula(rng, max_vars=5, kind=kind, objective=objective, comparison=comparison)
+        lits, wt = max(phi.clauses, key=lambda c: len(c[0]), default=((), 0))
+        if not lits:
+            continue
+        phi = WeightedFormula(
+            kind, phi.num_vars, phi.clauses + ((lits, -wt), ((), i % 3)), phi.alpha,
+            objective, comparison,
+        )
+        rows = _formula_engine_clauses(phi)
+        assert any(w == 0 and pos | neg for pos, neg, w in rows), phi
+        assert _call_decide(backend, phi) == _naive_decide(phi), phi
+        assert _call_extremes(backend, phi) == _naive_rows_extremes(phi.num_vars, rows), phi
+
+
 def _interval(data):
     # values stay within 5 rows of weight at most 6
     ends = st.one_of(st.none(), st.integers(-32, 32))
