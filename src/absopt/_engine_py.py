@@ -19,14 +19,12 @@ The search state is a row set held in one int, bit c for row c, passed down
 the recursion by value.  Assigning variable d kills the open rows in a
 precomputed set for d and its value, and satisfies the surviving open rows
 whose last literal is d.  The bounds then move by the weight of those rows,
-summed from a few (row set, multiplier) terms per sign: the bit planes of
-|w|, or one term per distinct |w| when that is shorter, so a sum costs one
-``bit_count`` per term.  Per-node cost grows with the number of terms, so
-where fewer rows can close at a variable than there are terms, the sum runs
-row by row instead.  On 14 variables and 120 random rows of one to three
-literals, one ``extremes`` call takes about 22, 37 and 45 ms at 4-, 40- and
-100-bit weights; with terms alone it took about 20, 250 and 340 ms (2-core
-x86-64, Python 3.11).  Rows of weight 0 move no bound and are left out.
+summed as one ``bit_count`` per bit plane of |w| and sign, or row by row
+where a node changes fewer rows than there are planes, as with wide weights.
+On 14 variables and 120 random rows of one to three literals, one
+``extremes`` call takes about 20, 37 and 48 ms at 4-, 40- and 100-bit weights
+(2-core x86-64, Python 3.11).  Rows of weight 0 move no bound and are left
+out.
 
 The compiled backend (_core.c) matches this file node for node: the same
 search order, bounds, pruning and witness tie-breaking.  Its data layout
@@ -37,34 +35,28 @@ must land in both.
 from __future__ import annotations
 
 
-def _terms(weights, sign):
-    """(row set, multiplier) terms for the rows whose weight has this sign.
+def _planes(weights, sign):
+    """(row set, bit) pairs, one per bit plane of |w| over the rows of this sign.
 
-    The magnitude of that weight in a row set s is the sum over the terms of
-    ``(s & row set).bit_count() * multiplier``.
+    The magnitude of that weight in a row set s is the sum over the planes of
+    ``(s & row set).bit_count() << bit``.
     """
     planes = {}
-    groups = {}
     for c, wt in enumerate(weights):
-        if wt * sign <= 0:
-            continue
-        bit = 1 << c
-        mag = abs(wt)
-        groups[mag] = groups.get(mag, 0) | bit
-        for b in range(mag.bit_length()):
-            if mag >> b & 1:
-                planes[b] = planes.get(b, 0) | bit
-    by_value = [(rows, mag) for mag, rows in groups.items()]
-    by_plane = [(rows, 1 << b) for b, rows in planes.items()]
-    return by_value if len(by_value) < len(by_plane) else by_plane
+        if wt * sign > 0:
+            mag = abs(wt)
+            for b in range(mag.bit_length()):
+                if mag >> b & 1:
+                    planes[b] = planes.get(b, 0) | 1 << c
+    return [(rows, b) for b, rows in planes.items()]
 
 
 def _setup(num_vars: int, rows):
     """The open rows, the root bounds, each depth's branches, and ``move``.
 
-    ``branches[d]`` holds one (rows killed, witness bit, sum by rows) triple
-    per value of variable d, false first; ``last[d]`` the rows whose last
-    literal is d.  ``move`` gives a child's bounds from its parent's.
+    ``branches[d]`` holds one (rows killed, witness bit) pair per value of
+    variable d, false first; ``last[d]`` the rows whose last literal is d.
+    ``move`` gives a child's bounds from its parent's.
     """
     kill_false = [0] * num_vars  # rows with a positive literal of d
     kill_true = [0] * num_vars  # rows with a negative literal of d
@@ -90,25 +82,18 @@ def _setup(num_vars: int, rows):
     live = (1 << len(weights)) - 1
     lb = cur + sum(wt for wt in weights if wt < 0)
     ub = cur + sum(wt for wt in weights if wt > 0)
-    pos_terms, neg_terms = _terms(weights, 1), _terms(weights, -1)
-    branches = []
-    for d in range(num_vars):
-        # Summing row by row costs a step per closing row, summing by terms a
-        # step per term; the rows that can close at d bound the first.
-        closing = last[d].bit_count()
-        branches.append(tuple(
-            (kill, bit, kill.bit_count() + closing < len(pos_terms) + len(neg_terms))
-            for kill, bit in ((kill_false[d], 0), (kill_true[d], 1 << d))
-        ))
+    pos_planes, neg_planes = _planes(weights, 1), _planes(weights, -1)
+    num_planes = len(pos_planes) + len(neg_planes)
+    branches = [((kill_false[d], 0), (kill_true[d], 1 << d)) for d in range(num_vars)]
 
-    def move(dead, sat, lb, ub, by_rows):
+    def move(dead, sat, lb, ub):
         """lb and ub once the rows in dead die and the rows in sat hold.
 
         An open row's weight counts in ub when positive and in lb when
         negative.  A dead row's weight leaves that bound; a satisfied row's
         weight is certain and enters the other bound too.
         """
-        if by_rows:
+        if (dead | sat).bit_count() < num_planes:
             while dead:
                 low = dead & -dead
                 wt = weights[low.bit_length() - 1]
@@ -127,15 +112,15 @@ def _setup(num_vars: int, rows):
                 sat ^= low
         else:
             if dead:
-                for rows, mul in pos_terms:
-                    ub -= (dead & rows).bit_count() * mul
-                for rows, mul in neg_terms:
-                    lb += (dead & rows).bit_count() * mul
+                for rows, b in pos_planes:
+                    ub -= (dead & rows).bit_count() << b
+                for rows, b in neg_planes:
+                    lb += (dead & rows).bit_count() << b
             if sat:
-                for rows, mul in pos_terms:
-                    lb += (sat & rows).bit_count() * mul
-                for rows, mul in neg_terms:
-                    ub -= (sat & rows).bit_count() * mul
+                for rows, b in pos_planes:
+                    lb += (sat & rows).bit_count() << b
+                for rows, b in neg_planes:
+                    ub -= (sat & rows).bit_count() << b
         return lb, ub
 
     return live, lb, ub, branches, last, move
@@ -154,11 +139,11 @@ def decide(num_vars, rows, targets):
         if depth == num_vars:
             return ub, mask  # every row is decided, so lb == ub
         sat_if_open = last[depth]
-        for kill, bit, by_rows in branches[depth]:
+        for kill, bit in branches[depth]:
             dead = live & kill
             rest = live ^ dead
             sat = rest & sat_if_open
-            clb, cub = move(dead, sat, lb, ub, by_rows) if dead or sat else (lb, ub)
+            clb, cub = move(dead, sat, lb, ub) if dead or sat else (lb, ub)
             if clb <= hi1 and cub >= lo1 or clb <= hi2 and cub >= lo2:
                 hit = rec(depth + 1, rest ^ sat, clb, cub, mask | bit)
                 if hit is not None:
@@ -195,11 +180,11 @@ def extremes(num_vars, rows):
                 best[3] = mask
             return
         sat_if_open = last[depth]
-        for kill, bit, by_rows in branches[depth]:
+        for kill, bit in branches[depth]:
             dead = live & kill
             rest = live ^ dead
             sat = rest & sat_if_open
-            clb, cub = move(dead, sat, lb, ub, by_rows) if dead or sat else (lb, ub)
+            clb, cub = move(dead, sat, lb, ub) if dead or sat else (lb, ub)
             if best[0] is None or cub > best[0] or clb < best[2]:
                 rec(depth + 1, rest ^ sat, clb, cub, mask | bit)
 

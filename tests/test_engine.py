@@ -301,14 +301,14 @@ def _edge_cases():
         (5, [(p, n, w if i % 3 else 0) for i, (p, n, w) in enumerate(_mixed_rows(rng, 5, 12, 3))]),
         (5, [(0, 0, 4), (0, 0, -9)] + _mixed_rows(rng, 5, 8, 2) + [(0b11, 0, 0)] * 3),
     ]
-    # mixed signs at bit lengths 1, 40, 63 and 100: few terms, more terms than
-    # rows that can close at one variable, and high bit planes
+    # mixed signs at bit lengths 1, 40, 63 and 100: few bit planes, more planes
+    # than rows one node changes, and high planes
     for bits in (1, 40, 63, 100):
         for num_vars, count in ((6, 12), (7, 30)):
             cases.append((num_vars, _mixed_rows(rng, num_vars, count, bits)))
         if bits > 1:
             cases.append((7, _mixed_rows(rng, 7, 30, bits, few_planes=True)))
-    # one |w| for every row: one term per sign instead of one per bit plane
+    # one |w| for every row: every bit plane of a sign holds all its rows
     for mag in ((1 << 50) + 12345, (1 << 80) + 12345):
         rows = _mixed_rows(rng, 6, 14, 1)
         cases.append((6, [(p, n, w * mag) for p, n, w in rows]))
@@ -316,7 +316,7 @@ def _edge_cases():
 
 
 @pytest.mark.parametrize("name,backend", BACKENDS, indirect=["backend"])
-def test_weight_term_edge_cases(name, backend):
+def test_weight_sum_edge_cases(name, backend):
     for num_vars, rows in _edge_cases():
         total = engine._weight_total(rows)
         if backend is not pure and total >= I64_SAFE:
@@ -333,16 +333,14 @@ def test_weight_term_edge_cases(name, backend):
             closed = engine._close(targets, total)
             got = backend.decide(num_vars, rows, closed)
             assert got == _naive_rows_decide(num_vars, rows, closed), (rows, targets)
-    # the cases reach both ways of summing weights and both kinds of terms
-    weights_equal = [w for _, _, w in _edge_cases()[-1][1]]
-    assert len(pure._terms(weights_equal, 1)) == 1
-    by_rows = {
-        flag
-        for num_vars, rows in _edge_cases()
-        for branch in pure._setup(num_vars, rows)[3]
-        for _, _, flag in branch
-    }
-    assert by_rows == {False, True}
+    # some cases have more bit planes than rows, so every sum runs row by row;
+    # the others have fewer, so nodes that change many rows sum by planes
+    more_planes = set()
+    for _, rows in _edge_cases():
+        weights = [w for pos, neg, w in rows if (pos | neg) and w]
+        planes = len(pure._planes(weights, 1)) + len(pure._planes(weights, -1))
+        more_planes.add(planes > len(weights))
+    assert more_planes == {False, True}
 
 
 @pytest.mark.parametrize("name,backend", BACKENDS, indirect=["backend"])
