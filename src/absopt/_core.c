@@ -1,196 +1,188 @@
 /* Compiled enumeration core, loaded through ctypes by engine.py.
 
-   Matches _engine_py.py node for node: depth-first search over assignments
-   in lexicographic order (variable 1 first, false before true), the same
-   bounds and pruning, and the same witness tie-breaking.  The data layout
-   differs: per-row counters and an undo trail here, row sets held in ints
-   there.  Plain C with no Python API.  The caller guarantees at most 62
-   variables and an absolute weight sum T below 2^62, and closes every target
-   endpoint within [-T-1, T+1], so no int64 sum or comparison the search
-   forms can overflow.
+   Runs the search of _engine_py.py on the same state: depth-first search over
+   assignments in lexicographic order (variable 1 first, false before true),
+   the same bounds and pruning, and the same witness tie-breaking.  Plain C
+   with no Python API.  The caller guarantees at most 62 variables and an
+   absolute weight sum T below 2^62, and closes every target endpoint within
+   [-T-1, T+1], so no int64 sum or comparison the search forms can overflow.
 
    The input is m DNF rows of (positive mask, negative mask, weight), each a
    conjunction of its literals; bit i of a mask stands for variable i + 1, and
    so does bit i of a witness.  The target is two closed intervals
-   (lo1, hi1, lo2, hi2), and a value qualifies when it lies in either. */
+   (lo1, hi1, lo2, hi2), and a value qualifies when it lies in either.
+
+   Rows without literals hold vacuously and go into the root bounds; rows of
+   weight 0 move no bound and are left out.  The other rows are kept, and a
+   row set holds kept row c as bit c % 64 of word c / 64.  Per variable and
+   value there is the set of rows that value kills, per variable the set of
+   rows whose last literal is that variable, and per depth the set of open
+   rows.  Assigning a value to the variable at depth d gives the rows
+   dead = live & kill and sat = (live ^ dead) & last, and the child's open
+   rows live ^ dead ^ sat; the bounds move by the weights of dead and sat. */
 
 #include <stdint.h>
 #include <stdlib.h>
 
-enum { OPEN = 0, SATISFIED = 1, DEAD = 2 };
-/* Undo records: restore rem, restore status and rem, or restore status. */
-enum { UNDO_REM = 0, UNDO_BOTH = 1, UNDO_STATUS = 2 };
-
 typedef struct {
-    int n, top;
+    int n, words;   /* variables, and 64-bit words per row set */
     int64_t lo1, hi1, lo2, hi2;
-    char *mem;      /* one block holding the arrays below */
-    int64_t *w;
-    int *rem;
-    int *occ_start; /* n + 1 offsets into occ */
-    int *occ;       /* row << 1 | literal is positive, grouped by variable */
-    int *trail;     /* row << 2 | undo record */
-    unsigned char *status;
-    uint64_t path;  /* values on the current branch */
+    uint64_t *mem;  /* one block holding the arrays below */
+    uint64_t *kill; /* set 2d + v: the rows value v of variable d + 1 kills */
+    uint64_t *last; /* set d: the rows whose last literal is variable d + 1 */
+    uint64_t *live; /* set d: the open rows at depth d */
+    int64_t *w;     /* the weight of each kept row */
     int64_t value;  /* decide: the value of the hit */
+    uint64_t hit;   /* decide: its witness */
     int have;       /* extremes: the incumbents below are set */
     int64_t maxv, minv;
     uint64_t argmax, argmin;
 } Core;
 
-static int popcount(uint64_t x)
+/* The index of the lowest set bit of x, which is not 0. */
+static int low_bit(uint64_t x)
 {
-    int k = 0;
-    for (; x; x &= x - 1)
-        k++;
-    return k;
+#ifdef __GNUC__
+    return __builtin_ctzll(x);
+#else
+    int b = 0;
+    while (!(x >> b & 1))
+        b++;
+    return b;
+#endif
 }
 
-/* Builds the occurrence lists and the open bounds; returns -1 when out of
-   memory.  Empty rows start satisfied. */
-static int build(Core *k, int n, int m, const int64_t *cl,
-                 int64_t *cur, int64_t *pos, int64_t *neg)
+/* Builds the row sets and the root bounds lb and ub; returns -1 when out of
+   memory. */
+static int build(Core *k, int n, int m, const int64_t *rows, int64_t *lb, int64_t *ub)
 {
-    int total = 0, c, i;
+    int kept = 0, c, d, words;
     for (c = 0; c < m; c++)
-        total += popcount((uint64_t)cl[3 * c]) + popcount((uint64_t)cl[3 * c + 1]);
-    k->mem = calloc(1, sizeof(int64_t) * (m + 1)
-                       + sizeof(int) * ((m + 1) + (n + 2) + 2 * (total + 1)) + (m + 1));
+        kept += (rows[3 * c] | rows[3 * c + 1]) && rows[3 * c + 2];
+    words = (kept + 63) / 64;
+    k->mem = calloc((size_t)(4 * n + 1) * words + kept + 1, sizeof(uint64_t));
     if (!k->mem)
         return -1;
-    k->w = (int64_t *)k->mem;
-    k->rem = (int *)(k->w + m + 1);
-    k->occ_start = k->rem + m + 1;
-    k->occ = k->occ_start + n + 2;
-    k->trail = k->occ + total + 1;
-    k->status = (unsigned char *)(k->trail + total + 1);
+    k->kill = k->mem;
+    k->last = k->kill + 2 * n * words;
+    k->live = k->last + n * words;
+    k->w = (int64_t *)(k->live + (n + 1) * words);
     k->n = n;
-    /* Count each variable's occurrences into occ_start[i + 2]; after the
-       prefix sums, occ_start[i + 1] is variable i's fill cursor. */
-    for (c = 0; c < m; c++)
-        for (i = 0; i < n; i++)
-            k->occ_start[i + 2] += (int)((cl[3 * c] >> i & 1) + (cl[3 * c + 1] >> i & 1));
-    for (i = 2; i <= n + 1; i++)
-        k->occ_start[i] += k->occ_start[i - 1];
-    *cur = *pos = *neg = 0;
+    k->words = words;
+    *lb = *ub = 0;
+    kept = 0;
     for (c = 0; c < m; c++) {
-        int64_t wt = cl[3 * c + 2];
-        for (i = 0; i < n; i++) {
-            if (cl[3 * c] >> i & 1)
-                k->occ[k->occ_start[i + 1]++] = c << 1 | 1;
-            if (cl[3 * c + 1] >> i & 1)
-                k->occ[k->occ_start[i + 1]++] = c << 1;
+        uint64_t pos = (uint64_t)rows[3 * c], neg = (uint64_t)rows[3 * c + 1], bit;
+        int64_t wt = rows[3 * c + 2];
+        int j;
+        if (!(pos | neg)) {
+            *lb += wt;
+            *ub += wt;
+            continue;
         }
-        k->w[c] = wt;
-        k->rem[c] = popcount((uint64_t)cl[3 * c]) + popcount((uint64_t)cl[3 * c + 1]);
-        if (k->rem[c] == 0) {
-            k->status[c] = SATISFIED;
-            *cur += wt;
-        } else if (wt > 0) {
-            *pos += wt;
-        } else {
-            *neg += wt;
+        if (!wt)
+            continue;
+        j = kept / 64;
+        bit = (uint64_t)1 << kept % 64;
+        k->w[kept++] = wt;
+        k->live[j] |= bit;
+        if (wt > 0)
+            *ub += wt;
+        else
+            *lb += wt;
+        /* false kills the rows with a positive literal, true the others */
+        for (d = 0; d < n; d++) {
+            if (pos >> d & 1)
+                k->kill[2 * d * words + j] |= bit;
+            if (neg >> d & 1)
+                k->kill[(2 * d + 1) * words + j] |= bit;
+            if ((pos | neg) >> d == 1)
+                k->last[d * words + j] |= bit;
         }
     }
     return 0;
 }
 
-/* Assigns val to variable depth + 1, pushing undo records, and adds the
-   changes of the current value and of the open positive and negative sums. */
-static void apply(Core *k, int depth, int val, int64_t *dc, int64_t *dp, int64_t *dn)
+/* Fills the open rows at depth d + 1 once variable d + 1 takes value v, and
+   moves lb and ub by the rows that die or hold.  An open row's weight counts
+   in ub when positive and in lb when negative.  A dead row's weight leaves
+   that bound; a satisfied row's weight is certain and enters the other bound
+   too. */
+static void step(const Core *k, int d, int v, int64_t *lb, int64_t *ub)
 {
+    const uint64_t *live = k->live + d * k->words;
+    const uint64_t *kill = k->kill + (2 * d + v) * k->words;
+    const uint64_t *last = k->last + d * k->words;
+    uint64_t *child = k->live + (d + 1) * k->words;
     int j;
-    for (j = k->occ_start[depth]; j < k->occ_start[depth + 1]; j++) {
-        int c = k->occ[j] >> 1, match = (k->occ[j] & 1) == val, kind;
-        int64_t wt = k->w[c];
-        if (k->status[c] != OPEN)
-            continue;
-        /* A matching literal advances the row, a clashing one kills it. */
-        if (!match) {
-            k->status[c] = DEAD;
-            kind = UNDO_STATUS;
-        } else if (--k->rem[c] == 0) {
-            k->status[c] = SATISFIED;
-            kind = UNDO_BOTH;
-        } else {
-            kind = UNDO_REM;
+    for (j = 0; j < k->words; j++) {
+        uint64_t dead = live[j] & kill[j], sat = (live[j] ^ dead) & last[j];
+        const int64_t *w = k->w + 64 * j;
+        child[j] = live[j] ^ dead ^ sat;
+        for (; dead; dead &= dead - 1) {
+            int64_t wt = w[low_bit(dead)];
+            if (wt > 0)
+                *ub -= wt;
+            else
+                *lb -= wt;
         }
-        k->trail[k->top++] = c << 2 | kind;
-        if (kind == UNDO_REM)
-            continue;
-        if (k->status[c] == SATISFIED)
-            *dc += wt;
-        if (wt > 0)
-            *dp -= wt;
-        else if (wt < 0)
-            *dn -= wt;
+        for (; sat; sat &= sat - 1) {
+            int64_t wt = w[low_bit(sat)];
+            if (wt > 0)
+                *lb += wt;
+            else
+                *ub += wt;
+        }
     }
 }
 
-static void unwind(Core *k, int mark)
-{
-    while (k->top > mark) {
-        int t = k->trail[--k->top], c = t >> 2;
-        if ((t & 3) != UNDO_REM)
-            k->status[c] = OPEN;
-        if ((t & 3) != UNDO_STATUS)
-            k->rem[c]++;
-    }
-}
-
-/* Whether [lb, ub] meets either target interval.  At a leaf lb == ub is the
-   value, so this is also the hit test. */
+/* Whether [lb, ub] meets either target interval. */
 static int reach(const Core *k, int64_t lb, int64_t ub)
 {
     return (lb <= k->hi1 && ub >= k->lo1) || (lb <= k->hi2 && ub >= k->lo2);
 }
 
-static int decide_rec(Core *k, int depth, int64_t cur, int64_t opos, int64_t oneg)
+/* A leaf is a hit: its bounds met a target, and every row is decided, so
+   lb == ub is the value. */
+static int decide_rec(Core *k, int d, int64_t lb, int64_t ub, uint64_t mask)
 {
-    int val;
-    if (!reach(k, cur + oneg, cur + opos))
-        return 0;
-    if (depth == k->n) {
-        k->value = cur;
+    int v;
+    if (d == k->n) {
+        k->value = ub;
+        k->hit = mask;
         return 1;
     }
-    for (val = 0; val < 2; val++) {
-        int64_t dc = 0, dp = 0, dn = 0;
-        int mark = k->top, found;
-        k->path = (k->path & ~((uint64_t)1 << depth)) | (uint64_t)val << depth;
-        apply(k, depth, val, &dc, &dp, &dn);
-        found = decide_rec(k, depth + 1, cur + dc, opos + dp, oneg + dn);
-        unwind(k, mark);
-        if (found)
+    for (v = 0; v < 2; v++) {
+        int64_t clb = lb, cub = ub;
+        step(k, d, v, &clb, &cub);
+        if (reach(k, clb, cub) && decide_rec(k, d + 1, clb, cub, mask | (uint64_t)v << d))
             return 1;
     }
     return 0;
 }
 
-static void extremes_rec(Core *k, int depth, int64_t cur, int64_t opos, int64_t oneg)
+/* Ties keep the lexicographically first assignment, because only strict
+   improvements replace an incumbent. */
+static void extremes_rec(Core *k, int d, int64_t lb, int64_t ub, uint64_t mask)
 {
-    int val;
-    if (k->have && cur + opos <= k->maxv && cur + oneg >= k->minv)
-        return;
-    if (depth == k->n) {
-        if (!k->have || cur > k->maxv) {
-            k->maxv = cur;
-            k->argmax = k->path;
+    int v;
+    if (d == k->n) {
+        if (!k->have || ub > k->maxv) {
+            k->maxv = ub;
+            k->argmax = mask;
         }
-        if (!k->have || cur < k->minv) {
-            k->minv = cur;
-            k->argmin = k->path;
+        if (!k->have || ub < k->minv) {
+            k->minv = ub;
+            k->argmin = mask;
         }
         k->have = 1;
         return;
     }
-    for (val = 0; val < 2; val++) {
-        int64_t dc = 0, dp = 0, dn = 0;
-        int mark = k->top;
-        k->path = (k->path & ~((uint64_t)1 << depth)) | (uint64_t)val << depth;
-        apply(k, depth, val, &dc, &dp, &dn);
-        extremes_rec(k, depth + 1, cur + dc, opos + dp, oneg + dn);
-        unwind(k, mark);
+    for (v = 0; v < 2; v++) {
+        int64_t clb = lb, cub = ub;
+        step(k, d, v, &clb, &cub);
+        if (!k->have || cub > k->maxv || clb < k->minv)
+            extremes_rec(k, d + 1, clb, cub, mask | (uint64_t)v << d);
     }
 }
 
@@ -199,16 +191,16 @@ static void extremes_rec(Core *k, int depth, int64_t cur, int64_t opos, int64_t 
 int absopt_decide(int n, int m, const int64_t *rows, const int64_t *targets, int64_t *out)
 {
     Core k = {0};
-    int64_t cur, pos, neg;
+    int64_t lb, ub;
     int found;
-    if (build(&k, n, m, rows, &cur, &pos, &neg) < 0)
+    if (build(&k, n, m, rows, &lb, &ub) < 0)
         return -1;
     k.lo1 = targets[0];
     k.hi1 = targets[1];
     k.lo2 = targets[2];
     k.hi2 = targets[3];
-    found = decide_rec(&k, 0, cur, pos, neg);
-    out[0] = (int64_t)k.path;
+    found = reach(&k, lb, ub) && decide_rec(&k, 0, lb, ub, 0);
+    out[0] = (int64_t)k.hit;
     out[1] = k.value;
     free(k.mem);
     return found;
@@ -218,10 +210,10 @@ int absopt_decide(int n, int m, const int64_t *rows, const int64_t *targets, int
 int absopt_extremes(int n, int m, const int64_t *rows, int64_t *out)
 {
     Core k = {0};
-    int64_t cur, pos, neg;
-    if (build(&k, n, m, rows, &cur, &pos, &neg) < 0)
+    int64_t lb, ub;
+    if (build(&k, n, m, rows, &lb, &ub) < 0)
         return -1;
-    extremes_rec(&k, 0, cur, pos, neg);
+    extremes_rec(&k, 0, lb, ub, 0);
     out[0] = k.maxv;
     out[1] = (int64_t)k.argmax;
     out[2] = k.minv;

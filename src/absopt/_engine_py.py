@@ -26,10 +26,10 @@ On 14 variables and 120 random rows of one to three literals, one
 (2-core x86-64, Python 3.11).  Rows of weight 0 move no bound and are left
 out.
 
-The compiled backend (_core.c) matches this file node for node: the same
-search order, bounds, pruning and witness tie-breaking.  Its data layout
-differs (per-row counters and an undo trail in int64).  Any semantic change
-must land in both.
+The compiled backend (_core.c) runs this search on the same row sets, held
+as arrays of 64-bit words, with the same search order, bounds, pruning and
+witness tie-breaking; it sums bound changes row by row in int64.  Any
+semantic change must land in both.
 """
 
 from __future__ import annotations

@@ -167,24 +167,6 @@ class SimplifyOutcome:
     empty_var: int | None = None
 
 
-def _rebuild(
-    inst: AbsIoInstance,
-    rows: list[list[int]],
-    weights: list[int],
-    lower: list[Bound],
-    upper: list[Bound],
-    ids: list[int],
-) -> AbsIoInstance:
-    return AbsIoInstance(
-        tuple(tuple(r) for r in rows),
-        tuple(weights),
-        tuple(lower),
-        tuple(upper),
-        inst.alpha,
-        tuple(ids),
-    )
-
-
 def _merge_columns(rows: list[list[int]], weights: list[int]) -> int:
     """Merge columns with identical exponent vectors; returns removals."""
     seen: dict[tuple[int, ...], int] = {}
@@ -247,7 +229,7 @@ def rule5_simplify(inst: AbsIoInstance) -> SimplifyOutcome:
         for i in range(len(rows)):
             if _box_empty(lower[i], upper[i]):
                 lines.append(f"rule5 empty x{ids[i]}")
-                out = _rebuild(inst, rows, weights, lower, upper, ids)
+                out = AbsIoInstance(rows, weights, lower, upper, inst.alpha, ids)
                 return SimplifyOutcome(out, tuple(log), tuple(lines), ids[i])
         # one-point domains
         i = 0
@@ -267,7 +249,7 @@ def rule5_simplify(inst: AbsIoInstance) -> SimplifyOutcome:
         if merged:
             lines.append(f"rule5 merged={merged}")
             changed = True
-    out = _rebuild(inst, rows, weights, lower, upper, ids)
+    out = AbsIoInstance(rows, weights, lower, upper, inst.alpha, ids)
     return SimplifyOutcome(out, tuple(log), tuple(lines))
 
 
@@ -296,7 +278,7 @@ def shift_variable(inst: AbsIoInstance, i: int, t: int) -> tuple[AbsIoInstance, 
     upper = list(inst.upper)
     lower[i] = None if lower[i] is None else lower[i] - t
     upper[i] = None if upper[i] is None else upper[i] - t
-    out = _rebuild(inst, out_rows, out_weights, lower, upper, list(inst.var_ids))
+    out = AbsIoInstance(out_rows, out_weights, lower, upper, inst.alpha, inst.var_ids)
     return out, ("shift", inst.var_ids[i], t)
 
 
@@ -312,9 +294,7 @@ def negate_variable(inst: AbsIoInstance, i: int) -> tuple[AbsIoInstance, LogEntr
     lo, hi = lower[i], upper[i]
     lower[i] = None if hi is None else -hi
     upper[i] = None if lo is None else -lo
-    out = _rebuild(
-        inst, [list(r) for r in inst.exponents], weights, lower, upper, list(inst.var_ids)
-    )
+    out = AbsIoInstance(inst.exponents, weights, lower, upper, inst.alpha, inst.var_ids)
     return out, ("negate", inst.var_ids[i])
 
 

@@ -21,7 +21,6 @@ from .absio import AbsIoInstance, brute_force_absio, solve_absio
 from .errors import (
     BudgetExceededError,
     ContractViolationError,
-    InternalGuaranteeError,
     InvalidInstanceError,
     ParseError,
 )
@@ -173,11 +172,7 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
     if args.explain:
         _print_transcript(outcome.transcript)
     if outcome.status == STATUS_TRIVIAL_YES:
-        ok, value = pipeline.verify_witness(instance, outcome.witness)
-        if not ok:
-            raise InternalGuaranteeError(
-                f"kernel witness {sorted(outcome.witness)} scores {value} < {instance.alpha}"
-            )
+        value = pipeline._checked_value(instance, outcome.witness)
         print("s YES")
         print(f"o {value}")
         sys.stdout.write(formats.serialize_witness(instance, outcome.witness))

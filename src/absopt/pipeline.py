@@ -73,6 +73,22 @@ def verify_witness(instance, witness) -> tuple[bool, int]:
     raise ContractViolationError(f"cannot verify against {type(instance).__name__}")
 
 
+def _checked_value(instance, witness) -> int:
+    """The value of a witness the solver found; one that fails to qualify is a bug.
+
+    ``verify_witness`` is looked up at call time, so a wrapper installed on
+    this module sees every check.
+    """
+    ok, value = verify_witness(instance, witness)
+    if not ok:
+        if isinstance(witness, Assignment):
+            witness = witness.true_vars()
+        raise InternalGuaranteeError(
+            f"witness {sorted(witness)} scores {value}, target {instance.alpha}"
+        )
+    return value
+
+
 def solve_unbalanced(
     h: WeightedHypergraph,
     mode: str = MODE_SUBEDGE,
@@ -91,23 +107,14 @@ def solve_unbalanced(
     outcome = kernelize(h, mode)
     transcript = outcome.transcript
     if outcome.status == STATUS_TRIVIAL_YES:
-        ok, value = verify_witness(h, outcome.witness)
-        if not ok:
-            raise InternalGuaranteeError(
-                f"kernel witness {sorted(outcome.witness)} scores {value} < {h.alpha}"
-            )
-        return Verdict(True, outcome.witness, value, transcript)
-    reduced = outcome.instance
-    transcript = transcript + (f"enumerate |V|={reduced.num_vertices}",)
-    verdict = brute_force_hypergraph(reduced, max_vertices=max_vertices)
-    if not verdict.decision:
-        return Verdict(False, transcript=transcript)
-    ok, value = verify_witness(h, verdict.witness)
-    if not ok:
-        raise InternalGuaranteeError(
-            f"enumeration witness {sorted(verdict.witness)} scores {value} < {h.alpha}"
-        )
-    return Verdict(True, verdict.witness, value, transcript)
+        subset = outcome.witness
+    else:
+        reduced = outcome.instance
+        transcript = transcript + (f"enumerate |V|={reduced.num_vertices}",)
+        subset = brute_force_hypergraph(reduced, max_vertices=max_vertices).witness
+        if subset is None:
+            return Verdict(False, transcript=transcript)
+    return Verdict(True, subset, _checked_value(h, subset), transcript)
 
 
 def _require_abs_atleast(phi: WeightedFormula, expected_kind: str) -> None:
@@ -182,13 +189,7 @@ def solve_abs_dnf(
         if subset is None:
             return Verdict(False, transcript=transcript)
     beta = Assignment.from_true_vars(phi.num_vars, subset)
-    ok, value = verify_witness(phi, beta)
-    if not ok:
-        raise InternalGuaranteeError(
-            f"assignment from subset {sorted(subset)} scores {value}, "
-            f"target {phi.alpha}"
-        )
-    return Verdict(True, beta, value, transcript)
+    return Verdict(True, beta, _checked_value(phi, beta), transcript)
 
 
 def solve_abs_cnf(
@@ -204,10 +205,4 @@ def solve_abs_cnf(
     transcript = (f"minterms clauses={len(as_dnf.clauses)}",) + verdict.transcript
     if not verdict.decision:
         return Verdict(False, transcript=transcript)
-    ok, value = verify_witness(phi, verdict.witness)
-    if not ok:
-        raise InternalGuaranteeError(
-            f"assignment {verdict.witness.true_vars()} scores {value} on the "
-            f"disjunction form, target {phi.alpha}"
-        )
-    return Verdict(True, verdict.witness, value, transcript)
+    return Verdict(True, verdict.witness, _checked_value(phi, verdict.witness), transcript)

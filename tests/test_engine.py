@@ -2,7 +2,8 @@
 
 The compiled core is built from ``_core.c`` into a temporary directory once per
 test run, so its tests run whenever a C compiler exists, whether or not a
-library was built in place.
+library was built in place.  A second build with the undefined-behaviour
+sanitizer reruns the weight-sum edge cases and the cross-check of the cores.
 """
 
 import itertools
@@ -33,26 +34,32 @@ from helpers import assignments_lex, naive_formula_value, random_formula
 
 PACKAGE = Path(engine.__file__).parent
 
-# The compiled entry names the fixture that builds it, keeping the pure
+# A compiled entry names the library its fixture builds, keeping the pure
 # entry's test id.
 BACKENDS = [("pure", pure), ("compiled", "absopt._core")]
+UBSAN_BACKEND = ("ubsan", "absopt._core+ubsan")
+_CORE_FIXTURES = {"absopt._core": "compiled_core", "absopt._core+ubsan": "ubsan_core"}
 
 VARIANTS = list(itertools.product(("dnf", "cnf"), ("abs", "sum"), ("atleast", "exact", "atmost")))
 
 
-@pytest.fixture(scope="session")
-def core_library(tmp_path_factory):
-    """Path of the C core compiled from source into a temporary directory."""
+def _compile_core(tmp_path_factory, flags):
+    """Path of ``_core.c`` compiled with flags into a temporary directory."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no C compiler (cc or gcc) on PATH to build _core.c")
     lib = tmp_path_factory.mktemp("core") / "_core.so"
     subprocess.run(
-        [cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-shared", "-fPIC",
-         "-o", str(lib), str(PACKAGE / "_core.c")],
+        [cc, *flags, "-shared", "-fPIC", "-o", str(lib), str(PACKAGE / "_core.c")],
         check=True,
     )
     return lib
+
+
+@pytest.fixture(scope="session")
+def core_library(tmp_path_factory):
+    """Path of the C core compiled from source into a temporary directory."""
+    return _compile_core(tmp_path_factory, ["-std=c99", "-Wall", "-Wextra", "-Werror", "-O2"])
 
 
 @pytest.fixture(scope="session")
@@ -60,10 +67,28 @@ def compiled_core(core_library):
     return CompiledCore(str(core_library))
 
 
+@pytest.fixture(scope="session")
+def ubsan_core(tmp_path_factory):
+    """The C core built with -fsanitize=undefined.
+
+    The first report ends the test process with exit status 1; run pytest
+    with ``-s`` to see it.
+    """
+    flags = ["-std=c99", "-fsanitize=undefined", "-fno-sanitize-recover=all", "-O1"]
+    try:
+        lib = _compile_core(tmp_path_factory, flags)
+    except subprocess.CalledProcessError as exc:
+        pytest.skip(f"the compiler cannot build the sanitized _core library: {exc}")
+    try:
+        return CompiledCore(str(lib))
+    except OSError as exc:
+        pytest.skip(f"ctypes cannot load the sanitized _core library: {exc}")
+
+
 @pytest.fixture
 def backend(request):
-    if request.param == "absopt._core":
-        return request.getfixturevalue("compiled_core")
+    if isinstance(request.param, str):
+        return request.getfixturevalue(_CORE_FIXTURES[request.param])
     return request.param
 
 
@@ -125,18 +150,26 @@ def test_extremes_matches_naive(name, backend):
         assert values[argmin] == minv
 
 
-def test_backends_agree_exactly(compiled_core):
+def _assert_backends_agree(compiled):
     for phi in _formulas(44, 360, 7):
         total = sum(abs(wt) for _, wt in phi.clauses)
         # 2^64 would wrap to 0 in an int64, so it checks that targets are closed
         for alpha in (phi.alpha, 0, total + 1, 10**30, 1 << 64):
             phi = replace(phi, alpha=alpha)
             a = _call_decide(pure, phi)
-            b = _call_decide(compiled_core, phi)
+            b = _call_decide(compiled, phi)
             assert a == b, f"decide: pure core {a} != compiled core {b} on {phi}"
         ea = _call_extremes(pure, phi)
-        eb = _call_extremes(compiled_core, phi)
+        eb = _call_extremes(compiled, phi)
         assert ea == eb, f"extremes: pure core {ea} != compiled core {eb} on {phi}"
+
+
+def test_backends_agree_exactly(compiled_core):
+    _assert_backends_agree(compiled_core)
+
+
+def test_backends_agree_exactly_ubsan(ubsan_core):
+    _assert_backends_agree(ubsan_core)
 
 
 class _Recording:
@@ -286,6 +319,20 @@ def _mixed_rows(rng, num_vars, count, bits, few_planes=False):
     return rows
 
 
+def _word_crossing_rows(rng, num_vars, kept):
+    """``kept`` rows with literals and nonzero weights, with zero-weight and
+    literal-free rows mixed in; the cores leave those out of their row sets,
+    so the kept rows' indices shift against the input's."""
+    rows = []
+    for pos, neg, w in _mixed_rows(rng, num_vars, kept, 3):
+        if not pos | neg:
+            pos = 1 << rng.randrange(num_vars)
+        rows.append((pos, neg, w))
+        if rng.random() < 0.3:
+            rows.append(rng.choice(((pos | 1, neg & ~1, 0), (0, 0, rng.randint(-9, 9)))))
+    return rows
+
+
 def _edge_cases():
     rng = random.Random(46)
     cases = [
@@ -308,6 +355,14 @@ def _edge_cases():
             cases.append((num_vars, _mixed_rows(rng, num_vars, count, bits)))
         if bits > 1:
             cases.append((7, _mixed_rows(rng, 7, 30, bits, few_planes=True)))
+    # kept rows filling one 64-bit word of a row set, and spilling into the next
+    for kept in (63, 64, 65, 128, 129):
+        cases.append((6, _word_crossing_rows(rng, 6, kept)))
+    # x3's row is kept row 0 and x2's row kept row 65, in the second word; the
+    # 64 rows of x1 between them cancel at every assignment.  The values are
+    # -4, 3, 996 and 1003, so the first hit of the middle one, 996, needs both.
+    x1_rows = [(0b1, 0, 1 if c % 2 else -1) for c in range(64)]
+    cases.append((3, [(0b100, 0, 1000), (0, 0, 3), (0b10, 0, 0)] + x1_rows + [(0b10, 0, -7)]))
     # one |w| for every row: every bit plane of a sign holds all its rows
     for mag in ((1 << 50) + 12345, (1 << 80) + 12345):
         rows = _mixed_rows(rng, 6, 14, 1)
@@ -315,7 +370,7 @@ def _edge_cases():
     return cases
 
 
-@pytest.mark.parametrize("name,backend", BACKENDS, indirect=["backend"])
+@pytest.mark.parametrize("name,backend", BACKENDS + [UBSAN_BACKEND], indirect=["backend"])
 def test_weight_sum_edge_cases(name, backend):
     for num_vars, rows in _edge_cases():
         total = engine._weight_total(rows)
