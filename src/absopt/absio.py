@@ -5,7 +5,11 @@ x_i^{A[i][j]}, with 0^0 = 1.  Each variable ranges over an integer interval
 whose ends may be infinite.  The solver first applies value-preserving
 simplification and normalization rules, then tries a hypergraph shortcut on
 the monomial support, then branches on a variable with a wide enough range,
-and finally enumerates the remaining finite box exactly.
+and finally enumerates the remaining finite box exactly.  That leaf writes
+p = sum_k x_n^k q_k(x_1..x_{n-1}), evaluates each q_k the same way on the box
+without its last axis, and sums over the powers of x_n, in numpy slabs of
+int64 when no sum of term magnitudes can reach ``I64_SAFE`` and of Python
+ints otherwise.
 
 Witnesses are returned in the coordinates of the caller's instance; every
 internal substitution is logged and replayed backwards before returning.
@@ -30,8 +34,9 @@ from .model import Verdict, WeightedHypergraph
 
 DEFAULT_POINT_CAP = 2_000_000
 
-# Points per slab of the numpy leaf: slabs are whole rows along variable 1,
-# at least one row, so memory follows the slab and a hit ends the scan early.
+# Points per slab of the leaf: slabs are whole rows along variable 1, at
+# least one row, so memory follows the slab and a hit ends the scan early.
+# Both the int64 and the Python-int leaf use it.
 SLAB_POINTS = 1 << 16
 
 Bound = int | None
@@ -68,14 +73,19 @@ class AbsIoInstance:
         object.__setattr__(self, "upper", tuple(self.upper))
         n = len(rows)
         m = len(self.weights)
-        for w in self.weights:
-            if not _is_int(w):
-                raise InvalidInstanceError(f"weight {w!r} is not an integer")
+        # One type(x) is int pass accepts the common case; a miss rescans
+        # with the full check, which also admits int subclasses but not bool.
+        if not all(type(w) is int for w in self.weights):
+            for w in self.weights:
+                if not _is_int(w):
+                    raise InvalidInstanceError(f"weight {w!r} is not an integer")
         for r in rows:
             if len(r) != m:
                 raise InvalidInstanceError(
                     f"exponent row of length {len(r)}, expected {m}"
                 )
+            if all(type(a) is int and a >= 0 for a in r):
+                continue
             for a in r:
                 if not _is_int(a) or a < 0:
                     raise InvalidInstanceError(f"bad exponent {a!r}")
@@ -350,87 +360,69 @@ def _horner_scan(
     return None
 
 
-def _fix_first(terms: dict[tuple[int, ...], int], x: int) -> dict[tuple[int, ...], int]:
-    # Substitute x for the first variable; monomials whose remaining
-    # exponent vectors agree merge.
-    out: dict[tuple[int, ...], int] = {}
-    powers: dict[int, int] = {}
+def _split(terms: dict[tuple[int, ...], int], k: int):
+    # p over the first k variables as ((e, q_e), ...) with p = sum_e x_k^e q_e,
+    # e ascending and each q_e split the same way; over no variables, the
+    # constant.
+    if k == 0:
+        return terms.get((), 0)
+    groups: dict[int, dict[tuple[int, ...], int]] = {}
     for key, c in terms.items():
-        a = key[0]
-        p = powers.get(a)
-        if p is None:
-            p = powers[a] = x**a
-        rest = key[1:]
-        out[rest] = out.get(rest, 0) + c * p
-    return out
+        groups.setdefault(key[-1], {})[key[:-1]] = c
+    return tuple((e, _split(groups[e], k - 1)) for e in sorted(groups))
 
 
-def _pure_leaf(inst: AbsIoInstance) -> tuple[int, ...] | None:
-    # Depth-first in lexicographic order: variables 1..n-1 are fixed one at a
-    # time, each level holding the polynomial left in the later variables,
-    # and the last variable is scanned by Horner's rule.
-    last = inst.num_vars - 1
+def _grid(tree, powers: list[dict[int, np.ndarray]], dtype) -> np.ndarray:
+    # Values of a split polynomial on the grid of the first len(powers)
+    # variables, powers[i][e] holding x_i^e along axis i.  An axis the
+    # polynomial does not depend on keeps size 1.
+    if not powers:
+        return np.array(tree, dtype=dtype)
+    total = None
+    for e, sub in tree:
+        part = _grid(sub, powers[:-1], dtype)[..., None]
+        if e:
+            part = part * powers[-1][e]
+        total = part if total is None else total + part
+    return total
+
+
+def _grid_parts(inst: AbsIoInstance, dtype) -> tuple[tuple, list[dict[int, np.ndarray]]]:
+    # The split polynomial, with equal exponent columns merged and zero sums
+    # dropped (the constant 0 when none is left), and the powers of each axis
+    # of the box that it uses.
+    n = inst.num_vars
     terms: dict[tuple[int, ...], int] = {}
     for col, w in zip(zip(*inst.exponents), inst.weights):
         terms[col] = terms.get(col, 0) + w
-    levels = [terms]
-    point: list[int] = []
-    while True:
-        if len(point) < last:
-            x = inst.lower[len(point)]
-            levels.append(_fix_first(levels[-1], x))
-            point.append(x)
-            continue
-        coeffs = [0] * (max((key[0] for key in levels[-1]), default=0) + 1)
-        for (a,), c in levels[-1].items():
-            coeffs[a] += c
-        hit = _horner_scan(coeffs, inst.lower[last], inst.upper[last], inst.alpha)
-        if hit is not None:
-            return tuple(point) + (hit[0],)
-        while point and point[-1] == inst.upper[len(point) - 1]:
-            point.pop()
-            levels.pop()
-        if not point:
-            return None
-        point[-1] += 1
-        levels[-1] = _fix_first(levels[-2], point[-1])
+    terms = {key: c for key, c in terms.items() if c} or {(0,) * n: 0}
+    powers = []
+    for i in range(n):
+        axis = np.arange(inst.lower[i], inst.upper[i] + 1, dtype=dtype)
+        powers.append({a: axis**a for a in {key[i] for key in terms} if a})
+    return _split(terms, n), powers
 
 
-def _numpy_leaf(
-    inst: AbsIoInstance, shape: tuple[int, ...]
-) -> tuple[int, ...] | None:
-    # Slabs of whole rows along variable 1, in order; within a slab the
-    # C-ordered argmax of the hit mask is the lexicographically first hit.
-    n = inst.num_vars
-    powers: dict[tuple[int, int], np.ndarray] = {}
-    terms = []
-    for j, w in enumerate(inst.weights):
-        if w == 0:
-            continue
-        factors = []
-        for i in range(n):
-            a = inst.exponents[i][j]
-            if a:
-                if (i, a) not in powers:
-                    axis = np.arange(inst.lower[i], inst.upper[i] + 1, dtype=np.int64)
-                    powers[i, a] = (axis**a).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
-                factors.append((i, powers[i, a]))
-        terms.append((w, factors))
-    rows = max(1, SLAB_POINTS // math.prod(shape[1:]))
-    for start in range(0, shape[0], rows):
-        stop = min(start + rows, shape[0])
-        total = np.zeros((stop - start,) + shape[1:], dtype=np.int64)
-        for w, factors in terms:
-            term = np.int64(w)
-            for i, p in factors:
-                term = term * (p[start:stop] if i == 0 else p)
-            total += term
-        hits = np.abs(total) >= inst.alpha
-        if hits.any():
+def _grid_leaf(inst: AbsIoInstance, dtype) -> tuple[int, ...] | None:
+    """First point of the finite box in lexicographic order with |p| >= alpha.
+
+    ``_grid`` evaluates p in slabs of whole rows along variable 1.  A slab's
+    values are tested by their max and min before a hit mask is built; in the
+    mask, the C-ordered argmax is the lexicographically first hit, also
+    across axes of size 1.  ``dtype`` is ``np.int64`` or ``object`` (Python
+    ints); the caller checks that int64 cannot overflow.
+    """
+    tree, powers = _grid_parts(inst, dtype)
+    sides = [hi - lo + 1 for lo, hi in zip(inst.lower, inst.upper)]
+    rows = max(1, SLAB_POINTS // math.prod(sides[1:]))
+    for start in range(0, sides[0], rows):
+        first = {a: p[start:start + rows] for a, p in powers[0].items()}
+        total = _grid(tree, [first] + powers[1:], dtype)
+        if total.max() >= inst.alpha or total.min() <= -inst.alpha:
+            hits = np.abs(total) >= inst.alpha
             coords = np.unravel_index(int(np.argmax(hits)), hits.shape)
-            return (int(inst.lower[0]) + start + int(coords[0]),) + tuple(
-                int(inst.lower[i]) + int(coords[i]) for i in range(1, n)
-            )
+            corner = (inst.lower[0] + start,) + inst.lower[1:]
+            return tuple(lo + int(c) for lo, c in zip(corner, coords))
     return None
 
 
@@ -462,21 +454,16 @@ def brute_force_absio(
             return Verdict(True, (), value, ("leaf points=1",))
         return Verdict(False, transcript=("leaf points=1",))
     transcript = (f"leaf points={total}",)
+    top = [max(abs(lo), abs(hi), 1) for lo, hi in zip(inst.lower, inst.upper)]
     bound = sum(
-        abs(w)
-        * math.prod(
-            max(abs(inst.lower[i]), abs(inst.upper[i]), 1) ** inst.exponents[i][j]
-            for i in range(n)
-        )
-        for j, w in enumerate(inst.weights)
+        abs(w) * math.prod(map(pow, top, col))
+        for col, w in zip(zip(*inst.exponents), inst.weights)
     )
-    if bound < I64_SAFE and inst.alpha < I64_SAFE:
-        shape = tuple(inst.upper[i] - inst.lower[i] + 1 for i in range(n))
-        point = _numpy_leaf(inst, shape)
-        if point is None:
-            return Verdict(False, transcript=transcript)
-        return Verdict(True, point, eval_poly(inst, point), transcript)
-    point = _pure_leaf(inst)
+    # Every value the leaf forms, a power of an axis included, is at most a
+    # sum of merged terms |c| * prod |x_i|^a with |c| >= 1, so at most bound:
+    # int64 is exact below I64_SAFE.
+    fits = bound < I64_SAFE and inst.alpha < I64_SAFE
+    point = _grid_leaf(inst, np.int64 if fits else object)
     if point is None:
         return Verdict(False, transcript=transcript)
     return Verdict(True, point, eval_poly(inst, point), transcript)

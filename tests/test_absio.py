@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,12 @@ from absopt import (
     solve_absio,
     verify_point,
 )
+from absopt import absio
 from absopt.absio import (
     SLAB_POINTS,
+    _grid,
+    _grid_leaf,
+    _grid_parts,
     _replay,
     _scan_window,
     negate_variable,
@@ -44,6 +50,35 @@ def test_instance_validation():
         _inst([(1,)], (1,), (0,), (1,), -1)
     inst = _inst([(1, 0), (0, 2)], (2, 3), (0, None), (None, 5), 1)
     assert inst.var_ids == (1, 2)
+
+
+def test_instance_validation_rejects_non_ints():
+    class Int(int):
+        pass
+
+    good = dict(rows=[(1, 2)], weights=(3, -4), lower=(0,), upper=(5,), alpha=1)
+    bad = [
+        ("rows", [(1, True)], "bad exponent True"),
+        ("rows", [(1, -2)], "bad exponent -2"),
+        ("rows", [(1, 2.0)], "bad exponent 2.0"),
+        ("rows", [(1, "2")], "bad exponent '2'"),
+        ("weights", (3, False), "weight False is not an integer"),
+        ("weights", (3.0, -4), "weight 3.0 is not an integer"),
+        ("lower", (True,), "bad bound True"),
+        ("upper", (5.5,), "bad bound 5.5"),
+        ("alpha", True, "target must be a non-negative integer, got True"),
+    ]
+    for key, value, message in bad:
+        args = {**good, key: value}
+        with pytest.raises(InvalidInstanceError) as info:
+            _inst(args["rows"], args["weights"], args["lower"], args["upper"], args["alpha"])
+        assert str(info.value) == message
+    for ids in ((True,), (0,), (1.0,)):
+        with pytest.raises(InvalidInstanceError, match="bad variable ids"):
+            _inst(good["rows"], good["weights"], good["lower"], good["upper"], 1, ids)
+    # int subclasses other than bool are accepted as before
+    inst = _inst([(Int(1), 2)], (Int(3), -4), (Int(0),), (5,), 1, (Int(2),))
+    assert inst.exponents == ((1, 2),) and inst.var_ids == (2,)
 
 
 def test_eval_poly_zero_power():
@@ -345,6 +380,77 @@ def test_pure_leaf_matches_naive():
             inst = _inst(inst.exponents, inst.weights, lower, upper, inst.alpha)
         _pure_leaf_agrees(_inst(inst.exponents, tuple(w * scale for w in inst.weights),
                                 inst.lower, inst.upper, inst.alpha * scale))
+
+
+def _grid_everywhere(inst, dtype):
+    # The evaluator's values over the whole box in one grid, broadcast out
+    tree, powers = _grid_parts(inst, dtype)
+    values = _grid(tree, powers, dtype)
+    return np.broadcast_to(values, tuple(h - l + 1 for l, h in zip(inst.lower, inst.upper)))
+
+
+def _grid_agrees(inst):
+    boxes = [range(lo, hi + 1) for lo, hi in zip(inst.lower, inst.upper)]
+    want = naive_absio_decide(inst)
+    for dtype in (np.int64, object):
+        values = _grid_everywhere(inst, dtype)
+        for index in itertools.product(*(range(len(b)) for b in boxes)):
+            point = tuple(b[k] for b, k in zip(boxes, index))
+            assert values[index] == eval_poly(inst, point), (inst, point)
+        assert _grid_leaf(inst, dtype) == (None if want is None else want[0]), inst
+
+
+def test_grid_matches_eval_poly():
+    rng = random.Random(37)
+    for _ in range(150):
+        inst = random_absio(rng, max_vars=5, max_terms=7, max_exp=3, bound_range=(-4, 3),
+                            max_alpha=60)
+        if inst.num_vars == 0:
+            continue
+        if rng.random() < 0.3 and inst.num_terms:
+            # a column repeated with the opposite weight merges to weight 0
+            rows = [r + (r[0],) for r in inst.exponents]
+            inst = _inst(rows, inst.weights + (-inst.weights[0],), inst.lower, inst.upper,
+                         inst.alpha)
+        _grid_agrees(inst)
+    # constant-only, empty, all-cancelling, and zero-power polynomials
+    _grid_agrees(_inst([(0, 0), (0, 0)], (4, 3), (-2, -3), (1, -1), 7))
+    _grid_agrees(_inst([(0, 0), (0, 0)], (4, 3), (-2, -3), (1, -1), 8))
+    _grid_agrees(_inst([(), ()], (), (-2, 0), (2, 1), 0))
+    _grid_agrees(_inst([(), ()], (), (-2, 0), (2, 1), 1))
+    _grid_agrees(_inst([(2, 2), (1, 1)], (5, -5), (-3, -3), (3, 3), 1))
+    _grid_agrees(_inst([(0, 1), (3, 0), (0, 0)], (-2, 1), (-3, -2, -1), (-1, 2, 0), 3))
+
+
+def test_grid_leaf_slabs(monkeypatch):
+    # Rows along variable 1 a few to a slab with a partial last one, and one
+    # row to a slab when the other axes alone hold more than SLAB_POINTS
+    rng = random.Random(41)
+    for slab in (1, 5, 7, 40):
+        monkeypatch.setattr(absio, "SLAB_POINTS", slab)
+        for _ in range(40):
+            inst = random_absio(rng, max_vars=4, max_terms=6, max_exp=3, bound_range=(-4, 4),
+                                max_alpha=200)
+            if inst.num_vars == 0:
+                continue
+            want = naive_absio_decide(inst)
+            for dtype in (np.int64, object):
+                assert _grid_leaf(inst, dtype) == (None if want is None else want[0]), inst
+
+
+def test_grid_int64_just_below_i64_safe():
+    # p = 3 x^60 y + (2^60 - 1) y^2 on [-2, 2] x [-1, 1]: the bound
+    # 3 * 2^60 + 2^60 - 1 = 2^62 - 1 is reached at (+-2, 1), so the leaf runs
+    # in int64 with no headroom
+    top = (1 << 62) - 1
+    inst = _inst([(60, 0), (1, 2)], (3, (1 << 60) - 1), (-2, -1), (2, 1), top)
+    assert _grid_leaf(inst, np.int64) == _grid_leaf(inst, object) == (-2, 1)
+    assert brute_force_absio(inst).witness == (-2, 1)
+    assert brute_force_absio(inst).achieved == top
+    assert _grid_everywhere(inst, np.int64).max() == top
+    assert not brute_force_absio(_inst(inst.exponents, inst.weights, inst.lower, inst.upper,
+                                       top + 1)).decision
+    _grid_agrees(_inst(inst.exponents, inst.weights, inst.lower, inst.upper, 1 << 61))
 
 
 def test_solve_matches_brute_finite():
