@@ -19,9 +19,7 @@
    rows whose last literal is that variable, and per depth the set of open
    rows.  Assigning a value to the variable at depth d gives the rows
    dead = live & kill and sat = (live ^ dead) & last, and the child's open
-   rows live ^ dead ^ sat; the bounds move by the weights of dead and sat.
-   When neither value of a variable kills an open row, the true child has the
-   false child's rows and bounds and is skipped. */
+   rows live ^ dead ^ sat; the bounds move by the weights of dead and sat. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -109,20 +107,18 @@ static int build(Core *k, int n, int m, const int64_t *rows, int64_t *lb, int64_
    moves lb and ub by the rows that die or hold.  An open row's weight counts
    in ub when positive and in lb when negative.  A dead row's weight leaves
    that bound; a satisfied row's weight is certain and enters the other bound
-   too.  Returns whether any open row died. */
-static int step(const Core *k, int d, int v, int64_t *lb, int64_t *ub)
+   too. */
+static void step(const Core *k, int d, int v, int64_t *lb, int64_t *ub)
 {
     const uint64_t *live = k->live + d * k->words;
     const uint64_t *kill = k->kill + (2 * d + v) * k->words;
     const uint64_t *last = k->last + d * k->words;
     uint64_t *child = k->live + (d + 1) * k->words;
-    uint64_t killed = 0;
     int j;
     for (j = 0; j < k->words; j++) {
         uint64_t dead = live[j] & kill[j], sat = (live[j] ^ dead) & last[j];
         const int64_t *w = k->w + 64 * j;
         child[j] = live[j] ^ dead ^ sat;
-        killed |= dead;
         for (; dead; dead &= dead - 1) {
             int64_t wt = w[low_bit(dead)];
             if (wt > 0)
@@ -138,7 +134,6 @@ static int step(const Core *k, int d, int v, int64_t *lb, int64_t *ub)
                 *ub += wt;
         }
     }
-    return killed != 0;
 }
 
 /* Whether [lb, ub] meets either target interval. */
@@ -151,7 +146,7 @@ static int reach(const Core *k, int64_t lb, int64_t ub)
    lb == ub is the value. */
 static int decide_rec(Core *k, int d, int64_t lb, int64_t ub, uint64_t mask)
 {
-    int v, killed = 1;
+    int v;
     if (d == k->n) {
         k->value = ub;
         k->hit = mask;
@@ -159,10 +154,7 @@ static int decide_rec(Core *k, int d, int64_t lb, int64_t ub, uint64_t mask)
     }
     for (v = 0; v < 2; v++) {
         int64_t clb = lb, cub = ub;
-        int prev = killed;
-        killed = step(k, d, v, &clb, &cub);
-        if (!(killed || prev))
-            break; /* no open row has this variable: the true child repeats the false one */
+        step(k, d, v, &clb, &cub);
         if (reach(k, clb, cub) && decide_rec(k, d + 1, clb, cub, mask | (uint64_t)v << d))
             return 1;
     }
@@ -173,7 +165,7 @@ static int decide_rec(Core *k, int d, int64_t lb, int64_t ub, uint64_t mask)
    improvements replace an incumbent. */
 static void extremes_rec(Core *k, int d, int64_t lb, int64_t ub, uint64_t mask)
 {
-    int v, killed = 1;
+    int v;
     if (d == k->n) {
         if (!k->have || ub > k->maxv) {
             k->maxv = ub;
@@ -188,10 +180,7 @@ static void extremes_rec(Core *k, int d, int64_t lb, int64_t ub, uint64_t mask)
     }
     for (v = 0; v < 2; v++) {
         int64_t clb = lb, cub = ub;
-        int prev = killed;
-        killed = step(k, d, v, &clb, &cub);
-        if (!(killed || prev))
-            break; /* as in decide_rec */
+        step(k, d, v, &clb, &cub);
         if (!k->have || cub > k->maxv || clb < k->minv)
             extremes_rec(k, d + 1, clb, cub, mask | (uint64_t)v << d);
     }

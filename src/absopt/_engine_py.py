@@ -24,9 +24,7 @@ where a node changes fewer rows than there are planes, as with wide weights.
 On 14 variables and 120 random rows of one to three literals, one
 ``extremes`` call takes about 20, 37 and 48 ms at 4-, 40- and 100-bit weights
 (2-core x86-64, Python 3.11).  Rows of weight 0 move no bound and are left
-out.  When neither value of d kills an open row, no open row has d, so both
-children have the same rows and bounds; the true child is skipped, as it can
-hold no first hit and no strict improvement.
+out.
 
 The compiled backend (_core.c) runs this search on the same row sets, held
 as arrays of 64-bit words, with the same search order, bounds, pruning and
@@ -141,12 +139,8 @@ def decide(num_vars, rows, targets):
         if depth == num_vars:
             return ub, mask  # every row is decided, so lb == ub
         sat_if_open = last[depth]
-        killed = True
         for kill, bit in branches[depth]:
             dead = live & kill
-            if not (dead or killed):
-                break  # no open row has this variable: the true child repeats the false one
-            killed = dead
             rest = live ^ dead
             sat = rest & sat_if_open
             clb, cub = move(dead, sat, lb, ub) if dead or sat else (lb, ub)
@@ -186,12 +180,8 @@ def extremes(num_vars, rows):
                 best[3] = mask
             return
         sat_if_open = last[depth]
-        killed = True
         for kill, bit in branches[depth]:
             dead = live & kill
-            if not (dead or killed):
-                break  # no open row has this variable: the true child repeats the false one
-            killed = dead
             rest = live ^ dead
             sat = rest & sat_if_open
             clb, cub = move(dead, sat, lb, ub) if dead or sat else (lb, ub)

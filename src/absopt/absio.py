@@ -398,8 +398,10 @@ def _grid_parts(inst: AbsIoInstance, dtype) -> tuple[tuple, list[dict[int, np.nd
     terms = {key: c for key, c in terms.items() if c} or {(0,) * n: 0}
     powers = []
     for i in range(n):
-        axis = np.arange(inst.lower[i], inst.upper[i] + 1, dtype=dtype)
-        powers.append({a: axis**a for a in {key[i] for key in terms} if a})
+        # an axis only where p uses it, as unused ends may lie past int64
+        used = {key[i] for key in terms if key[i]}
+        axis = np.arange(inst.lower[i], inst.upper[i] + 1, dtype=dtype) if used else None
+        powers.append({a: axis**a for a in used})
     return _split(terms, n), powers
 
 

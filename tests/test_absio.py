@@ -382,6 +382,44 @@ def test_pure_leaf_matches_naive():
                                 inst.lower, inst.upper, inst.alpha * scale))
 
 
+def test_leaf_box_ends_past_int64(monkeypatch):
+    # Box ends past 2^63 send the leaf to Python ints through the magnitude
+    # bound alone, or leave it in int64 on a variable that no term uses;
+    # hits at a later point, in a later slab, at the last point, and none.
+    big = 2**70
+    for slab in (1, 4, SLAB_POINTS):
+        monkeypatch.setattr(absio, "SLAB_POINTS", slab)
+        # p = x2 with x1 on [2^70, 2^70 + 3]
+        for alpha in (2, 3, 4):
+            _pure_leaf_agrees(_inst([(0,), (1,)], (1,), (big, 0), (big + 3, 3), alpha))
+        # n = 1: p = x - 2^70 on [2^70, 2^70 + 3]
+        for alpha in (2, 3, 4):
+            _pure_leaf_agrees(_inst([(1, 0)], (1, -big), (big,), (big + 3,), alpha))
+        # p = x1 + x2 - 2^71 on [2^70, 2^70 + 3]^2, so one row of x1 per
+        # slab at slab = 4
+        for alpha in (5, 6, 7):
+            _pure_leaf_agrees(_inst([(1, 0, 0), (0, 1, 0)], (1, 1, -2 * big),
+                                    (big, big), (big + 3, big + 3), alpha))
+        # p = x1^2 - x2^2 with x2 on [-2^70 - 1, -2^70 + 2]: |p| is largest
+        # at the last point, next at the last row's third point
+        for alpha in (1, 8 * big + 1, 10 * big + 5, 10 * big + 6):
+            _pure_leaf_agrees(_inst([(2, 0), (0, 2)], (1, -1), (big, -big - 1),
+                                    (big + 3, -big + 2), alpha))
+        rng = random.Random(43)
+        for _ in range(30):
+            inst = random_absio(rng, max_vars=3, max_terms=5, max_exp=3, bound_range=(0, 3))
+            if inst.num_vars == 0:
+                continue
+            shift = tuple(rng.choice((big, -big - 3, 2**63 - 2)) for _ in inst.lower)
+            lower = tuple(lo + s for lo, s in zip(inst.lower, shift))
+            upper = tuple(hi + s for hi, s in zip(inst.upper, shift))
+            point = tuple(rng.randint(lo, hi) for lo, hi in zip(lower, upper))
+            shifted = _inst(inst.exponents, inst.weights, lower, upper, 0)
+            alpha = abs(eval_poly(shifted, point))
+            _pure_leaf_agrees(_inst(inst.exponents, inst.weights, lower, upper, alpha))
+            _pure_leaf_agrees(_inst(inst.exponents, inst.weights, lower, upper, alpha + 1))
+
+
 def _grid_everywhere(inst, dtype):
     # The evaluator's values over the whole box in one grid, broadcast out
     tree, powers = _grid_parts(inst, dtype)

@@ -398,32 +398,6 @@ def test_weight_sum_edge_cases(name, backend):
     assert more_planes == {False, True}
 
 
-@pytest.mark.parametrize("name,backend", BACKENDS + [UBSAN_BACKEND], indirect=["backend"])
-def test_unused_leading_variables(name, backend):
-    # Variables 1..k occur in no row, so both cores skip their true child; the
-    # lexicographically first answers set them false, so they are the answers
-    # on the unshifted rows with every witness mask shifted up by k.
-    rng = random.Random(48)
-    for num_vars, count in ((4, 6), (6, 12), (7, 30)):
-        rows = _mixed_rows(rng, num_vars, count, 3) + [(0, 0, 2)]
-        values = sorted({val for _, val in _row_values(num_vars, rows)})
-        total = engine._weight_total(rows)
-        want_ext = backend.extremes(num_vars, rows)
-        assert want_ext == _naive_rows_extremes(num_vars, rows)
-        for k in (1, 4, 12):
-            shifted = [(pos << k, neg << k, w) for pos, neg, w in rows]
-            maxv, argmax, minv, argmin = backend.extremes(num_vars + k, shifted)
-            assert (maxv, argmax, minv, argmin) == (
-                want_ext[0], want_ext[1] << k, want_ext[2], want_ext[3] << k
-            )
-            for target in (values[0], values[len(values) // 2], values[-1], values[-1] + 1):
-                closed = engine._close(((target, target), (None, values[0] - 1)), total)
-                found, mask, value = backend.decide(num_vars, rows, closed)
-                assert (found, mask, value) == _naive_rows_decide(num_vars, rows, closed)
-                got = backend.decide(num_vars + k, shifted, closed)
-                assert got == (found, None if mask is None else mask << k, value)
-
-
 @pytest.mark.parametrize("name,backend", BACKENDS, indirect=["backend"])
 def test_merged_zero_weight_clauses(name, backend):
     # clauses with equal literal sets merge at construction, and the model
