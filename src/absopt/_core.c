@@ -1,11 +1,12 @@
 /* Compiled enumeration core, loaded through ctypes by engine.py.
 
-   Runs the search of _engine_py.py on the same state: depth-first search over
-   assignments in lexicographic order (variable 1 first, false before true),
-   the same bounds and pruning, and the same witness tie-breaking.  Plain C
-   with no Python API.  The caller guarantees at most 62 variables and an
-   absolute weight sum T below 2^62, and closes every target endpoint within
-   [-T-1, T+1], so no int64 sum or comparison the search forms can overflow.
+   Runs the decide search of _engine_py.py on the same state: depth-first
+   search over assignments in lexicographic order (variable 1 first, false
+   before true), with the same bounds and pruning, so it reports the same
+   first hit.  Plain C with no Python API, and one export, absopt_decide.
+   The caller guarantees at most 62 variables and an absolute weight sum T
+   below 2^62, and closes every target endpoint within [-T-1, T+1], so no
+   int64 sum or comparison the search forms can overflow.
 
    The input is m DNF rows of (positive mask, negative mask, weight), each a
    conjunction of its literals; bit i of a mask stands for variable i + 1, and
@@ -32,11 +33,8 @@ typedef struct {
     uint64_t *last; /* set d: the rows whose last literal is variable d + 1 */
     uint64_t *live; /* set d: the open rows at depth d */
     int64_t *w;     /* the weight of each kept row */
-    int64_t value;  /* decide: the value of the hit */
-    uint64_t hit;   /* decide: its witness */
-    int have;       /* extremes: the incumbents below are set */
-    int64_t maxv, minv;
-    uint64_t argmax, argmin;
+    int64_t value;  /* the value of the hit */
+    uint64_t hit;   /* its witness */
 } Core;
 
 /* The index of the lowest set bit of x, which is not 0. */
@@ -161,31 +159,6 @@ static int decide_rec(Core *k, int d, int64_t lb, int64_t ub, uint64_t mask)
     return 0;
 }
 
-/* Ties keep the lexicographically first assignment, because only strict
-   improvements replace an incumbent. */
-static void extremes_rec(Core *k, int d, int64_t lb, int64_t ub, uint64_t mask)
-{
-    int v;
-    if (d == k->n) {
-        if (!k->have || ub > k->maxv) {
-            k->maxv = ub;
-            k->argmax = mask;
-        }
-        if (!k->have || ub < k->minv) {
-            k->minv = ub;
-            k->argmin = mask;
-        }
-        k->have = 1;
-        return;
-    }
-    for (v = 0; v < 2; v++) {
-        int64_t clb = lb, cub = ub;
-        step(k, d, v, &clb, &cub);
-        if (!k->have || cub > k->maxv || clb < k->minv)
-            extremes_rec(k, d + 1, clb, cub, mask | (uint64_t)v << d);
-    }
-}
-
 /* The first assignment whose value lies in a target interval: returns 1 with
    out = (mask, value), 0 when none exists, -1 when out of memory. */
 int absopt_decide(int n, int m, const int64_t *rows, const int64_t *targets, int64_t *out)
@@ -204,20 +177,4 @@ int absopt_decide(int n, int m, const int64_t *rows, const int64_t *targets, int
     out[1] = k.value;
     free(k.mem);
     return found;
-}
-
-/* out = (max, argmax, min, argmin); returns 0, or -1 when out of memory. */
-int absopt_extremes(int n, int m, const int64_t *rows, int64_t *out)
-{
-    Core k = {0};
-    int64_t lb, ub;
-    if (build(&k, n, m, rows, &lb, &ub) < 0)
-        return -1;
-    extremes_rec(&k, 0, lb, ub, 0);
-    out[0] = k.maxv;
-    out[1] = (int64_t)k.argmax;
-    out[2] = k.minv;
-    out[3] = (int64_t)k.argmin;
-    free(k.mem);
-    return 0;
 }

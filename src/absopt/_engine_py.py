@@ -21,14 +21,14 @@ precomputed set for d and its value, and satisfies the surviving open rows
 whose last literal is d.  The bounds then move by the weight of those rows,
 summed as one ``bit_count`` per bit plane of |w| and sign, or row by row
 where a node changes fewer rows than there are planes, as with wide weights.
-On 14 variables and 120 random rows of one to three literals, one
-``extremes`` call takes about 20, 37 and 48 ms at 4-, 40- and 100-bit weights
-(2-core x86-64, Python 3.11).  Rows of weight 0 move no bound and are left
-out.
+On 14 variables and 120 random rows of one to three literals with even
+weights, one ``decide`` call for the unreachable value 1 takes about 40-60 ms
+at 4- and 40-bit weights and 50-95 ms at 100-bit weights (2-core x86-64,
+Python 3.11).  Rows of weight 0 move no bound and are left out.
 
 The compiled backend (_core.c) runs this search on the same row sets, held
-as arrays of 64-bit words, with the same search order, bounds, pruning and
-witness tie-breaking; it sums bound changes row by row in int64.  Any
+as arrays of 64-bit words, with the same search order, bounds and pruning,
+so it finds the same first hit; it sums bound changes row by row in int64.  Any
 semantic change must land in both.
 """
 
@@ -158,35 +158,3 @@ def decide(num_vars, rows, targets):
     value, mask = hit
     return True, mask, value
 
-
-def extremes(num_vars, rows):
-    """Exact max and min value with their earliest witnesses.
-
-    Returns (max_value, argmax_mask, min_value, argmin_mask).  Ties keep the
-    lexicographically first assignment because only strict improvements
-    replace the incumbent and the search visits assignments in order.
-    """
-    live0, lb0, ub0, branches, last, move = _setup(num_vars, rows)
-    best = [None, 0, None, 0]  # max, argmax, min, argmin
-
-    def rec(depth, live, lb, ub, mask):
-        if depth == num_vars:
-            # every row is decided, so lb == ub is the value
-            if best[0] is None or ub > best[0]:
-                best[0] = ub
-                best[1] = mask
-            if best[2] is None or ub < best[2]:
-                best[2] = ub
-                best[3] = mask
-            return
-        sat_if_open = last[depth]
-        for kill, bit in branches[depth]:
-            dead = live & kill
-            rest = live ^ dead
-            sat = rest & sat_if_open
-            clb, cub = move(dead, sat, lb, ub) if dead or sat else (lb, ub)
-            if best[0] is None or cub > best[0] or clb < best[2]:
-                rec(depth + 1, rest ^ sat, clb, cub, mask | bit)
-
-    rec(0, live0, lb0, ub0, 0)
-    return best[0], best[1], best[2], best[3]

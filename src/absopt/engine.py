@@ -1,11 +1,11 @@
 """Backend selection for the enumeration core.
 
-Both cores keep one contract: ``decide(num_vars, rows, targets)`` and
-``extremes(num_vars, rows)``.  ``rows`` are DNF ``(pos, neg, weight)`` rows,
-and ``targets`` is a pair of closed integer intervals; a value qualifies when
-it lies in either one.  ``model.py`` folds disjunctions into rows and maps
-every objective and comparison to intervals, writing an open end as ``None``;
-``decide`` here closes it.
+Both cores keep one contract, ``decide(num_vars, rows, targets)``.  ``rows``
+are DNF ``(pos, neg, weight)`` rows, and ``targets`` is a pair of closed
+integer intervals; a value qualifies when it lies in either one.
+``model.py`` folds disjunctions into rows and maps every objective and
+comparison to intervals, writing an open end as ``None``; ``decide`` here
+closes it.
 
 The compiled core (``_core.c``, built in place by ``python3 setup.py build_ext
 --inplace``) is loaded through ctypes at import when its library file exists,
@@ -40,29 +40,16 @@ class CompiledCore:
         self._decide = lib.absopt_decide
         self._decide.argtypes = [c_int, c_int, c_ptr, c_ptr, c_ptr]
         self._decide.restype = c_int
-        self._extremes = lib.absopt_extremes
-        self._extremes.argtypes = [c_int, c_int, c_ptr, c_ptr]
-        self._extremes.restype = c_int
         self._quad = c_i64 * 4
-
-    @staticmethod
-    def _rows(rows) -> bytes:
-        """The (pos, neg, weight) rows as one packed int64 buffer."""
-        return struct.pack(f"{3 * len(rows)}q", *chain.from_iterable(rows))
 
     def decide(self, num_vars, rows, targets):
         out = self._quad()
         bounds = self._quad(*chain.from_iterable(targets))
-        found = self._decide(num_vars, len(rows), self._rows(rows), bounds, out)
+        packed = struct.pack(f"{3 * len(rows)}q", *chain.from_iterable(rows))
+        found = self._decide(num_vars, len(rows), packed, bounds, out)
         if found < 0:
             raise MemoryError("enumeration core could not allocate its tables")
         return (True, out[0], out[1]) if found else (False, None, None)
-
-    def extremes(self, num_vars, rows):
-        out = self._quad()
-        if self._extremes(num_vars, len(rows), self._rows(rows), out) < 0:
-            raise MemoryError("enumeration core could not allocate its tables")
-        return out[0], out[1], out[2], out[3]
 
 
 def library_path() -> str | None:
@@ -110,8 +97,3 @@ def decide(num_vars, rows, targets):
     """(found, witness_mask, value) for the first assignment in a target interval."""
     total = _weight_total(rows)
     return _core_for(num_vars, total).decide(num_vars, rows, _close(targets, total))
-
-
-def extremes(num_vars, rows):
-    """(max, argmax_mask, min, argmin_mask) over all assignments."""
-    return _core_for(num_vars, _weight_total(rows)).extremes(num_vars, rows)

@@ -26,21 +26,17 @@ from __future__ import annotations
 from .absio import AbsIoInstance, Bound
 from .errors import InvalidInstanceError, ParseError
 from .model import (
+    COMPARISONS,
     KIND_CNF,
     KIND_DNF,
     OBJ_ABS,
-    OBJ_SUM,
+    OBJECTIVES,
     CMP_ATLEAST,
-    CMP_ATMOST,
-    CMP_EXACT,
     Assignment,
     WeightedFormula,
     WeightedHypergraph,
 )
 from .reductions import Graph
-
-_OBJECTIVES = (OBJ_ABS, OBJ_SUM)
-_COMPARISONS = (CMP_ATLEAST, CMP_EXACT, CMP_ATMOST)
 
 
 def _lines(text: str):
@@ -106,11 +102,11 @@ def parse_formula(text: str) -> WeightedFormula:
             objective = OBJ_ABS
             comparison = CMP_ATLEAST
             if len(toks) >= 6:
-                if toks[5] not in _OBJECTIVES:
+                if toks[5] not in OBJECTIVES:
                     raise ParseError(no, f"objective must be abs or sum, got {toks[5]!r}")
                 objective = toks[5]
             if len(toks) == 7:
-                if toks[6] not in _COMPARISONS:
+                if toks[6] not in COMPARISONS:
                     raise ParseError(no, f"comparison must be atleast, exact, or atmost, got {toks[6]!r}")
                 comparison = toks[6]
             header = (kind, nvars, nclauses, alpha, objective, comparison)

@@ -72,6 +72,28 @@ def naive_hypergraph_decide(h):
     return None
 
 
+def naive_max_abs_formula(phi):
+    """The largest |value| and the first assignment (tuple of bools) reaching it."""
+    best = None
+    for values in assignments_lex(phi.num_vars):
+        val = abs(naive_formula_value(phi, values))
+        if best is None or val > best[0]:
+            best = val, values
+    return best
+
+
+def naive_max_abs_hypergraph(h):
+    """The largest |w[X]| and the first subset in lexicographic membership order reaching it."""
+    order = sorted(h.vertices)
+    best = None
+    for picks in itertools.product((False, True), repeat=len(order)):
+        xs = frozenset(v for v, p in zip(order, picks) if p)
+        val = abs(naive_hypergraph_value(h, xs))
+        if best is None or val > best[0]:
+            best = val, xs
+    return best
+
+
 def naive_absio_value(inst, point):
     total = 0
     for j, w in enumerate(inst.weights):

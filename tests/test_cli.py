@@ -283,14 +283,20 @@ def test_solve_output_is_deterministic(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
     f = _write(tmp_path, "a.wdnf", YES_DNF)
+    # the child imports the same package as this test, installed or not
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "absopt.cli", "solve", f],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == EXIT_YES
     assert "s YES" in proc.stdout

@@ -4,6 +4,8 @@ The compiled core is built from ``_core.c`` into a temporary directory once per
 test run, so its tests run whenever a C compiler exists, whether or not a
 library was built in place.  A second build with the undefined-behaviour
 sanitizer reruns the weight-sum edge cases and the cross-check of the cores.
+``model._max_abs_rows`` is built on ``decide``; its tests force every call it
+makes onto one core.
 """
 
 import itertools
@@ -12,6 +14,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
@@ -24,13 +27,27 @@ from absopt import engine
 from absopt.engine import I64_SAFE, CompiledCore
 from absopt import _engine_py as pure
 from absopt.model import (
+    Assignment,
     WeightedFormula,
+    WeightedHypergraph,
     _formula_engine_clauses,
+    _max_abs_rows,
     _target_intervals,
     brute_force_formula,
+    brute_force_hypergraph,
+    max_abs_formula,
+    max_abs_hypergraph,
 )
 
-from helpers import assignments_lex, naive_formula_value, random_formula
+from helpers import (
+    assignments_lex,
+    naive_formula_value,
+    naive_hypergraph_decide,
+    naive_max_abs_formula,
+    naive_max_abs_hypergraph,
+    random_formula,
+    random_hypergraph,
+)
 
 PACKAGE = Path(engine.__file__).parent
 
@@ -111,8 +128,10 @@ def _call_decide(backend, phi):
     )
 
 
-def _call_extremes(backend, phi):
-    return backend.extremes(phi.num_vars, _formula_engine_clauses(phi))
+def _max_abs_on(monkeypatch, core, num_vars, rows):
+    """``_max_abs_rows`` with every ``decide`` it makes run on ``core``."""
+    monkeypatch.setattr(engine, "_core_for", lambda *args: core)
+    return _max_abs_rows(num_vars, rows)
 
 
 def _naive_decide(phi):
@@ -137,20 +156,14 @@ def test_decide_matches_naive(name, backend):
 
 
 @pytest.mark.parametrize("name,backend", BACKENDS, indirect=["backend"])
-def test_extremes_matches_naive(name, backend):
+def test_max_abs_matches_naive(name, backend, monkeypatch):
     for phi in _formulas(43, 360, 6):
-        maxv, argmax, minv, argmin = _call_extremes(backend, phi)
-        values = {}
-        for values_t in assignments_lex(phi.num_vars):
-            mask = sum(1 << i for i, v in enumerate(values_t) if v)
-            values[mask] = naive_formula_value(phi, values_t)
-        assert maxv == max(values.values())
-        assert minv == min(values.values())
-        assert values[argmax] == maxv
-        assert values[argmin] == minv
+        rows = _formula_engine_clauses(phi)
+        got = _max_abs_on(monkeypatch, backend, phi.num_vars, rows)
+        assert got == _naive_rows_max_abs(phi.num_vars, rows), phi
 
 
-def _assert_backends_agree(compiled):
+def _assert_backends_agree(compiled, monkeypatch):
     for phi in _formulas(44, 360, 7):
         total = sum(abs(wt) for _, wt in phi.clauses)
         # 2^64 would wrap to 0 in an int64, so it checks that targets are closed
@@ -159,17 +172,18 @@ def _assert_backends_agree(compiled):
             a = _call_decide(pure, phi)
             b = _call_decide(compiled, phi)
             assert a == b, f"decide: pure core {a} != compiled core {b} on {phi}"
-        ea = _call_extremes(pure, phi)
-        eb = _call_extremes(compiled, phi)
-        assert ea == eb, f"extremes: pure core {ea} != compiled core {eb} on {phi}"
+        rows = _formula_engine_clauses(phi)
+        a = _max_abs_on(monkeypatch, pure, phi.num_vars, rows)
+        b = _max_abs_on(monkeypatch, compiled, phi.num_vars, rows)
+        assert a == b, f"max |value|: pure core {a} != compiled core {b} on {phi}"
 
 
-def test_backends_agree_exactly(compiled_core):
-    _assert_backends_agree(compiled_core)
+def test_backends_agree_exactly(compiled_core, monkeypatch):
+    _assert_backends_agree(compiled_core, monkeypatch)
 
 
-def test_backends_agree_exactly_ubsan(ubsan_core):
-    _assert_backends_agree(ubsan_core)
+def test_backends_agree_exactly_ubsan(ubsan_core, monkeypatch):
+    _assert_backends_agree(ubsan_core, monkeypatch)
 
 
 class _Recording:
@@ -181,10 +195,6 @@ class _Recording:
     def decide(self, *args, **kwargs):
         self.log.append(self)
         return self.core.decide(*args, **kwargs)
-
-    def extremes(self, *args, **kwargs):
-        self.log.append(self)
-        return self.core.extremes(*args, **kwargs)
 
 
 def _install_recording(monkeypatch, compiled_core):
@@ -212,8 +222,7 @@ def test_dispatch_boundaries(compiled_core, monkeypatch):
     for num_vars, rows, core in cases:
         log.clear()
         engine.decide(num_vars, rows, targets)
-        engine.extremes(num_vars, rows)
-        assert log == [core, core], (num_vars, rows)
+        assert log == [core], (num_vars, rows)
     assert sum(abs(wt) for _, wt in cnf.clauses) < I64_SAFE
 
 
@@ -223,16 +232,13 @@ def test_huge_weights_stay_exact(compiled_core, monkeypatch):
     w = 10**30
     rows = [(0b01, 0, w), (0b10, 0, -w - 7)]
     assert engine.decide(2, rows, ((w + 7, None), (None, -w - 7))) == (True, 0b10, -w - 7)
-    maxv, _, minv, _ = engine.extremes(2, rows)
-    assert maxv == w and minv == -w - 7
-    assert log == [slow, slow]
+    assert log == [slow]
     # weights just inside the bound run compiled and stay exact
     log.clear()
     w = (1 << 61) - 1
     rows = [(0b01, 0, w), (0b10, 0, -w)]
-    assert engine.extremes(2, rows) == (w, 0b01, -w, 0b10)
     assert engine.decide(2, rows, ((w, w), (-w, -w))) == (True, 0b10, -w)
-    assert log == [fast, fast]
+    assert log == [fast]
     # a huge target over small weights is closed to the weights' range and
     # runs compiled, with the pure core's and the naive answer
     for phi in _formulas(45, 120, 5):
@@ -244,6 +250,78 @@ def test_huge_weights_stay_exact(compiled_core, monkeypatch):
         )
         assert log == [fast]
         assert got == _call_decide(pure, phi) == _naive_decide(phi), phi
+
+
+def _spread(rng, phi, num_vars):
+    """phi with its variables moved to a random ascending subset of 1..num_vars."""
+    new = sorted(rng.sample(range(1, num_vars + 1), phi.num_vars))
+    clauses = [
+        (tuple(new[l - 1] if l > 0 else -new[-l - 1] for l in lits), wt) for lits, wt in phi.clauses
+    ]
+    return WeightedFormula(
+        phi.kind, num_vars, clauses, phi.alpha, phi.objective, phi.comparison
+    )
+
+
+def test_core_sees_only_used_variables(monkeypatch):
+    calls = []
+
+    class Spy:
+        """The pure core, logging the variable count and the variables in rows."""
+
+        def decide(self, num_vars, rows, targets):
+            used = 0
+            for pos, neg, _ in rows:
+                used |= pos | neg
+            calls.append((num_vars, used))
+            return pure.decide(num_vars, rows, targets)
+
+    def assert_only_used(count):
+        assert all(call == (count, (1 << count) - 1) for call in calls), calls
+        calls.clear()
+
+    monkeypatch.setattr(engine, "_core_for", lambda *args: Spy())
+    rng = random.Random(48)
+    for i in range(120):
+        kind, objective, comparison = VARIANTS[i % len(VARIANTS)]
+        phi = random_formula(
+            rng, max_vars=5, kind=kind, objective=objective, comparison=comparison
+        )
+        phi = _spread(rng, phi, rng.randint(phi.num_vars, 9))
+        count = len({abs(l) for lits, _ in phi.clauses for l in lits})
+        verdict = brute_force_formula(phi)
+        mask = verdict.witness.mask() if verdict.decision else None
+        assert (verdict.decision, mask, verdict.achieved) == _naive_decide(phi), phi
+        assert len(calls) == 1
+        assert_only_used(count)
+        best, beta = max_abs_formula(phi)
+        assert (best, beta.values) == naive_max_abs_formula(phi), phi
+        assert_only_used(count)
+
+        h = random_hypergraph(rng, max_vertices=6)
+        h = WeightedHypergraph(h.vertices | set(rng.sample(range(1, 13), 3)), h.edges, h.alpha, h.d)
+        count = len({v for e, _ in h.edges for v in e})
+        verdict = brute_force_hypergraph(h)
+        want = naive_hypergraph_decide(h)
+        assert (verdict.witness, verdict.achieved) == (want or (None, None)), h
+        assert len(calls) == 1
+        assert_only_used(count)
+        assert max_abs_hypergraph(h) == naive_max_abs_hypergraph(h), h
+        assert_only_used(count)
+
+
+def test_unused_variables_cost_nothing(monkeypatch):
+    monkeypatch.setattr(engine, "_compiled", None)
+    start = time.perf_counter()
+    # 24 variables, of which only x1, x2 and x24 occur; even weights never sum to 1
+    clauses = (((1,), 2), ((2,), -4), ((24,), 6))
+    phi = WeightedFormula("dnf", 24, clauses, 1, "sum", "exact")
+    assert not brute_force_formula(phi).decision
+    assert max_abs_formula(phi) == (8, Assignment.from_true_vars(24, {1, 24}))
+    h = WeightedHypergraph(24, clauses, 9)
+    assert not brute_force_hypergraph(h).decision
+    assert max_abs_hypergraph(h) == (8, frozenset({1, 24}))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_backend_selection(core_library, tmp_path):
@@ -289,16 +367,13 @@ def _naive_rows_decide(num_vars, rows, targets):
     return False, None, None
 
 
-def _naive_rows_extremes(num_vars, rows):
+def _naive_rows_max_abs(num_vars, rows):
+    """The largest |value| and the first assignment reaching it."""
     best = None
     for mask, val in _row_values(num_vars, rows):
-        if best is None:
-            best = [val, mask, val, mask]
-        if val > best[0]:
-            best[:2] = val, mask
-        if val < best[2]:
-            best[2:] = val, mask
-    return tuple(best)
+        if best is None or abs(val) > best[0]:
+            best = abs(val), mask
+    return best
 
 
 def _mixed_rows(rng, num_vars, count, bits, few_planes=False):
@@ -371,12 +446,13 @@ def _edge_cases():
 
 
 @pytest.mark.parametrize("name,backend", BACKENDS + [UBSAN_BACKEND], indirect=["backend"])
-def test_weight_sum_edge_cases(name, backend):
+def test_weight_sum_edge_cases(name, backend, monkeypatch):
     for num_vars, rows in _edge_cases():
         total = engine._weight_total(rows)
         if backend is not pure and total >= I64_SAFE:
             continue  # the compiled core never sees these; engine.py routes them pure
-        assert backend.extremes(num_vars, rows) == _naive_rows_extremes(num_vars, rows), rows
+        got = _max_abs_on(monkeypatch, backend, num_vars, rows)
+        assert got == _naive_rows_max_abs(num_vars, rows), rows
         values = sorted({val for _, val in _row_values(num_vars, rows)})
         lo, mid, hi = values[0], values[len(values) // 2], values[-1]
         for targets in (
@@ -399,7 +475,7 @@ def test_weight_sum_edge_cases(name, backend):
 
 
 @pytest.mark.parametrize("name,backend", BACKENDS, indirect=["backend"])
-def test_merged_zero_weight_clauses(name, backend):
+def test_merged_zero_weight_clauses(name, backend, monkeypatch):
     # clauses with equal literal sets merge at construction, and the model
     # keeps a merged weight of zero as a row of weight 0
     rng = random.Random(47)
@@ -415,7 +491,8 @@ def test_merged_zero_weight_clauses(name, backend):
         rows = _formula_engine_clauses(phi)
         assert any(w == 0 and pos | neg for pos, neg, w in rows), phi
         assert _call_decide(backend, phi) == _naive_decide(phi), phi
-        assert _call_extremes(backend, phi) == _naive_rows_extremes(phi.num_vars, rows), phi
+        got = _max_abs_on(monkeypatch, backend, phi.num_vars, rows)
+        assert got == _naive_rows_max_abs(phi.num_vars, rows), phi
 
 
 def _interval(data):
