@@ -15,9 +15,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import absio as absio_mod
 from . import formats, pipeline
-from .absio import AbsIoInstance, brute_force_absio, solve_absio
+from .absio import brute_force_absio, solve_absio
 from .errors import (
     BudgetExceededError,
     ContractViolationError,
@@ -27,7 +26,6 @@ from .errors import (
 from .kernel import MODE_SUBEDGE, MODES, STATUS_TRIVIAL_YES, kernelize
 from .model import (
     CMP_ATLEAST,
-    KIND_CNF,
     KIND_DNF,
     OBJ_ABS,
     WeightedFormula,

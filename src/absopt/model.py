@@ -103,8 +103,9 @@ class WeightedFormula:
 
     def __post_init__(self) -> None:
         _check_enums(self.kind, self.objective, self.comparison)
-        if not isinstance(self.num_vars, int) or self.num_vars < 0:
-            raise InvalidInstanceError(f"bad variable count {self.num_vars!r}")
+        n = self.num_vars
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise InvalidInstanceError(f"bad variable count {n!r}")
         if not isinstance(self.alpha, int) or isinstance(self.alpha, bool) or self.alpha < 0:
             raise InvalidInstanceError(f"target must be a non-negative integer, got {self.alpha!r}")
         normalized = [
@@ -187,7 +188,7 @@ class WeightedHypergraph:
     def __post_init__(self) -> None:
         verts = self.vertices
         if isinstance(verts, int):
-            if verts < 0:
+            if isinstance(verts, bool) or verts < 0:
                 raise InvalidInstanceError(f"bad vertex count {verts!r}")
             verts = frozenset(range(1, verts + 1))
         else:
@@ -210,7 +211,7 @@ class WeightedHypergraph:
         d = self.d
         if d == -1:
             d = max_size
-        if not isinstance(d, int) or d < max_size:
+        if not isinstance(d, int) or isinstance(d, bool) or d < max_size:
             raise InvalidInstanceError(f"edge size bound {d!r} below largest edge {max_size}")
         object.__setattr__(self, "d", d)
 
@@ -267,30 +268,6 @@ def max_degree(h: WeightedHypergraph) -> int:
     return max(counts.values(), default=0)
 
 
-def _formula_engine_clauses(phi: WeightedFormula) -> list[tuple[int, int, int]]:
-    """The formula as DNF rows (pos, neg, weight) for the enumeration core.
-
-    A disjunction of weight w holds unless all its literals fail, so it is the
-    constant w plus the conjunction of its complemented literals at weight -w:
-    ``(P, N, w)`` becomes ``(N, P, -w)``, and the constants go into one
-    literal-free row.
-    """
-    cnf = phi.kind == KIND_CNF
-    out = []
-    for lits, wt in phi.clauses:
-        pos = 0
-        neg = 0
-        for l in lits:
-            if l > 0:
-                pos |= 1 << (l - 1)
-            else:
-                neg |= 1 << (-l - 1)
-        out.append((neg, pos, -wt) if cnf else (pos, neg, wt))
-    if cnf:
-        out.append((0, 0, sum(wt for _, wt in phi.clauses)))
-    return out
-
-
 def _target_intervals(alpha: int, objective: str, comparison: str):
     """The pair of closed value intervals that meet the target; None is an open end.
 
@@ -311,26 +288,6 @@ def _check_cap(size: int, cap: int | None, what: str) -> None:
     limit = DEFAULT_ENUM_CAP if cap is None else cap
     if size > limit:
         raise BudgetExceededError(f"{what} enumeration over {size} exceeds cap {limit}")
-
-
-def _used_rows(num_vars: int, rows) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """The variables that occur in some row, ascending, and the rows over them.
-
-    A variable in no row changes no value.  Both cores try false before
-    true, so the first witness has such a variable false anyway; leaving it
-    out only spares the core its two identical subtrees.
-    """
-    used = 0
-    for pos, neg, _ in rows:
-        used |= pos | neg
-    order = [v for v in range(1, num_vars + 1) if used >> (v - 1) & 1]
-    if len(order) < num_vars:
-
-        def pack(mask):
-            return sum(1 << k for k, v in enumerate(order) if mask >> (v - 1) & 1)
-
-        rows = [(pack(pos), pack(neg), wt) for pos, neg, wt in rows]
-    return order, rows
 
 
 def _max_abs_rows(num_vars: int, rows) -> tuple[int, int]:
@@ -354,6 +311,45 @@ def _max_abs_rows(num_vars: int, rows) -> tuple[int, int]:
     return lo, mask
 
 
+def _rows(clauses, cnf: bool = False) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The ids that occur in some clause, ascending, and the clauses as DNF rows over them.
+
+    A clause is (signed ids, weight); an edge is a clause of plain ids.  Id
+    ``order[i]`` is bit i of a row's (pos, neg) masks.  A disjunction of
+    weight w holds unless all its literals fail, so it is the constant w plus
+    the conjunction of its complemented literals at weight -w: ``(P, N, w)``
+    becomes ``(N, P, -w)``, and the constants go into one literal-free row.
+    An id in no clause changes no value; both cores try false before true,
+    so the first witness has it false anyway, and leaving it out spares the
+    core its two identical subtrees.
+    """
+    order = sorted({abs(l) for lits, _ in clauses for l in lits})
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    rows = []
+    for lits, wt in clauses:
+        pos = neg = 0
+        for l in lits:
+            if l > 0:
+                pos |= bit[l]
+            else:
+                neg |= bit[-l]
+        rows.append((neg, pos, -wt) if cnf else (pos, neg, wt))
+    if cnf:
+        rows.append((0, 0, sum(wt for _, wt in clauses)))
+    return order, rows
+
+
+def _subset(mask: int, order: list[int]) -> frozenset[int]:
+    return frozenset(v for i, v in enumerate(order) if mask >> i & 1)
+
+
+def _first_hit(clauses, cnf: bool, targets) -> tuple[frozenset[int], int] | None:
+    """The first set of true ids whose value lies in a target interval, and that value."""
+    order, rows = _rows(clauses, cnf)
+    found, mask, value = engine.decide(len(order), rows, targets)
+    return (_subset(mask, order), value) if found else None
+
+
 def brute_force_formula(phi: WeightedFormula, *, max_vars: int | None = None) -> Verdict:
     """Exact decision by lexicographic enumeration of all assignments.
 
@@ -361,33 +357,11 @@ def brute_force_formula(phi: WeightedFormula, *, max_vars: int | None = None) ->
     ascending, false before true) together with its signed value.
     """
     _check_cap(phi.num_vars, max_vars, "assignment")
-    order, rows = _used_rows(phi.num_vars, _formula_engine_clauses(phi))
-    found, mask, value = engine.decide(
-        len(order), rows, _target_intervals(phi.alpha, phi.objective, phi.comparison)
-    )
-    if not found:
+    targets = _target_intervals(phi.alpha, phi.objective, phi.comparison)
+    hit = _first_hit(phi.clauses, phi.kind == KIND_CNF, targets)
+    if hit is None:
         return Verdict(False)
-    return Verdict(True, Assignment.from_true_vars(phi.num_vars, _mask_to_subset(mask, order)), value)
-
-
-def _hypergraph_engine_clauses(h: WeightedHypergraph) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """The vertices that lie in some edge, ascending, and the edges as rows over them.
-
-    The witness leaves every other vertex out, as ``_used_rows`` does.
-    """
-    order = sorted(set().union(*(e for e, _ in h.edges)))
-    idx = {v: i for i, v in enumerate(order)}
-    out = []
-    for e, wt in h.edges:
-        pos = 0
-        for v in e:
-            pos |= 1 << idx[v]
-        out.append((pos, 0, wt))
-    return order, out
-
-
-def _mask_to_subset(mask: int, order: list[int]) -> VertexSet:
-    return frozenset(v for i, v in enumerate(order) if mask >> i & 1)
+    return Verdict(True, Assignment.from_true_vars(phi.num_vars, hit[0]), hit[1])
 
 
 def brute_force_hypergraph(h: WeightedHypergraph, *, max_vertices: int | None = None) -> Verdict:
@@ -399,13 +373,10 @@ def brute_force_hypergraph(h: WeightedHypergraph, *, max_vertices: int | None = 
     monotone conjunction over its vertices, so the formula engine is reused.
     """
     _check_cap(h.num_vertices, max_vertices, "subset")
-    order, rows = _hypergraph_engine_clauses(h)
-    found, mask, value = engine.decide(
-        len(order), rows, _target_intervals(h.alpha, OBJ_ABS, CMP_ATLEAST)
-    )
-    if not found:
+    hit = _first_hit(h.edges, False, _target_intervals(h.alpha, OBJ_ABS, CMP_ATLEAST))
+    if hit is None:
         return Verdict(False)
-    return Verdict(True, _mask_to_subset(mask, order), value)
+    return Verdict(True, *hit)
 
 
 def max_abs_formula(phi: WeightedFormula, *, max_vars: int | None = None) -> tuple[int, Assignment]:
@@ -416,9 +387,9 @@ def max_abs_formula(phi: WeightedFormula, *, max_vars: int | None = None) -> tup
     at 4-bit weights, 20x at 40-bit and 50x at 100-bit weights.
     """
     _check_cap(phi.num_vars, max_vars, "assignment")
-    order, rows = _used_rows(phi.num_vars, _formula_engine_clauses(phi))
+    order, rows = _rows(phi.clauses, phi.kind == KIND_CNF)
     best, mask = _max_abs_rows(len(order), rows)
-    return best, Assignment.from_true_vars(phi.num_vars, _mask_to_subset(mask, order))
+    return best, Assignment.from_true_vars(phi.num_vars, _subset(mask, order))
 
 
 def max_abs_hypergraph(h: WeightedHypergraph, *, max_vertices: int | None = None) -> tuple[int, VertexSet]:
@@ -429,9 +400,9 @@ def max_abs_hypergraph(h: WeightedHypergraph, *, max_vertices: int | None = None
     at 4-bit weights, 20x at 40-bit and 50x at 100-bit weights.
     """
     _check_cap(h.num_vertices, max_vertices, "subset")
-    order, rows = _hypergraph_engine_clauses(h)
+    order, rows = _rows(h.edges)
     best, mask = _max_abs_rows(len(order), rows)
-    return best, _mask_to_subset(mask, order)
+    return best, _subset(mask, order)
 
 
 def iter_subsets_lex(vertices: Iterable[int]) -> Iterator[VertexSet]:

@@ -23,7 +23,8 @@ from .model import (
     WeightedFormula,
     WeightedHypergraph,
     _check_cap,
-    brute_force_formula,
+    _first_hit,
+    _target_intervals,
     brute_force_hypergraph,
     eval_formula,
     induced_weight,
@@ -134,27 +135,19 @@ def _enumerate_survivors(
 
     A deleted vertex is in no surviving edge, so setting it false changes no
     value: the input clauses restricted to the survivors (clauses with a
-    deleted plain literal dropped, negated deleted literals dropped,
-    survivors renumbered in ascending order) agree with the reduced
-    hypergraph at every point, in the same variable order.  Whichever has
-    fewer clauses is enumerated (the formula's counted before clauses that
-    become equal merge); both give the same lex-first witness.
+    deleted plain literal dropped, negated deleted literals dropped) agree
+    with the reduced hypergraph at every point, in the same variable order.
+    Whichever has fewer clauses is enumerated; both give the same lex-first
+    witness.
     """
-    order = sorted(reduced.vertices)
-    _check_cap(len(order), max_vertices, "subset")
-    index = {v: k for k, v in enumerate(order, start=1)}
-    kept = [(lits, wt) for lits, wt in phi.clauses if all(l < 0 or l in index for l in lits)]
+    survivors = reduced.vertices
+    _check_cap(len(survivors), max_vertices, "subset")
+    kept = [(lits, wt) for lits, wt in phi.clauses if all(l < 0 or l in survivors for l in lits)]
     if len(kept) >= len(reduced.edges):
         return brute_force_hypergraph(reduced, max_vertices=max_vertices).witness
-    clauses = [
-        (tuple(index[l] if l > 0 else -index[-l] for l in lits if abs(l) in index), wt)
-        for lits, wt in kept
-    ]
-    restricted = WeightedFormula(KIND_DNF, len(order), clauses, phi.alpha)
-    verdict = brute_force_formula(restricted, max_vars=max_vertices)
-    if not verdict.decision:
-        return None
-    return frozenset(order[k - 1] for k in verdict.witness.true_vars())
+    clauses = [([l for l in lits if abs(l) in survivors], wt) for lits, wt in kept]
+    hit = _first_hit(clauses, False, _target_intervals(phi.alpha, OBJ_ABS, CMP_ATLEAST))
+    return None if hit is None else hit[0]
 
 
 def solve_abs_dnf(

@@ -46,8 +46,9 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_vertices, int) or self.num_vertices < 0:
-            raise InvalidInstanceError(f"bad vertex count {self.num_vertices!r}")
+        n = self.num_vertices
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise InvalidInstanceError(f"bad vertex count {n!r}")
         seen = set()
         normalized = []
         for raw in self.edges:

@@ -55,6 +55,24 @@ def value_profile(phi):
     return profile
 
 
+def formula_rows(phi):
+    """The formula as DNF rows (pos, neg, weight) over all its declared variables.
+
+    Bit i of a mask is variable i+1, used or not, so a variable in no clause
+    stays in the rows' variable count.  A disjunction ``(P, N, w)`` becomes
+    the constant w, in one literal-free row, plus ``(N, P, -w)``.
+    """
+    cnf = phi.kind == "cnf"
+    rows = []
+    for lits, w in phi.clauses:
+        pos = sum(1 << (l - 1) for l in lits if l > 0)
+        neg = sum(1 << (-l - 1) for l in lits if l < 0)
+        rows.append((neg, pos, -w) if cnf else (pos, neg, w))
+    if cnf:
+        rows.append((0, 0, sum(w for _, w in phi.clauses)))
+    return rows
+
+
 def naive_hypergraph_value(h, subset):
     xs = set(subset)
     return sum(w for e, w in h.edges if set(e) <= xs)

@@ -30,7 +30,6 @@ from absopt.model import (
     Assignment,
     WeightedFormula,
     WeightedHypergraph,
-    _formula_engine_clauses,
     _max_abs_rows,
     _target_intervals,
     brute_force_formula,
@@ -41,6 +40,7 @@ from absopt.model import (
 
 from helpers import (
     assignments_lex,
+    formula_rows,
     naive_formula_value,
     naive_hypergraph_decide,
     naive_max_abs_formula,
@@ -121,7 +121,7 @@ def _formulas(seed, count, max_vars):
 
 def _call_decide(backend, phi):
     """The core's answer on the rows and closed targets that model.py builds."""
-    rows = _formula_engine_clauses(phi)
+    rows = formula_rows(phi)
     targets = _target_intervals(phi.alpha, phi.objective, phi.comparison)
     return backend.decide(
         phi.num_vars, rows, engine._close(targets, engine._weight_total(rows))
@@ -158,7 +158,7 @@ def test_decide_matches_naive(name, backend):
 @pytest.mark.parametrize("name,backend", BACKENDS, indirect=["backend"])
 def test_max_abs_matches_naive(name, backend, monkeypatch):
     for phi in _formulas(43, 360, 6):
-        rows = _formula_engine_clauses(phi)
+        rows = formula_rows(phi)
         got = _max_abs_on(monkeypatch, backend, phi.num_vars, rows)
         assert got == _naive_rows_max_abs(phi.num_vars, rows), phi
 
@@ -172,7 +172,7 @@ def _assert_backends_agree(compiled, monkeypatch):
             a = _call_decide(pure, phi)
             b = _call_decide(compiled, phi)
             assert a == b, f"decide: pure core {a} != compiled core {b} on {phi}"
-        rows = _formula_engine_clauses(phi)
+        rows = formula_rows(phi)
         a = _max_abs_on(monkeypatch, pure, phi.num_vars, rows)
         b = _max_abs_on(monkeypatch, compiled, phi.num_vars, rows)
         assert a == b, f"max |value|: pure core {a} != compiled core {b} on {phi}"
@@ -217,7 +217,7 @@ def test_dispatch_boundaries(compiled_core, monkeypatch):
         (4, [(0b1, 0, 3), (0b10, 0, -(I64_SAFE << 40))], slow),
         (62, [(0b1, 0, 3)], fast),
         (63, [(0b1, 0, 3)], slow),
-        (2, _formula_engine_clauses(cnf), slow),
+        (2, formula_rows(cnf), slow),
     ]
     for num_vars, rows, core in cases:
         log.clear()
@@ -243,7 +243,7 @@ def test_huge_weights_stay_exact(compiled_core, monkeypatch):
     # runs compiled, with the pure core's and the naive answer
     for phi in _formulas(45, 120, 5):
         phi = replace(phi, alpha=10**30)
-        rows = _formula_engine_clauses(phi)
+        rows = formula_rows(phi)
         log.clear()
         got = engine.decide(
             phi.num_vars, rows, _target_intervals(phi.alpha, phi.objective, phi.comparison)
@@ -488,7 +488,7 @@ def test_merged_zero_weight_clauses(name, backend, monkeypatch):
             kind, phi.num_vars, phi.clauses + ((lits, -wt), ((), i % 3)), phi.alpha,
             objective, comparison,
         )
-        rows = _formula_engine_clauses(phi)
+        rows = formula_rows(phi)
         assert any(w == 0 and pos | neg for pos, neg, w in rows), phi
         assert _call_decide(backend, phi) == _naive_decide(phi), phi
         got = _max_abs_on(monkeypatch, backend, phi.num_vars, rows)

@@ -19,13 +19,13 @@ from absopt.model import (
     max_abs_formula,
     max_abs_hypergraph,
     max_degree,
-    _formula_engine_clauses,
     _target_intervals,
 )
 from absopt.pipeline import qualifies
 
 from helpers import (
     assignments_lex,
+    formula_rows,
     naive_formula_value,
     naive_hypergraph_decide,
     naive_max_abs_formula,
@@ -55,6 +55,9 @@ def test_formula_validation():
         WeightedFormula("xnf", 2, (), 1)
     with pytest.raises(InvalidInstanceError):
         WeightedFormula("dnf", 2, (), 1, comparison="above")
+    # bool is an int subclass, and a count of True would serialize as "True"
+    with pytest.raises(InvalidInstanceError):
+        WeightedFormula("dnf", True, (), 1)
 
 
 def test_empty_clause_semantics():
@@ -97,6 +100,10 @@ def test_hypergraph_construction():
         WeightedHypergraph(2, (((1, 3), 1),), 1)
     with pytest.raises(InvalidInstanceError):
         WeightedHypergraph(3, (((1, 2), 1),), 1, d=1)
+    with pytest.raises(InvalidInstanceError):
+        WeightedHypergraph(True, (), 1)
+    with pytest.raises(InvalidInstanceError):
+        WeightedHypergraph(2, (((1,), 1),), 1, d=True)
 
 
 def test_induced_weight_and_degree():
@@ -149,6 +156,23 @@ def test_brute_force_hypergraph_lex_first():
             assert got.decision
             assert got.witness == want[0]
             assert got.achieved == want[1]
+
+
+def test_brute_force_hypergraph_sparse_ids():
+    # the core sees bits 0..2; the witness must come back as the original ids
+    rng = random.Random(62)
+    ids = (3, 70, 1000)
+    for _ in range(60):
+        edges = []
+        for _ in range(rng.randint(0, 6)):
+            e = rng.sample(ids, rng.randint(0, 3))
+            edges.append((e, rng.randint(-5, 5)))
+        for alpha in range(0, 8):
+            h = WeightedHypergraph(frozenset(ids), edges, alpha)
+            got = brute_force_hypergraph(h)
+            want = naive_hypergraph_decide(h)
+            assert (got.witness, got.achieved) == (want or (None, None)), h
+            assert got.decision == (want is not None)
 
 
 def test_max_abs_agrees_with_full_scan():
@@ -216,7 +240,7 @@ def test_folded_rows_match_eval_formula():
         phi = WeightedFormula(
             phi.kind, phi.num_vars, phi.clauses + (((), rng.randint(-5, 5)),), phi.alpha
         )
-        rows = _formula_engine_clauses(phi)
+        rows = formula_rows(phi)
         for mask in range(1 << phi.num_vars):
             value = sum(w for pos, neg, w in rows if mask & pos == pos and not mask & neg)
             assert value == eval_formula(phi, Assignment.from_mask(phi.num_vars, mask)), phi

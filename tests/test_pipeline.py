@@ -161,6 +161,19 @@ def test_solve_abs_dnf_enumerates_the_shorter_form(monkeypatch):
     verdict = solve_abs_dnf(phi)
     assert verdict.transcript[-1] == "enumerate |V|=6"
     assert seen == [3] and _reduced_edges(phi) > 3
+    # every edge through x4 cancels, so the kernel deletes x4; the first two
+    # clauses keep, and with the negated x4 dropped both read (1, -2, -3):
+    # the three kept clauses go to the core unmerged, not the five edges
+    clauses = (((1, -2, -3, -4), 3), ((1, -2, -3), 2), ((1, -2, -3, 4), 3), ((2,), 4))
+    for alpha in (4, 5, 6):
+        phi = WeightedFormula("dnf", 4, clauses, alpha)
+        seen.clear()
+        verdict = solve_abs_dnf(phi)
+        assert verdict.transcript[-1] == "enumerate |V|=3"
+        assert seen == [3] and _reduced_edges(phi) == 5
+        want = brute_force_formula(phi)
+        assert (verdict.witness, verdict.achieved) == (want.witness, want.achieved)
+        assert verdict.decision == want.decision == (alpha <= 5)
     rng = random.Random(59)
     for _ in range(200):
         phi = random_formula(

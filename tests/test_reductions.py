@@ -160,6 +160,8 @@ def test_graph_construction():
         Graph(3, ((1, 2), (2, 1)))
     with pytest.raises(InvalidInstanceError):
         Graph(2, ((1, 3),))
+    with pytest.raises(InvalidInstanceError):
+        Graph(True, ())
 
 
 def _gen_decides_is(gen, g, k):
