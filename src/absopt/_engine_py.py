@@ -15,24 +15,38 @@ subtree is pruned only when those bounds meet neither interval, so the first
 hit found is the true lexicographic first.  At a leaf every row is decided and
 the bounds meet at the value, so reaching a leaf is a hit.
 
-The search state is a row set held in one int, bit c for row c, passed down
-the recursion by value.  Assigning variable d kills the open rows in a
-precomputed set for d and its value, and satisfies the surviving open rows
-whose last literal is d.  The bounds then move by the weight of those rows,
-summed as one ``bit_count`` per bit plane of |w| and sign, or row by row
-where a node changes fewer rows than there are planes, as with wide weights.
-On 14 variables and 120 random rows of one to three literals with even
-weights, one ``decide`` call for the unreachable value 1 takes about 40-60 ms
-at 4- and 40-bit weights and 50-95 ms at 100-bit weights (2-core x86-64,
-Python 3.11).  Rows of weight 0 move no bound and are left out.
+The search state is a row set held in one int, passed down the recursion by
+value.  Assigning variable d kills the open rows in a precomputed set for d
+and its value, and satisfies the surviving open rows whose last literal is d.
+The bounds then move by the weight of those rows.  Rows of weight 0 move no
+bound and are left out; the other rows are kept, in one of two layouts:
 
-The compiled backend (_core.c) runs this search on the same row sets, held
-as arrays of 64-bit words, with the same search order, bounds and pruning,
-so it finds the same first hit; it sums bound changes row by row in int64.  Any
-semantic change must land in both.
+* Unary, when the kept rows' |w| sum to at most ``UNARY_BOUND``: kept row c
+  holds |w_c| consecutive bits, so every set is a union of whole blocks and a
+  set's weight of one sign is one ``bit_count``.
+* One bit per kept row, bit c for row c, otherwise: the weight is summed as
+  one ``bit_count`` per bit plane of |w| and sign, or row by row where a node
+  changes fewer rows than there are planes, as with wide weights.
+
+Both give the same bounds, so the search and its first hit do not depend on
+the layout.  The bound sits where the layouts were level on 14 variables and
+120 random rows of one to three literals with target 1 (2-core x86-64,
+Python 3.11): unary took 19-27 ms against 34-59 ms at |w| sums near 1,300,
+61-66 ms against 68-83 ms near 4,000, and 89-145 ms against 59-82 ms at
+8,000-11,000.  On those rows with even weights, one ``decide`` call for the
+unreachable value 1 takes about 20-30 ms at 4-bit weights (unary), 35-65 ms
+at 40-bit and 45-100 ms at 100-bit weights (bit planes).
+
+The compiled backend (_core.c) runs this search with one bit per kept row,
+held as arrays of 64-bit words, with the same search order, bounds and
+pruning, so it finds the same first hit; it sums bound changes row by row in
+int64.  Any semantic change must land in both.
 """
 
 from __future__ import annotations
+
+# The largest sum of the kept rows' |w| that takes the unary layout.
+UNARY_BOUND = 4096
 
 
 def _planes(weights, sign):
@@ -51,40 +65,14 @@ def _planes(weights, sign):
     return [(rows, b) for b, rows in planes.items()]
 
 
-def _setup(num_vars: int, rows):
-    """The open rows, the root bounds, each depth's branches, and ``move``.
+def _plane_move(weights):
+    """``move`` over one bit per kept row, bit c for row c of ``weights``.
 
-    ``branches[d]`` holds one (rows killed, witness bit) pair per value of
-    variable d, false first; ``last[d]`` the rows whose last literal is d.
-    ``move`` gives a child's bounds from its parent's.
+    Sums run as one ``bit_count`` per bit plane of |w| and sign, or row by row
+    where a node changes fewer rows than there are planes.
     """
-    kill_false = [0] * num_vars  # rows with a positive literal of d
-    kill_true = [0] * num_vars  # rows with a negative literal of d
-    last = [0] * num_vars
-    weights = []
-    cur = 0
-    for pos, neg, wt in rows:
-        lits = pos | neg
-        if not lits:
-            # No literals: the empty conjunction holds vacuously.
-            cur += wt
-            continue
-        if not wt:
-            continue
-        bit = 1 << len(weights)
-        weights.append(wt)
-        last[lits.bit_length() - 1] |= bit
-        for mask, kill in ((pos, kill_false), (neg, kill_true)):
-            while mask:
-                low = mask & -mask
-                kill[low.bit_length() - 1] |= bit
-                mask ^= low
-    live = (1 << len(weights)) - 1
-    lb = cur + sum(wt for wt in weights if wt < 0)
-    ub = cur + sum(wt for wt in weights if wt > 0)
     pos_planes, neg_planes = _planes(weights, 1), _planes(weights, -1)
     num_planes = len(pos_planes) + len(neg_planes)
-    branches = [((kill_false[d], 0), (kill_true[d], 1 << d)) for d in range(num_vars)]
 
     def move(dead, sat, lb, ub):
         """lb and ub once the rows in dead die and the rows in sat hold.
@@ -123,6 +111,64 @@ def _setup(num_vars: int, rows):
                     ub -= (sat & rows).bit_count() << b
         return lb, ub
 
+    return move
+
+
+def _unary_move(pos, neg):
+    """``move`` over |w| bits per kept row: ``pos`` and ``neg`` hold the bits
+    of the positive and the negative rows, so a set's weight is a bit count."""
+
+    def move(dead, sat, lb, ub):
+        lb += (dead & neg).bit_count() + (sat & pos).bit_count()
+        ub -= (dead & pos).bit_count() + (sat & neg).bit_count()
+        return lb, ub
+
+    return move
+
+
+def _setup(num_vars: int, rows):
+    """The open rows, the root bounds, each depth's branches, and ``move``.
+
+    ``branches[d]`` holds one (rows killed, witness bit) pair per value of
+    variable d, false first; ``last[d]`` the rows whose last literal is d.
+    ``move`` gives a child's bounds from its parent's.
+    """
+    cur = 0
+    kept = []
+    for pos, neg, wt in rows:
+        if not pos | neg:
+            # No literals: the empty conjunction holds vacuously.
+            cur += wt
+        elif wt:
+            kept.append((pos, neg, wt))
+    weights = [wt for _, _, wt in kept]
+    lb = cur + sum(wt for wt in weights if wt < 0)
+    ub = cur + sum(wt for wt in weights if wt > 0)
+    if ub - lb <= UNARY_BOUND:
+        blocks, pos_bits, offset = [], 0, 0
+        for wt in weights:
+            block = ((1 << abs(wt)) - 1) << offset
+            blocks.append(block)
+            if wt > 0:
+                pos_bits |= block
+            offset += abs(wt)
+        live = (1 << offset) - 1
+        move = _unary_move(pos_bits, live ^ pos_bits)
+    else:
+        blocks = [1 << c for c in range(len(kept))]
+        live = (1 << len(kept)) - 1
+        move = _plane_move(weights)
+    kill_false = [0] * num_vars  # rows with a positive literal of d
+    kill_true = [0] * num_vars  # rows with a negative literal of d
+    last = [0] * num_vars
+    for (pos, neg, _), block in zip(kept, blocks):
+        last[(pos | neg).bit_length() - 1] |= block
+        for mask, kill in ((pos, kill_false), (neg, kill_true)):
+            while mask:
+                low = mask & -mask
+                kill[low.bit_length() - 1] |= block
+                mask ^= low
+    branches = [((kill_false[d], 0), (kill_true[d], 1 << d)) for d in range(num_vars)]
     return live, lb, ub, branches, last, move
 
 

@@ -645,6 +645,10 @@ def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdic
         if k == 0:
             x_star = 0
         else:
+            cap = DEFAULT_POINT_CAP if max_points is None else max_points
+            points = 2 * e * cur.alpha + 1
+            if points > cap:
+                raise BudgetExceededError(f"scan window of {points} points exceeds cap {cap}")
             hit = _scan_window(cur, i, e, partial)
             if hit is None:
                 raise InternalGuaranteeError(

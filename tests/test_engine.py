@@ -408,6 +408,15 @@ def _word_crossing_rows(rng, num_vars, kept):
     return rows
 
 
+def _rows_weighing(rng, num_vars, total):
+    """Mixed-sign rows, with zero-weight and literal-free rows among them,
+    whose kept rows' |w| sum to exactly ``total``."""
+    rows = _word_crossing_rows(rng, num_vars, 60) + _mixed_rows(rng, num_vars, 40, 6)
+    rest = total - sum(abs(w) for pos, neg, w in rows if pos | neg)
+    assert rest > 0
+    return rows + [(1 << rng.randrange(num_vars), 0, rng.choice((rest, -rest)))]
+
+
 def _edge_cases():
     rng = random.Random(46)
     cases = [
@@ -442,6 +451,11 @@ def _edge_cases():
     for mag in ((1 << 50) + 12345, (1 << 80) + 12345):
         rows = _mixed_rows(rng, 6, 14, 1)
         cases.append((6, [(p, n, w * mag) for p, n, w in rows]))
+    # kept rows weighing exactly the unary layout's bound and one past it,
+    # and 400 rows of 6-bit weights, far past it with few bit planes
+    for total in (pure.UNARY_BOUND, pure.UNARY_BOUND + 1):
+        cases.append((7, _rows_weighing(rng, 7, total)))
+    cases.append((7, _mixed_rows(rng, 7, 400, 6)))
     return cases
 
 
@@ -464,14 +478,60 @@ def test_weight_sum_edge_cases(name, backend, monkeypatch):
             closed = engine._close(targets, total)
             got = backend.decide(num_vars, rows, closed)
             assert got == _naive_rows_decide(num_vars, rows, closed), (rows, targets)
-    # some cases have more bit planes than rows, so every sum runs row by row;
-    # the others have fewer, so nodes that change many rows sum by planes
-    more_planes = set()
-    for _, rows in _edge_cases():
+    # kept rows weighing at most the bound take |w| bits each, and some cases
+    # do; the others take one bit each.  Of those, some cases have more bit
+    # planes than rows, so every sum runs row by row; the others have fewer,
+    # so nodes that change many rows sum by planes
+    unary, more_planes = False, set()
+    for num_vars, rows in _edge_cases():
         weights = [w for pos, neg, w in rows if (pos | neg) and w]
+        total = sum(abs(w) for w in weights)
+        width = pure._setup(num_vars, rows)[0].bit_length()
+        if total <= pure.UNARY_BOUND:
+            assert width == total
+            unary = True
+            continue
+        assert width == len(weights)
         planes = len(pure._planes(weights, 1)) + len(pure._planes(weights, -1))
         more_planes.add(planes > len(weights))
+    assert unary
     assert more_planes == {False, True}
+
+
+def test_layouts_agree(monkeypatch):
+    # with the bound at 0 every case takes one bit per kept row, and with a
+    # huge bound |w| bits: both must find the same first hit as the naive scan
+    rng = random.Random(48)
+    for _ in range(120):
+        num_vars = rng.randint(0, 7)
+        rows = []
+        for _ in range(rng.randint(0, 25)):
+            pos = rng.getrandbits(num_vars) & rng.getrandbits(num_vars)
+            neg = rng.getrandbits(num_vars) & rng.getrandbits(num_vars) & ~pos
+            w = rng.choice((0, rng.randint(1, 3), rng.randint(1, 600)))
+            rows.append((pos, neg, rng.choice((w, -w))))
+        total = engine._weight_total(rows)
+        kept = [w for pos, neg, w in rows if (pos | neg) and w]
+        widths = []
+        for bound in (0, 1 << 200):
+            monkeypatch.setattr(pure, "UNARY_BOUND", bound)
+            widths.append(pure._setup(num_vars, rows)[0].bit_length())
+        assert widths == [len(kept), sum(abs(w) for w in kept)]
+        values = sorted({val for _, val in _row_values(num_vars, rows)})
+        lo, hi = values[0], values[-1]
+        for targets in (
+            ((lo, lo), (hi, hi)),
+            ((None, lo), (hi, None)),
+            ((lo - 1, lo - 1), (hi + 1, hi + 1)),
+            ((lo + 1, hi - 1), (hi, hi)),
+            ((-total - 5, lo), (hi, total + 5)),
+        ):
+            closed = engine._close(targets, total)
+            got = []
+            for bound in (0, 1 << 200):
+                monkeypatch.setattr(pure, "UNARY_BOUND", bound)
+                got.append(pure.decide(num_vars, rows, closed))
+            assert got[0] == got[1] == _naive_rows_decide(num_vars, rows, closed), (rows, targets)
 
 
 @pytest.mark.parametrize("name,backend", BACKENDS, indirect=["backend"])
