@@ -31,6 +31,7 @@ from .errors import (
 )
 from .kernel import MODE_EDGECOUNT, STATUS_TRIVIAL_YES, kernelize
 from .model import Verdict, WeightedHypergraph
+from .pipeline import _checked_value
 
 DEFAULT_POINT_CAP = 2_000_000
 
@@ -135,6 +136,21 @@ def _box_pick(lo: Bound, hi: Bound) -> int:
     return hi  # lo is None here, so hi must be the binding side
 
 
+def _columns(rows, m: int) -> list[tuple[int, ...]]:
+    # Each monomial's exponent vector, read from the rows; with no variables,
+    # m empty vectors.
+    return list(zip(*rows)) if rows else [()] * m
+
+
+def _merged(columns, weights) -> dict[tuple[int, ...], int]:
+    # The summed weight of each exponent vector, in order of first
+    # occurrence; zero sums stay.
+    terms: dict[tuple[int, ...], int] = {}
+    for col, w in zip(columns, weights):
+        terms[col] = terms.get(col, 0) + w
+    return terms
+
+
 def eval_poly(inst: AbsIoInstance, point) -> int:
     """Exact integer value of the polynomial at a point (0^0 = 1)."""
     pt = tuple(point)
@@ -143,13 +159,11 @@ def eval_poly(inst: AbsIoInstance, point) -> int:
             f"point over {len(pt)} variables, instance has {inst.num_vars}"
         )
     total = 0
-    for j, w in enumerate(inst.weights):
-        term = w
-        for i in range(inst.num_vars):
-            a = inst.exponents[i][j]
+    for col, w in zip(_columns(inst.exponents, inst.num_terms), inst.weights):
+        for x, a in zip(pt, col):
             if a:
-                term *= pt[i] ** a
-        total += term
+                w *= x**a
+        total += w
     return total
 
 
@@ -175,26 +189,6 @@ class SimplifyOutcome:
     log: tuple[LogEntry, ...]
     transcript: tuple[str, ...]
     empty_var: int | None = None
-
-
-def _merge_columns(rows: list[list[int]], weights: list[int]) -> int:
-    """Merge columns with identical exponent vectors; returns removals."""
-    seen: dict[tuple[int, ...], int] = {}
-    keep: list[int] = []
-    for j in range(len(weights)):
-        key = tuple(r[j] for r in rows)
-        if key in seen:
-            weights[seen[key]] += weights[j]
-        else:
-            seen[key] = j
-            keep.append(j)
-    removed = len(weights) - len(keep)
-    if removed:
-        new_w = [weights[j] for j in keep]
-        for i, r in enumerate(rows):
-            rows[i] = [r[j] for j in keep]
-        weights[:] = new_w
-    return removed
 
 
 def rule5_simplify(inst: AbsIoInstance) -> SimplifyOutcome:
@@ -255,9 +249,11 @@ def rule5_simplify(inst: AbsIoInstance) -> SimplifyOutcome:
             else:
                 i += 1
         # equal exponent vectors
-        merged = _merge_columns(rows, weights)
-        if merged:
-            lines.append(f"rule5 merged={merged}")
+        terms = _merged(_columns(rows, len(weights)), weights)
+        if len(terms) < len(weights):
+            lines.append(f"rule5 merged={len(weights) - len(terms)}")
+            rows = [[key[r] for key in terms] for r in range(len(rows))]
+            weights = list(terms.values())
             changed = True
     out = AbsIoInstance(rows, weights, lower, upper, inst.alpha, ids)
     return SimplifyOutcome(out, tuple(log), tuple(lines))
@@ -276,12 +272,13 @@ def shift_variable(inst: AbsIoInstance, i: int, t: int) -> tuple[AbsIoInstance, 
     """
     if not 0 <= i < inst.num_vars:
         raise InvalidInstanceError(f"no variable at row {i}")
-    merged: dict[tuple[int, ...], int] = {}
-    for col, w in zip(zip(*inst.exponents), inst.weights):
+    columns, weights = [], []
+    for col, w in zip(_columns(inst.exponents, inst.num_terms), inst.weights):
         c = col[i]
         for k in range(c + 1):
-            key = col[:i] + (c - k,) + col[i + 1:]
-            merged[key] = merged.get(key, 0) + math.comb(c, k) * w * t**k
+            columns.append(col[:i] + (c - k,) + col[i + 1:])
+            weights.append(math.comb(c, k) * w * t**k)
+    merged = _merged(columns, weights)
     out_rows = [[key[r] for key in merged] for r in range(inst.num_vars)]
     out_weights = list(merged.values())
     lower = list(inst.lower)
@@ -392,9 +389,7 @@ def _grid_parts(inst: AbsIoInstance, dtype) -> tuple[tuple, list[dict[int, np.nd
     # dropped (the constant 0 when none is left), and the powers of each axis
     # of the box that it uses.
     n = inst.num_vars
-    terms: dict[tuple[int, ...], int] = {}
-    for col, w in zip(zip(*inst.exponents), inst.weights):
-        terms[col] = terms.get(col, 0) + w
+    terms = _merged(_columns(inst.exponents, inst.num_terms), inst.weights)
     terms = {key: c for key, c in terms.items() if c} or {(0,) * n: 0}
     powers = []
     for i in range(n):
@@ -459,7 +454,7 @@ def brute_force_absio(
     top = [max(abs(lo), abs(hi), 1) for lo, hi in zip(inst.lower, inst.upper)]
     bound = sum(
         abs(w) * math.prod(map(pow, top, col))
-        for col, w in zip(zip(*inst.exponents), inst.weights)
+        for col, w in zip(_columns(inst.exponents, inst.num_terms), inst.weights)
     )
     # Every value the leaf forms, a power of an axis included, is at most a
     # sum of merged terms |c| * prod |x_i|^a with |c| >= 1, so at most bound:
@@ -492,19 +487,12 @@ def _replay(
 
 def _support_shortcut(inst: AbsIoInstance) -> tuple[tuple[int, ...] | None, tuple[str, ...]]:
     # Monomial supports as hyperedges; a heavy enough edge count certifies a
-    # 0/1 witness, which the normalized box always contains.
-    if inst.num_vars == 0:
-        return None, ()
-    if not all(
-        _box_has(lo, hi, 0) and _box_has(lo, hi, 1)
-        for lo, hi in zip(inst.lower, inst.upper)
-    ):
-        return None, ()
-    edges = []
-    for j, w in enumerate(inst.weights):
-        edges.append(
-            (frozenset(i + 1 for i in range(inst.num_vars) if inst.exponents[i][j] > 0), w)
-        )
+    # 0/1 witness.  Rules 5 and 6 ran to their fixpoint first, so every
+    # interval holds 0 and 1; with no variables every edge is empty, d < 1.
+    edges = [
+        (frozenset(i + 1 for i, a in enumerate(col) if a), w)
+        for col, w in zip(_columns(inst.exponents, inst.num_terms), inst.weights)
+    ]
     h = WeightedHypergraph(inst.num_vars, edges, inst.alpha)
     if h.d < 1:
         return None, ()
@@ -545,10 +533,13 @@ def _branch_child(inst: AbsIoInstance, i: int, k: int, child_alpha: int) -> AbsI
 
 
 def _scan_window(
-    inst: AbsIoInstance, i: int, e: int, partial: dict[int, int]
+    inst: AbsIoInstance, i: int, e: int, partial: dict[int, int],
+    max_points: int | None = None,
 ) -> tuple[int, int] | None:
     # 2*e*alpha + 1 consecutive in-box integers; an integer polynomial of
     # degree 1..e cannot stay below alpha in absolute value on all of them.
+    # At most the point cap of them are scanned, and a window past the cap
+    # with no hit among those exceeds the budget.
     width = 2 * e * inst.alpha
     lo, hi = inst.lower[i], inst.upper[i]
     if lo is not None:
@@ -559,14 +550,16 @@ def _scan_window(
         start = 0
     # Collapse p at the partial witness to q(x) = sum_k coeffs[k] x^k.
     coeffs = [0] * (e + 1)
-    for j, w in enumerate(inst.weights):
-        term = w
-        for r in range(inst.num_vars):
-            a = inst.exponents[r][j]
+    for col, w in zip(_columns(inst.exponents, inst.num_terms), inst.weights):
+        for r, a in enumerate(col):
             if a and r != i:
-                term *= partial[inst.var_ids[r]] ** a
-        coeffs[inst.exponents[i][j]] += term
-    return _horner_scan(coeffs, start, start + width, inst.alpha)
+                w *= partial[inst.var_ids[r]] ** a
+        coeffs[col[i]] += w
+    cap = DEFAULT_POINT_CAP if max_points is None else max_points
+    hit = _horner_scan(coeffs, start, start + min(width, cap - 1), inst.alpha)
+    if hit is None and width >= cap:
+        raise BudgetExceededError(f"scan window of {width + 1} points exceeds cap {cap}")
+    return hit
 
 
 def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdict:
@@ -606,12 +599,7 @@ def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdic
 
     def finish(point_cur: tuple[int, ...]) -> Verdict:
         point = _replay(tuple(log), cur.var_ids, point_cur, inst.var_ids)
-        ok, value = verify_point(inst, point)
-        if not ok:
-            raise InternalGuaranteeError(
-                f"witness {point} scores {value}, target {inst.alpha}"
-            )
-        return Verdict(True, point, value, tuple(transcript))
+        return Verdict(True, point, _checked_value(inst, point), tuple(transcript))
 
     shortcut, lines = _support_shortcut(cur)
     transcript.extend(lines)
@@ -645,11 +633,7 @@ def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdic
         if k == 0:
             x_star = 0
         else:
-            cap = DEFAULT_POINT_CAP if max_points is None else max_points
-            points = 2 * e * cur.alpha + 1
-            if points > cap:
-                raise BudgetExceededError(f"scan window of {points} points exceeds cap {cap}")
-            hit = _scan_window(cur, i, e, partial)
+            hit = _scan_window(cur, i, e, partial, max_points)
             if hit is None:
                 raise InternalGuaranteeError(
                     f"no window point for x{gid} despite a nonzero coefficient"

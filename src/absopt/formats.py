@@ -23,7 +23,7 @@ lines (one integer per variable).
 
 from __future__ import annotations
 
-from .absio import AbsIoInstance, Bound
+from .absio import AbsIoInstance, Bound, _columns
 from .errors import InvalidInstanceError, ParseError
 from .model import (
     COMPARISONS,
@@ -67,6 +67,32 @@ def _terminated(toks: list[str], no: int) -> list[str]:
     return toks[:-1]
 
 
+def _records(text: str, roles: dict[str, str], what: str):
+    """The problem line, then each payload line, as (line number, tokens).
+
+    ``roles`` maps each payload line's first token to the noun its errors
+    use; ``what`` names the file in the error for any other line.
+    """
+    header = False
+    for no, toks in _lines(text):
+        if toks[0] == "p":
+            if header:
+                raise ParseError(no, "second problem line")
+            header = True
+        elif toks[0] not in roles:
+            raise ParseError(no, f"unexpected line {toks[0]!r} in a {what} file")
+        elif not header:
+            raise ParseError(no, f"{roles[toks[0]]} before the problem line")
+        yield no, toks
+    if not header:
+        raise ParseError(0, "no problem line found")
+
+
+def _count(promised: int, found: list, noun: str) -> None:
+    if len(found) != promised:
+        raise ParseError(0, f"header promises {promised} {noun}, file has {len(found)}")
+
+
 def _problem_line(text: str) -> tuple[int, list[str]]:
     for no, toks in _lines(text):
         if toks[0] != "p":
@@ -87,53 +113,41 @@ def detect_kind(text: str) -> str:
 
 
 def parse_formula(text: str) -> WeightedFormula:
-    header = None
+    records = _records(text, {"w": "clause"}, "formula")
+    no, toks = next(records)
+    if len(toks) not in (5, 6, 7) or toks[1] not in ("wdnf", "wcnf"):
+        raise ParseError(no, "expected: p wdnf|wcnf nvars nclauses alpha [objective] [comparison]")
+    kind = KIND_DNF if toks[1] == "wdnf" else KIND_CNF
+    nvars = _nonneg(toks[2], no, "variable count")
+    nclauses = _nonneg(toks[3], no, "clause count")
+    alpha = _nonneg(toks[4], no, "target")
+    objective = OBJ_ABS
+    comparison = CMP_ATLEAST
+    if len(toks) >= 6:
+        if toks[5] not in OBJECTIVES:
+            raise ParseError(no, f"objective must be abs or sum, got {toks[5]!r}")
+        objective = toks[5]
+    if len(toks) == 7:
+        if toks[6] not in COMPARISONS:
+            raise ParseError(no, f"comparison must be atleast, exact, or atmost, got {toks[6]!r}")
+        comparison = toks[6]
     clauses: list[tuple[list[int], int]] = []
-    for no, toks in _lines(text):
-        if toks[0] == "p":
-            if header is not None:
-                raise ParseError(no, "second problem line")
-            if len(toks) not in (5, 6, 7) or toks[1] not in ("wdnf", "wcnf"):
-                raise ParseError(no, "expected: p wdnf|wcnf nvars nclauses alpha [objective] [comparison]")
-            kind = KIND_DNF if toks[1] == "wdnf" else KIND_CNF
-            nvars = _nonneg(toks[2], no, "variable count")
-            nclauses = _nonneg(toks[3], no, "clause count")
-            alpha = _nonneg(toks[4], no, "target")
-            objective = OBJ_ABS
-            comparison = CMP_ATLEAST
-            if len(toks) >= 6:
-                if toks[5] not in OBJECTIVES:
-                    raise ParseError(no, f"objective must be abs or sum, got {toks[5]!r}")
-                objective = toks[5]
-            if len(toks) == 7:
-                if toks[6] not in COMPARISONS:
-                    raise ParseError(no, f"comparison must be atleast, exact, or atmost, got {toks[6]!r}")
-                comparison = toks[6]
-            header = (kind, nvars, nclauses, alpha, objective, comparison)
-        elif toks[0] == "w":
-            if header is None:
-                raise ParseError(no, "clause before the problem line")
-            if len(toks) < 3:
-                raise ParseError(no, "clause line needs a weight and a 0 terminator")
-            weight = _int(toks[1], no, "weight")
-            lits = [_int(t, no, "literal") for t in _terminated(toks[2:], no)]
-            seen = set()
-            for lit in lits:
-                if lit == 0:
-                    raise ParseError(no, "literal 0 inside a clause")
-                if abs(lit) > header[1]:
-                    raise ParseError(no, f"literal {lit} exceeds {header[1]} variables")
-                if abs(lit) in seen:
-                    raise ParseError(no, f"variable {abs(lit)} repeats in one clause")
-                seen.add(abs(lit))
-            clauses.append((lits, weight))
-        else:
-            raise ParseError(no, f"unexpected line {toks[0]!r} in a formula file")
-    if header is None:
-        raise ParseError(0, "no problem line found")
-    kind, nvars, nclauses, alpha, objective, comparison = header
-    if len(clauses) != nclauses:
-        raise ParseError(0, f"header promises {nclauses} clauses, file has {len(clauses)}")
+    for no, toks in records:
+        if len(toks) < 3:
+            raise ParseError(no, "clause line needs a weight and a 0 terminator")
+        weight = _int(toks[1], no, "weight")
+        lits = [_int(t, no, "literal") for t in _terminated(toks[2:], no)]
+        seen = set()
+        for lit in lits:
+            if lit == 0:
+                raise ParseError(no, "literal 0 inside a clause")
+            if abs(lit) > nvars:
+                raise ParseError(no, f"literal {lit} exceeds {nvars} variables")
+            if abs(lit) in seen:
+                raise ParseError(no, f"variable {abs(lit)} repeats in one clause")
+            seen.add(abs(lit))
+        clauses.append((lits, weight))
+    _count(nclauses, clauses, "clauses")
     return WeightedFormula(kind, nvars, tuple((tuple(l), w) for l, w in clauses),
                            alpha, objective, comparison)
 
@@ -150,56 +164,43 @@ def serialize_formula(phi: WeightedFormula) -> str:
 
 
 def parse_hypergraph(text: str) -> WeightedHypergraph:
-    header = None
+    records = _records(text, {"n": "vertex list", "e": "edge"}, "hypergraph")
+    no, toks = next(records)
+    if len(toks) != 5 or toks[1] != "uhg":
+        raise ParseError(no, "expected: p uhg nvertices nedges alpha")
+    nvertices = _nonneg(toks[2], no, "vertex count")
+    nedges = _nonneg(toks[3], no, "edge count")
+    alpha = _nonneg(toks[4], no, "target")
     known: set[int] | None = None
     edges: list[tuple[list[int], int]] = []
-    for no, toks in _lines(text):
-        if toks[0] == "p":
-            if header is not None:
-                raise ParseError(no, "second problem line")
-            if len(toks) != 5 or toks[1] != "uhg":
-                raise ParseError(no, "expected: p uhg nvertices nedges alpha")
-            header = (
-                _nonneg(toks[2], no, "vertex count"),
-                _nonneg(toks[3], no, "edge count"),
-                _nonneg(toks[4], no, "target"),
-            )
-        elif toks[0] == "n":
-            if header is None:
-                raise ParseError(no, "vertex list before the problem line")
+    for no, toks in records:
+        if toks[0] == "n":
             if known is not None:
                 raise ParseError(no, "second vertex list")
             if edges:
                 raise ParseError(no, "vertex list must come before the edges")
             ids = [_int(t, no, "vertex id") for t in _terminated(toks[1:], no)]
-            if len(ids) != header[0]:
-                raise ParseError(no, f"header promises {header[0]} vertices, list has {len(ids)}")
+            if len(ids) != nvertices:
+                raise ParseError(no, f"header promises {nvertices} vertices, list has {len(ids)}")
             known = set(ids)
             if len(known) != len(ids) or any(v < 1 for v in ids):
                 raise ParseError(no, "vertex ids must be distinct positive integers")
-        elif toks[0] == "e":
-            if header is None:
-                raise ParseError(no, "edge before the problem line")
-            if len(toks) < 3:
-                raise ParseError(no, "edge line needs a weight and a 0 terminator")
-            weight = _int(toks[1], no, "weight")
-            vs = [_int(t, no, "vertex") for t in _terminated(toks[2:], no)]
-            seen = set()
-            for v in vs:
-                if v < 1 or (known is None and v > header[0]) or (known is not None and v not in known):
-                    raise ParseError(no, f"vertex {v} is not in the vertex set")
-                if v in seen:
-                    raise ParseError(no, f"vertex {v} repeats in one edge")
-                seen.add(v)
-            edges.append((vs, weight))
-        else:
-            raise ParseError(no, f"unexpected line {toks[0]!r} in a hypergraph file")
-    if header is None:
-        raise ParseError(0, "no problem line found")
-    if len(edges) != header[1]:
-        raise ParseError(0, f"header promises {header[1]} edges, file has {len(edges)}")
-    vertices = frozenset(known) if known is not None else header[0]
-    return WeightedHypergraph(vertices, tuple((tuple(e), w) for e, w in edges), header[2])
+            continue
+        if len(toks) < 3:
+            raise ParseError(no, "edge line needs a weight and a 0 terminator")
+        weight = _int(toks[1], no, "weight")
+        vs = [_int(t, no, "vertex") for t in _terminated(toks[2:], no)]
+        seen = set()
+        for v in vs:
+            if v < 1 or (known is None and v > nvertices) or (known is not None and v not in known):
+                raise ParseError(no, f"vertex {v} is not in the vertex set")
+            if v in seen:
+                raise ParseError(no, f"vertex {v} repeats in one edge")
+            seen.add(v)
+        edges.append((vs, weight))
+    _count(nedges, edges, "edges")
+    vertices = frozenset(known) if known is not None else nvertices
+    return WeightedHypergraph(vertices, tuple((tuple(e), w) for e, w in edges), alpha)
 
 
 def serialize_hypergraph(h: WeightedHypergraph) -> str:
@@ -220,25 +221,18 @@ def _bound_token(tok: str, no: int) -> Bound:
 
 
 def parse_absio(text: str) -> AbsIoInstance:
-    header = None
+    records = _records(text, {"col": "term", "b": "bounds"}, "polynomial")
+    no, toks = next(records)
+    if len(toks) != 5 or toks[1] != "absio":
+        raise ParseError(no, "expected: p absio nvars nterms alpha")
+    n = _nonneg(toks[2], no, "variable count")
+    m = _nonneg(toks[3], no, "term count")
+    alpha = _nonneg(toks[4], no, "target")
     cols: list[tuple[int, dict[int, int]]] = []
     lower: dict[int, Bound] = {}
     upper: dict[int, Bound] = {}
-    bounded: set[int] = set()
-    for no, toks in _lines(text):
-        if toks[0] == "p":
-            if header is not None:
-                raise ParseError(no, "second problem line")
-            if len(toks) != 5 or toks[1] != "absio":
-                raise ParseError(no, "expected: p absio nvars nterms alpha")
-            header = (
-                _nonneg(toks[2], no, "variable count"),
-                _nonneg(toks[3], no, "term count"),
-                _nonneg(toks[4], no, "target"),
-            )
-        elif toks[0] == "col":
-            if header is None:
-                raise ParseError(no, "term before the problem line")
+    for no, toks in records:
+        if toks[0] == "col":
             if len(toks) < 3:
                 raise ParseError(no, "term line needs a weight and a 0 terminator")
             weight = _int(toks[1], no, "weight")
@@ -249,38 +243,29 @@ def parse_absio(text: str) -> AbsIoInstance:
                 left, right = tok.split(":", 1)
                 i = _int(left, no, "variable")
                 a = _int(right, no, "exponent")
-                if i < 1 or i > header[0]:
-                    raise ParseError(no, f"variable {i} is not in 1..{header[0]}")
+                if i < 1 or i > n:
+                    raise ParseError(no, f"variable {i} is not in 1..{n}")
                 if a < 1:
                     raise ParseError(no, f"exponent for variable {i} must be positive")
                 if i in entries:
                     raise ParseError(no, f"variable {i} repeats in one term")
                 entries[i] = a
             cols.append((weight, entries))
-        elif toks[0] == "b":
-            if header is None:
-                raise ParseError(no, "bounds before the problem line")
-            if len(toks) != 4:
-                raise ParseError(no, "expected: b <var> <min|-inf> <max|inf>")
-            i = _int(toks[1], no, "variable")
-            if i < 1 or i > header[0]:
-                raise ParseError(no, f"variable {i} is not in 1..{header[0]}")
-            if i in bounded:
-                raise ParseError(no, f"second bounds line for variable {i}")
-            bounded.add(i)
-            lower[i] = _bound_token(toks[2], no)
-            upper[i] = _bound_token(toks[3], no)
-            if toks[2] in ("inf", "+inf"):
-                raise ParseError(no, "lower bound cannot be +inf")
-            if toks[3] == "-inf":
-                raise ParseError(no, "upper bound cannot be -inf")
-        else:
-            raise ParseError(no, f"unexpected line {toks[0]!r} in a polynomial file")
-    if header is None:
-        raise ParseError(0, "no problem line found")
-    n, m, alpha = header
-    if len(cols) != m:
-        raise ParseError(0, f"header promises {m} terms, file has {len(cols)}")
+            continue
+        if len(toks) != 4:
+            raise ParseError(no, "expected: b <var> <min|-inf> <max|inf>")
+        i = _int(toks[1], no, "variable")
+        if i < 1 or i > n:
+            raise ParseError(no, f"variable {i} is not in 1..{n}")
+        if i in lower:
+            raise ParseError(no, f"second bounds line for variable {i}")
+        lower[i] = _bound_token(toks[2], no)
+        upper[i] = _bound_token(toks[3], no)
+        if toks[2] in ("inf", "+inf"):
+            raise ParseError(no, "lower bound cannot be +inf")
+        if toks[3] == "-inf":
+            raise ParseError(no, "upper bound cannot be -inf")
+    _count(m, cols, "terms")
     exponents = tuple(
         tuple(entries.get(i, 0) for _, entries in cols) for i in range(1, n + 1)
     )
@@ -294,14 +279,8 @@ def serialize_absio(inst: AbsIoInstance) -> str:
     if inst.var_ids != tuple(range(1, inst.num_vars + 1)):
         raise InvalidInstanceError("only identity variable ids can be serialized")
     out = [f"p absio {inst.num_vars} {inst.num_terms} {inst.alpha}"]
-    for j in range(inst.num_terms):
-        parts = [
-            f"{i + 1}:{inst.exponents[i][j]}"
-            for i in range(inst.num_vars)
-            if inst.exponents[i][j] > 0
-        ]
-        body = " ".join(parts)
-        w = inst.weights[j]
+    for col, w in zip(_columns(inst.exponents, inst.num_terms), inst.weights):
+        body = " ".join(f"{i}:{a}" for i, a in enumerate(col, start=1) if a)
         out.append(f"col {w} {body} 0" if body else f"col {w} 0")
     for i in range(inst.num_vars):
         lo = "-inf" if inst.lower[i] is None else str(inst.lower[i])
@@ -311,40 +290,31 @@ def serialize_absio(inst: AbsIoInstance) -> str:
 
 
 def parse_graph(text: str) -> Graph:
-    header = None
+    records = _records(text, {"e": "edge"}, "graph")
+    no, toks = next(records)
+    if len(toks) != 4 or toks[1] != "edge":
+        raise ParseError(no, "expected: p edge nvertices nedges")
+    n = _nonneg(toks[2], no, "vertex count")
+    nedges = _nonneg(toks[3], no, "edge count")
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for no, toks in _lines(text):
-        if toks[0] == "p":
-            if header is not None:
-                raise ParseError(no, "second problem line")
-            if len(toks) != 4 or toks[1] != "edge":
-                raise ParseError(no, "expected: p edge nvertices nedges")
-            header = (_nonneg(toks[2], no, "vertex count"), _nonneg(toks[3], no, "edge count"))
-        elif toks[0] == "e":
-            if header is None:
-                raise ParseError(no, "edge before the problem line")
-            if len(toks) != 3:
-                raise ParseError(no, "expected: e <u> <v>")
-            u = _int(toks[1], no, "vertex")
-            v = _int(toks[2], no, "vertex")
-            for x in (u, v):
-                if x < 1 or x > header[0]:
-                    raise ParseError(no, f"vertex {x} is not in 1..{header[0]}")
-            if u == v:
-                raise ParseError(no, f"self-loop at {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ParseError(no, f"edge {key} repeats")
-            seen.add(key)
-            edges.append(key)
-        else:
-            raise ParseError(no, f"unexpected line {toks[0]!r} in a graph file")
-    if header is None:
-        raise ParseError(0, "no problem line found")
-    if len(edges) != header[1]:
-        raise ParseError(0, f"header promises {header[1]} edges, file has {len(edges)}")
-    return Graph(header[0], tuple(edges))
+    for no, toks in records:
+        if len(toks) != 3:
+            raise ParseError(no, "expected: e <u> <v>")
+        u = _int(toks[1], no, "vertex")
+        v = _int(toks[2], no, "vertex")
+        for x in (u, v):
+            if x < 1 or x > n:
+                raise ParseError(no, f"vertex {x} is not in 1..{n}")
+        if u == v:
+            raise ParseError(no, f"self-loop at {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ParseError(no, f"edge {key} repeats")
+        seen.add(key)
+        edges.append(key)
+    _count(nedges, edges, "edges")
+    return Graph(n, tuple(edges))
 
 
 def serialize_graph(g: Graph) -> str:

@@ -84,8 +84,10 @@ def _checked_value(instance, witness) -> int:
     if not ok:
         if isinstance(witness, Assignment):
             witness = witness.true_vars()
+        if not isinstance(witness, tuple):  # a set; a point stays in coordinate order
+            witness = sorted(witness)
         raise InternalGuaranteeError(
-            f"witness {sorted(witness)} scores {value}, target {instance.alpha}"
+            f"witness {witness} scores {value}, target {instance.alpha}"
         )
     return value
 

@@ -10,6 +10,7 @@ from absopt import (
     AbsIoInstance,
     BudgetExceededError,
     ContractViolationError,
+    InternalGuaranteeError,
     InvalidInstanceError,
     brute_force_absio,
     eval_poly,
@@ -542,6 +543,17 @@ def test_solve_alpha_zero():
     assert v.decision and v.witness == (3,)
     empty = _inst([(1,)], (1,), (9,), (3,), 0)
     assert not solve_absio(empty).decision
+
+
+def test_bad_witness_is_a_bug(monkeypatch):
+    # solve_absio re-checks its witness through pipeline._checked_value, which
+    # prints a point in coordinate order
+    inst = _inst([(1, 0), (0, 1)], (1, 1), (0, 0), (5, 5), 3)
+    assert solve_absio(inst).decision
+    monkeypatch.setattr(absio, "_replay", lambda log, ids, point, target: (1, 0))
+    with pytest.raises(InternalGuaranteeError) as exc:
+        solve_absio(inst)
+    assert str(exc.value) == "witness (1, 0) scores 1, target 3"
 
 
 def test_solve_budget_propagates():

@@ -99,19 +99,26 @@ def test_solve_budget(tmp_path, capsys):
 
 def test_solve_absio_scan_window_budget(tmp_path, capsys):
     # p = x1 over [0, inf): the k=1 child only asks for a nonzero coefficient,
-    # and extending its witness scans a window of 2*e*alpha + 1 points, here
-    # 2*10^12 + 1, past the default point cap, so the solve stops at once
+    # and extending its witness scans a window of 2*e*alpha + 1 points from 0,
+    # here 2*10^12 + 1; the first hit, x1 = 10^12, lies past the default cap
     wide = _write(tmp_path, "wide.absio", "p absio 1 1 1000000000000\ncol 1 1:1 0\nb 1 0 inf\n")
     assert main(["solve", wide]) == EXIT_BUDGET
-    assert "budget: scan window of 2000000000001 points" in capsys.readouterr().err
-    # at target 1000 the window holds 2001 points: within the default cap,
-    # one past a cap of 2000
+    assert "budget: scan window of 2000000000001 points exceeds cap 2000000" in (
+        capsys.readouterr().err
+    )
+    # at target 1000 the window holds 2001 points and the hit is the 1001st
     narrow = _write(tmp_path, "narrow.absio", "p absio 1 1 1000\ncol 1 1:1 0\nb 1 0 inf\n")
     assert main(["solve", narrow]) == EXIT_YES
     assert "x 1 1000" in capsys.readouterr().out
-    assert main(["solve", narrow, "--cap", "2001"]) == EXIT_YES
-    assert main(["solve", narrow, "--cap", "2000"]) == EXIT_BUDGET
-    assert "budget:" in capsys.readouterr().err
+    assert main(["solve", narrow, "--cap", "1001"]) == EXIT_YES
+    assert "x 1 1000" in capsys.readouterr().out
+    assert main(["solve", narrow, "--cap", "1000"]) == EXIT_BUDGET
+    assert "budget: scan window of 2001 points exceeds cap 1000" in capsys.readouterr().err
+    # a window far past the cap whose hit comes early is scanned, not refused:
+    # p = 10^6 x1 reaches 10^7 at x1 = 10
+    early = _write(tmp_path, "early.absio", "p absio 1 1 10000000\ncol 1000000 1:1 0\nb 1 0 inf\n")
+    assert main(["solve", early]) == EXIT_YES
+    assert "x 1 10\n" in capsys.readouterr().out
 
 
 def test_solve_missing_file(capsys):

@@ -166,6 +166,47 @@ def test_graph_roundtrip_and_errors():
         assert exc.value.line_no == line
 
 
+# The errors every instance grammar shares, with their full text.
+SHARED_PARSE_ERRORS = [
+    (parse_formula, "w 1 1 0\n", "line 1: clause before the problem line"),
+    (parse_formula, "p wdnf 1 0 0\np wdnf 1 0 0\n", "line 2: second problem line"),
+    (parse_formula, "p wdnf 1 0 0\nq 1\n", "line 2: unexpected line 'q' in a formula file"),
+    (parse_formula, "q 1\n", "line 1: unexpected line 'q' in a formula file"),
+    (parse_formula, "c only\n", "line 0: no problem line found"),
+    (parse_formula, "p wcnf 1 2 0\nw 1 1 0\n",
+     "line 0: header promises 2 clauses, file has 1"),
+    (parse_hypergraph, "n 1 0\n", "line 1: vertex list before the problem line"),
+    (parse_hypergraph, "e 1 1 0\n", "line 1: edge before the problem line"),
+    (parse_hypergraph, "p uhg 1 0 0\np uhg 1 0 0\n", "line 2: second problem line"),
+    (parse_hypergraph, "p uhg 1 0 0\nw 1 0\n",
+     "line 2: unexpected line 'w' in a hypergraph file"),
+    (parse_hypergraph, "", "line 0: no problem line found"),
+    (parse_hypergraph, "p uhg 1 0 0\ne 1 1 0\n", "line 0: header promises 0 edges, file has 1"),
+    (parse_absio, "col 1 0\n", "line 1: term before the problem line"),
+    (parse_absio, "b 1 0 1\n", "line 1: bounds before the problem line"),
+    (parse_absio, "p absio 1 0 0\np absio 1 0 0\n", "line 2: second problem line"),
+    (parse_absio, "p absio 1 0 0\ne 1 0\n",
+     "line 2: unexpected line 'e' in a polynomial file"),
+    (parse_absio, "\nc\n", "line 0: no problem line found"),
+    (parse_absio, "p absio 1 1 0\n", "line 0: header promises 1 terms, file has 0"),
+    (parse_graph, "e 1 2\n", "line 1: edge before the problem line"),
+    (parse_graph, "p edge 2 0\np edge 2 0\n", "line 2: second problem line"),
+    (parse_graph, "p edge 2 0\ncol 1 0\n", "line 2: unexpected line 'col' in a graph file"),
+    (parse_graph, "c\n", "line 0: no problem line found"),
+    (parse_graph, "p edge 2 2\ne 1 2\n", "line 0: header promises 2 edges, file has 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse,text,message", SHARED_PARSE_ERRORS,
+    ids=[f"{parse.__name__}-{k}" for k, (parse, _, _) in enumerate(SHARED_PARSE_ERRORS)],
+)
+def test_shared_parse_error_text(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_detect_and_dispatch():
     samples = {
         "wdnf": "p wdnf 1 0 0\n",

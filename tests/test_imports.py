@@ -1,8 +1,10 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used, and no private helper is dead.
 
 No linter ships with the package, so this walks each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` must be read somewhere in
 the same file.  ``__init__.py`` is skipped, since it imports to re-export.
+A module-level ``_name`` defined anywhere in the package must be read,
+imported or reached as an attribute somewhere in the package.
 """
 
 import ast
@@ -12,7 +14,8 @@ import pytest
 
 import absopt
 
-MODULES = sorted(p for p in Path(absopt.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(absopt.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -37,3 +40,41 @@ def test_no_unused_imports(path):
 def test_unused_import_check_catches_one():
     source = "import os\nfrom .model import KIND_CNF, KIND_DNF\nprint(KIND_DNF)\n"
     assert _unused_imports(source) == ["line 1: os", "line 2: KIND_CNF"]
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    defined, used = {}, set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                continue
+            for target in targets:
+                if target.startswith("_") and not target.startswith("__"):
+                    defined.setdefault(target, f"{name}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(f"{where}: {target}" for target, where in defined.items() if target not in used)
+
+
+def test_no_dead_private_helpers():
+    assert _dead_private_names({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_dead_private_check_catches_one():
+    sources = {
+        "a.py": "_LIMIT = 3\n\ndef _used():\n    return _LIMIT\n\n"
+                "def _dead(rows):\n    return rows\n\nclass _Gone:\n    pass\n",
+        "b.py": "from .a import _used\nimport a\nprint(a._used, _used)\n",
+    }
+    assert _dead_private_names(sources) == ["a.py:6: _dead", "a.py:9: _Gone"]
