@@ -343,20 +343,6 @@ def rule6_shift(inst: AbsIoInstance) -> tuple[AbsIoInstance, tuple[LogEntry, ...
 # --- exact enumeration ----------------------------------------------------
 
 
-def _horner_scan(
-    coeffs: list[int], lo: int, hi: int, alpha: int
-) -> tuple[int, int] | None:
-    """First x in [lo, hi] with |sum_k coeffs[k] x^k| >= alpha, and its value."""
-    top = coeffs[::-1]
-    for x in range(lo, hi + 1):
-        value = 0
-        for c in top:
-            value = value * x + c
-        if abs(value) >= alpha:
-            return x, value
-    return None
-
-
 def _split(terms: dict[tuple[int, ...], int], k: int):
     # p over the first k variables as ((e, q_e), ...) with p = sum_e x_k^e q_e,
     # e ascending and each q_e split the same way; over no variables, the
@@ -400,6 +386,19 @@ def _grid_parts(inst: AbsIoInstance, dtype) -> tuple[tuple, list[dict[int, np.nd
     return _split(terms, n), powers
 
 
+def _leaf_dtype(inst: AbsIoInstance) -> type:
+    # np.int64 when ``_grid_leaf`` on the finite box cannot overflow it, else
+    # object (Python ints).  Every value the leaf forms, a power of an axis
+    # included, is at most a sum of merged terms |c| * prod |x_i|^a with
+    # |c| >= 1, so at most bound: int64 is exact below I64_SAFE.
+    top = [max(abs(lo), abs(hi), 1) for lo, hi in zip(inst.lower, inst.upper)]
+    bound = sum(
+        abs(w) * math.prod(map(pow, top, col))
+        for col, w in zip(_columns(inst.exponents, inst.num_terms), inst.weights)
+    )
+    return np.int64 if bound < I64_SAFE and inst.alpha < I64_SAFE else object
+
+
 def _grid_leaf(inst: AbsIoInstance, dtype) -> tuple[int, ...] | None:
     """First point of the finite box in lexicographic order with |p| >= alpha.
 
@@ -407,7 +406,7 @@ def _grid_leaf(inst: AbsIoInstance, dtype) -> tuple[int, ...] | None:
     values are tested by their max and min before a hit mask is built; in the
     mask, the C-ordered argmax is the lexicographically first hit, also
     across axes of size 1.  ``dtype`` is ``np.int64`` or ``object`` (Python
-    ints); the caller checks that int64 cannot overflow.
+    ints), as ``_leaf_dtype`` picks it.
     """
     tree, powers = _grid_parts(inst, dtype)
     sides = [hi - lo + 1 for lo, hi in zip(inst.lower, inst.upper)]
@@ -451,16 +450,7 @@ def brute_force_absio(
             return Verdict(True, (), value, ("leaf points=1",))
         return Verdict(False, transcript=("leaf points=1",))
     transcript = (f"leaf points={total}",)
-    top = [max(abs(lo), abs(hi), 1) for lo, hi in zip(inst.lower, inst.upper)]
-    bound = sum(
-        abs(w) * math.prod(map(pow, top, col))
-        for col, w in zip(_columns(inst.exponents, inst.num_terms), inst.weights)
-    )
-    # Every value the leaf forms, a power of an axis included, is at most a
-    # sum of merged terms |c| * prod |x_i|^a with |c| >= 1, so at most bound:
-    # int64 is exact below I64_SAFE.
-    fits = bound < I64_SAFE and inst.alpha < I64_SAFE
-    point = _grid_leaf(inst, np.int64 if fits else object)
+    point = _grid_leaf(inst, _leaf_dtype(inst))
     if point is None:
         return Verdict(False, transcript=transcript)
     return Verdict(True, point, eval_poly(inst, point), transcript)
@@ -535,11 +525,12 @@ def _branch_child(inst: AbsIoInstance, i: int, k: int, child_alpha: int) -> AbsI
 def _scan_window(
     inst: AbsIoInstance, i: int, e: int, partial: dict[int, int],
     max_points: int | None = None,
-) -> tuple[int, int] | None:
-    # 2*e*alpha + 1 consecutive in-box integers; an integer polynomial of
-    # degree 1..e cannot stay below alpha in absolute value on all of them.
-    # At most the point cap of them are scanned, and a window past the cap
-    # with no hit among those exceeds the budget.
+) -> int | None:
+    # The first x of 2*e*alpha + 1 consecutive in-box integers with
+    # |p| >= alpha at the partial witness; an integer polynomial of degree
+    # 1..e cannot stay below alpha in absolute value on all of them.  At most
+    # the point cap of them are scanned, by the leaf on a one-variable box,
+    # and a window past the cap with no hit among those exceeds the budget.
     width = 2 * e * inst.alpha
     lo, hi = inst.lower[i], inst.upper[i]
     if lo is not None:
@@ -556,10 +547,13 @@ def _scan_window(
                 w *= partial[inst.var_ids[r]] ** a
         coeffs[col[i]] += w
     cap = DEFAULT_POINT_CAP if max_points is None else max_points
-    hit = _horner_scan(coeffs, start, start + min(width, cap - 1), inst.alpha)
+    line = AbsIoInstance(
+        (tuple(range(e + 1)),), coeffs, (start,), (start + min(width, cap - 1),), inst.alpha
+    )
+    hit = _grid_leaf(line, _leaf_dtype(line))
     if hit is None and width >= cap:
         raise BudgetExceededError(f"scan window of {width + 1} points exceeds cap {cap}")
-    return hit
+    return None if hit is None else hit[0]
 
 
 def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdict:
@@ -633,12 +627,11 @@ def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdic
         if k == 0:
             x_star = 0
         else:
-            hit = _scan_window(cur, i, e, partial, max_points)
-            if hit is None:
+            x_star = _scan_window(cur, i, e, partial, max_points)
+            if x_star is None:
                 raise InternalGuaranteeError(
                     f"no window point for x{gid} despite a nonzero coefficient"
                 )
-            x_star = hit[0]
         transcript.append(f"extend x{gid}={x_star}")
         point_cur = tuple(
             x_star if r == i else partial[cur.var_ids[r]]

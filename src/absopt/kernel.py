@@ -19,6 +19,7 @@ failure raises, since the extraction arguments admit none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import ContractViolationError, InternalGuaranteeError
 from .model import (
@@ -188,33 +189,29 @@ def rule3_degree(h: WeightedHypergraph) -> KernelOutcome | None:
 def rule4_subedge(h: WeightedHypergraph) -> VertexSet | None:
     """Find a subedge c with |link(c)| >= g(d-|c|) and all strict supersets small.
 
-    Scans candidate subedges by decreasing size (lexicographic within a
-    size); the first candidate meeting its link threshold automatically
-    satisfies the superset condition, every larger subedge having been
-    rejected and non-subedge supersets having empty links.  Returns the core
+    Scans core sizes from d-1 down and returns the lexicographically first
+    core of the first size with a link meeting its threshold; it satisfies
+    the superset condition, every larger subedge having been rejected and
+    non-subedge supersets having empty links.  A link holds at most |E|
+    edges and g(i) grows with i, so the scan stops at the first size whose
+    threshold exceeds |E|, before counting any link of it.  Returns the core
     or None.  Size-d candidates are skipped: nothing strictly contains them.
     """
     if h.alpha < 1 or h.d < 1 or _links_below_g(len(h.edges), h.d):
         return None
-    # One pass gives every candidate's link size: an edge strictly contains
-    # exactly its proper subsets among the candidates.
-    link_count: dict[VertexSet, int] = {}
-    for e, _ in h.edges:
-        for s in iter_subsets_lex(e):
-            if len(s) >= h.d:
-                continue
-            if s not in link_count:
-                link_count[s] = 0
-            if s != e:
-                link_count[s] += 1
-    by_size: dict[int, list[VertexSet]] = {}
-    for c in link_count:
-        by_size.setdefault(len(c), []).append(c)
-    for size in sorted(by_size, reverse=True):
+    for size in range(h.d - 1, -1, -1):
         threshold = g(h.d - size, h.alpha, h.d)
-        for c in sorted(by_size[size], key=_edge_key):
-            if link_count[c] >= threshold:
-                return c
+        if threshold > len(h.edges):
+            return None
+        # An edge strictly contains exactly its subsets of smaller size.
+        link_count: dict[tuple[int, ...], int] = {}
+        for e, _ in h.edges:
+            if len(e) > size:
+                for c in combinations(sorted(e), size):
+                    link_count[c] = link_count.get(c, 0) + 1
+        hits = [c for c, count in link_count.items() if count >= threshold]
+        if hits:
+            return frozenset(min(hits))
     return None
 
 

@@ -22,6 +22,7 @@ witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, product
 from typing import Iterable, Iterator
 
 from . import engine
@@ -406,8 +407,11 @@ def max_abs_hypergraph(h: WeightedHypergraph, *, max_vertices: int | None = None
 
 
 def iter_subsets_lex(vertices: Iterable[int]) -> Iterator[VertexSet]:
-    """Subsets of a vertex set in lexicographic membership-vector order."""
+    """Subsets of a vertex set in lexicographic membership-vector order.
+
+    The membership vectors, smallest vertex first, run in ``product`` order,
+    which is the binary count from the empty set to the full one.
+    """
     order = sorted(set(vertices))
-    n = len(order)
-    for rank in range(1 << n):
-        yield frozenset(order[i] for i in range(n) if rank >> (n - 1 - i) & 1)
+    for bits in product((0, 1), repeat=len(order)):
+        yield frozenset(compress(order, bits))

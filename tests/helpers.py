@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 
+from absopt import kernel
 from absopt.absio import AbsIoInstance
 from absopt.model import WeightedFormula, WeightedHypergraph
 from absopt.reductions import Graph
@@ -110,6 +111,34 @@ def naive_max_abs_hypergraph(h):
         if best is None or val > best[0]:
             best = val, xs
     return best
+
+
+def rule4_all_subsets(h):
+    """The subedge rule by counting the link of every subset of every edge.
+
+    Every candidate core (a subset of an edge, of size below d) gets its link
+    size in one pass; sizes are then tried from the largest down,
+    lexicographically within a size, against ``kernel.g``, looked up at call
+    time so a test can patch it, behind the same ``_links_below_g`` guard.
+    """
+    if h.alpha < 1 or h.d < 1 or kernel._links_below_g(len(h.edges), h.d):
+        return None
+    link_count = {}
+    for e, _ in h.edges:
+        for size in range(min(len(e), h.d - 1) + 1):
+            for s in map(frozenset, itertools.combinations(e, size)):
+                link_count.setdefault(s, 0)
+                if s != e:
+                    link_count[s] += 1
+    by_size = {}
+    for c in link_count:
+        by_size.setdefault(len(c), []).append(c)
+    for size in sorted(by_size, reverse=True):
+        threshold = kernel.g(h.d - size, h.alpha, h.d)
+        for c in sorted(by_size[size], key=sorted):
+            if link_count[c] >= threshold:
+                return c
+    return None
 
 
 def naive_absio_value(inst, point):

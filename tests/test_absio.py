@@ -317,7 +317,7 @@ def test_numpy_leaf_no_hit():
 
 
 def _window_reference(inst, i, e, partial):
-    # The window rule, scanned point by point through eval_poly.
+    # The window rule's first hit, scanned point by point through eval_poly.
     width = 2 * e * inst.alpha
     lo, hi = inst.lower[i], inst.upper[i]
     start = lo if lo is not None else (hi - width if hi is not None else 0)
@@ -326,7 +326,7 @@ def _window_reference(inst, i, e, partial):
         point[i] = x
         value = eval_poly(inst, point)
         if abs(value) >= inst.alpha:
-            return x, value
+            return x
     return None
 
 
@@ -334,7 +334,7 @@ def test_scan_window_matches_pointwise_scan():
     # x1 unbounded below: the window ends at hi
     inst = _inst([(1, 0), (0, 1)], (1, 1), (None, 0), (-40, 3), 7)
     assert _scan_window(inst, 0, 1, {2: 2}) == _window_reference(inst, 0, 1, {2: 2})
-    assert _scan_window(inst, 0, 1, {2: 2})[0] == -40 - 14
+    assert _scan_window(inst, 0, 1, {2: 2}) == -40 - 14
     rng = random.Random(29)
     ends = (None, -9, 0, 4)
     for _ in range(400):
@@ -353,6 +353,27 @@ def test_scan_window_matches_pointwise_scan():
         inst = _inst(inst.exponents, inst.weights, lower, upper, inst.alpha)
         partial = {g: rng.randint(-3, 3) for r, g in enumerate(inst.var_ids) if r != i}
         assert _scan_window(inst, i, e, partial) == _window_reference(inst, i, e, partial)
+
+
+def test_scan_window_slabs_and_python_ints(monkeypatch):
+    # the window runs on the leaf: with 3-point slabs a hit lies past the
+    # first slab, and a window starting near 3*10^9 squares past int64
+    monkeypatch.setattr(absio, "SLAB_POINTS", 3)
+    dtypes = []
+
+    def leaf(inst, dtype):
+        dtypes.append(dtype)
+        return _grid_leaf(inst, dtype)
+
+    monkeypatch.setattr(absio, "_grid_leaf", leaf)
+    linear = _inst([(1, 0), (0, 1)], (1, 1), (0, 0), (None, 0), 40)
+    assert _scan_window(linear, 0, 1, {2: 0}) == 40 == _window_reference(linear, 0, 1, {2: 0})
+    big = 3 * 10**9
+    square = _inst([(2, 0), (0, 1)], (1, 1), (big, 1), (None, 1), 7)
+    partial = {2: -(big**2)}
+    assert _scan_window(square, 0, 2, partial) == big + 1
+    assert _window_reference(square, 0, 2, partial) == big + 1
+    assert dtypes == [np.int64, object]
 
 
 def _pure_leaf_agrees(inst):

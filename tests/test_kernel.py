@@ -26,7 +26,8 @@ from absopt.kernel import (
     rule4_subedge,
     _links_below_g,
 )
-from helpers import naive_hypergraph_decide, random_hypergraph
+from absopt import kernel
+from helpers import naive_hypergraph_decide, random_hypergraph, rule4_all_subsets
 
 
 def test_g_values():
@@ -194,6 +195,44 @@ def test_rule4_prefers_larger_cores():
     petals = list(range(2, 34))
     h = _star(1, petals, [1] * 32, 1)
     assert rule4_subedge(h) == frozenset({1})
+
+
+def _small_thresholds(monkeypatch, table):
+    # g(i) = table[i], and no guard, so small instances reach every size
+    monkeypatch.setattr(kernel, "g", lambda i, alpha, d: table[i])
+    monkeypatch.setattr(kernel, "_links_below_g", lambda edge_count, d: False)
+
+
+def test_rule4_matches_all_subsets_reference(monkeypatch):
+    # non-decreasing small thresholds, as g's are, let cores of every size
+    # below d fire, and some instances fire none
+    rng = random.Random(53)
+    fired = set()
+    for _ in range(600):
+        d = rng.randint(1, 4)
+        h = random_hypergraph(rng, max_vertices=7, max_edges=24, max_d=d, max_alpha=3)
+        table = [1, rng.randint(1, len(h.edges) + 1)]
+        for _ in range(d - 1):
+            table.append(table[-1] + rng.randint(0, 3))
+        _small_thresholds(monkeypatch, table)
+        core = rule4_subedge(h)
+        assert core == rule4_all_subsets(h)
+        fired.add(None if core is None else len(core))
+    assert fired == {None, 0, 1, 2, 3}
+
+
+def test_rule4_threshold_equal_to_edge_count_fires(monkeypatch):
+    # every edge of the star strictly contains {1}: its link holds all of E
+    h = _star(1, [2, 3, 4], [1, -1, 1], 1)
+    _small_thresholds(monkeypatch, [1, 3, 4])
+    assert rule4_subedge(h) == frozenset({1})
+    # at |E| + 1 the size is skipped before any link of it is counted, and so
+    # is every smaller size
+    calls = []
+    monkeypatch.setattr(kernel, "g", lambda i, alpha, d: calls.append(i) or 4)
+    monkeypatch.setattr(kernel, "combinations", None)
+    assert rule4_subedge(h) is None
+    assert calls == [1]
 
 
 def test_kernelize_rejects_unknown_mode():

@@ -210,6 +210,18 @@ def test_iter_subsets_lex_order():
         frozenset({1, 3}),
         frozenset({1, 3, 7}),
     ]
+    # the rank definition: bit n-1-i of the rank holds the i-th smallest
+    # vertex; duplicates count once
+    rng = random.Random(7)
+    for n in range(7):
+        order = sorted(rng.sample(range(1, 60), n))
+        want = [
+            frozenset(order[i] for i in range(n) if rank >> (n - 1 - i) & 1)
+            for rank in range(1 << n)
+        ]
+        assert list(iter_subsets_lex(order[::-1] + order)) == want
+    # lazy: the first subset of a 2^40-subset set comes at once
+    assert next(iter_subsets_lex(range(40))) == frozenset()
 
 
 def _inside(v, intervals):
