@@ -27,8 +27,6 @@ from .model import (
     eval_formula,
     induced_weight,
     link,
-    max_abs_formula,
-    max_abs_hypergraph,
     max_degree,
 )
 from .pipeline import (
@@ -85,8 +83,6 @@ __all__ = [
     "induced_weight",
     "kernelize",
     "link",
-    "max_abs_formula",
-    "max_abs_hypergraph",
     "max_degree",
     "monotonize_abs_dnf",
     "qualifies",

@@ -183,8 +183,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     graph = formats.parse_instance(_read(args.graph))
     if not isinstance(graph, Graph):
         raise InvalidInstanceError("generate expects a p edge graph file")
-    if args.k < 0:
-        raise InvalidInstanceError("k must be non-negative")
     phi = _GENERATORS[args.generator](graph, args.k)
     _emit(formats.serialize_formula(phi), args.output)
     return 0

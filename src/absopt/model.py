@@ -291,27 +291,6 @@ def _check_cap(size: int, cap: int | None, what: str) -> None:
         raise BudgetExceededError(f"{what} enumeration over {size} exceeds cap {limit}")
 
 
-def _max_abs_rows(num_vars: int, rows) -> tuple[int, int]:
-    """Largest |value| over all assignments, and the mask of the first reaching it.
-
-    Bisects alpha over [0, T], T the total absolute weight, with one
-    ``decide`` on |value| >= alpha per step.  A hit raises the lower end to
-    its own |value|, so the last hit is the first assignment of the largest
-    |value|; with no hit every value is 0 and the all-false mask is first.
-    The number of calls grows with log2 T: on 14 variables and 120 random
-    rows it was about 9, 45 and 106 at 4-, 40- and 100-bit weights.
-    """
-    lo, hi, mask = 0, sum(abs(wt) for _, _, wt in rows), 0
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        found, hit, value = engine.decide(num_vars, rows, ((mid, None), (None, -mid)))
-        if found:
-            lo, mask = abs(value), hit
-        else:
-            hi = mid - 1
-    return lo, mask
-
-
 def _rows(clauses, cnf: bool = False) -> tuple[list[int], list[tuple[int, int, int]]]:
     """The ids that occur in some clause, ascending, and the clauses as DNF rows over them.
 
@@ -378,32 +357,6 @@ def brute_force_hypergraph(h: WeightedHypergraph, *, max_vertices: int | None = 
     if hit is None:
         return Verdict(False)
     return Verdict(True, *hit)
-
-
-def max_abs_formula(phi: WeightedFormula, *, max_vars: int | None = None) -> tuple[int, Assignment]:
-    """Largest |value| over all assignments, with its earliest witness.
-
-    It bisects with ``decide`` (``_max_abs_rows``); on 14 variables and 120
-    rows that takes about 1.5x the time of one search for the max and min
-    at 4-bit weights, 20x at 40-bit and 50x at 100-bit weights.
-    """
-    _check_cap(phi.num_vars, max_vars, "assignment")
-    order, rows = _rows(phi.clauses, phi.kind == KIND_CNF)
-    best, mask = _max_abs_rows(len(order), rows)
-    return best, Assignment.from_true_vars(phi.num_vars, _subset(mask, order))
-
-
-def max_abs_hypergraph(h: WeightedHypergraph, *, max_vertices: int | None = None) -> tuple[int, VertexSet]:
-    """Largest |w[X]| over all subsets, with its earliest witness.
-
-    It bisects with ``decide`` (``_max_abs_rows``); on 14 variables and 120
-    rows that takes about 1.5x the time of one search for the max and min
-    at 4-bit weights, 20x at 40-bit and 50x at 100-bit weights.
-    """
-    _check_cap(h.num_vertices, max_vertices, "subset")
-    order, rows = _rows(h.edges)
-    best, mask = _max_abs_rows(len(order), rows)
-    return best, _subset(mask, order)
 
 
 def iter_subsets_lex(vertices: Iterable[int]) -> Iterator[VertexSet]:

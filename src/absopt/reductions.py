@@ -1,9 +1,9 @@
 """Value-preserving formula transforms and graph-based instance generators.
 
 Every transform preserves the signed value of every assignment exactly, so
-decisions and optima carry over unchanged.  Each returns a receipt mapping
-output clauses (or edges) to the input objects they came from; variables keep
-their identities throughout.
+decisions and optima carry over unchanged; variables keep their identities.
+Each returns its output with a receipt naming the transform and both kinds;
+the pair stays because ``perfbench/spans.py`` reads outputs off the tuple.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ DEFAULT_WIDTH_CAP = 10
 
 @dataclass(frozen=True)
 class ReductionReceipt:
-    """Provenance of a transform: per output clause/edge, the input indices."""
+    """The transform that ran, with the kinds of its input and output."""
 
     transform: str
     source_kind: str
     target_kind: str
-    origins: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -64,39 +63,6 @@ class Graph:
             normalized.append(e)
         object.__setattr__(self, "edges", tuple(normalized))
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return frozenset(out)
-
-
-class _MergeList:
-    """Ordered clause accumulator merging equal keys, tracking origins."""
-
-    def __init__(self) -> None:
-        self.order: list[frozenset] = []
-        self.weights: dict[frozenset, int] = {}
-        self.origins: dict[frozenset, set[int]] = {}
-
-    def add(self, key: frozenset, weight: int, origins) -> None:
-        if key in self.weights:
-            self.weights[key] += weight
-            self.origins[key].update(origins)
-        else:
-            self.order.append(key)
-            self.weights[key] = weight
-            self.origins[key] = set(origins)
-
-    def items(self) -> list[tuple[frozenset, int]]:
-        return [(k, self.weights[k]) for k in self.order]
-
-    def origin_tuples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(self.origins[k])) for k in self.order)
-
 
 def monotonize_abs_dnf(phi: WeightedFormula) -> tuple[WeightedFormula, ReductionReceipt]:
     """Rewrite a DNF with negated variables into a monotone DNF.
@@ -105,15 +71,15 @@ def monotonize_abs_dnf(phi: WeightedFormula) -> tuple[WeightedFormula, Reduction
     variables and N its negated ones, ``AND(P) AND NOT(N)`` equals the sum over
     subsets S of N of ``(-1)^|S| AND(P | S)``.  Every assignment keeps its
     exact signed value, and clause width never grows.  Subsets are taken in
-    ``iter_subsets_lex`` order and equal literal sets merge once, in order of
-    first appearance, keeping weights that cancel to zero; that fixes the
-    output clause order.  A clause with more than ``DEFAULT_WIDTH_CAP``
+    ``iter_subsets_lex`` order and the constructor merges equal literal sets
+    in order of first appearance, keeping weights that cancel to zero; that
+    fixes the output clause order.  A clause with more than ``DEFAULT_WIDTH_CAP``
     negated literals exceeds the budget, since it expands into 2^|N| clauses.
     """
     if phi.kind != KIND_DNF:
         raise ContractViolationError("monotonization expects a DNF")
-    acc = _MergeList()
-    for i, (lits, wt) in enumerate(phi.clauses):
+    clauses = []
+    for lits, wt in phi.clauses:
         negated = [-l for l in lits if l < 0]
         if len(negated) > DEFAULT_WIDTH_CAP:
             raise BudgetExceededError(
@@ -121,12 +87,11 @@ def monotonize_abs_dnf(phi: WeightedFormula) -> tuple[WeightedFormula, Reduction
             )
         positive = frozenset(l for l in lits if l > 0)
         for subset in iter_subsets_lex(negated):
-            acc.add(positive | subset, -wt if len(subset) % 2 else wt, (i,))
+            clauses.append((positive | subset, -wt if len(subset) % 2 else wt))
     out = WeightedFormula(
-        KIND_DNF, phi.num_vars, tuple(acc.items()), phi.alpha, phi.objective, phi.comparison
+        KIND_DNF, phi.num_vars, clauses, phi.alpha, phi.objective, phi.comparison
     )
-    receipt = ReductionReceipt("monotonize", KIND_DNF, KIND_DNF, acc.origin_tuples())
-    return out, receipt
+    return out, ReductionReceipt("monotonize", KIND_DNF, KIND_DNF)
 
 
 def encode_dnf_as_hypergraph(
@@ -141,14 +106,8 @@ def encode_dnf_as_hypergraph(
     """
     if phi.kind != KIND_DNF or not phi.monotone:
         raise ContractViolationError("hypergraph encoding expects a monotone DNF")
-    acc = _MergeList()
-    for i, (lits, wt) in enumerate(phi.clauses):
-        acc.add(frozenset(lits), wt, (i,))
-    h = WeightedHypergraph(
-        phi.num_vars, tuple(acc.items()), phi.alpha, phi.width,
-    )
-    receipt = ReductionReceipt("encode-hypergraph", KIND_DNF, "hypergraph", acc.origin_tuples())
-    return h, receipt
+    h = WeightedHypergraph(phi.num_vars, phi.clauses, phi.alpha, phi.width)
+    return h, ReductionReceipt("encode-hypergraph", KIND_DNF, "hypergraph")
 
 
 def abs_cnf_to_abs_dnf(phi: WeightedFormula) -> tuple[WeightedFormula, ReductionReceipt]:
@@ -164,20 +123,19 @@ def abs_cnf_to_abs_dnf(phi: WeightedFormula) -> tuple[WeightedFormula, Reduction
         raise ContractViolationError("minterm expansion expects a CNF")
     if phi.width > DEFAULT_WIDTH_CAP:
         raise BudgetExceededError(f"clause width {phi.width} exceeds cap {DEFAULT_WIDTH_CAP}")
-    acc = _MergeList()
-    for i, (lits, wt) in enumerate(phi.clauses):
+    clauses = []
+    for lits, wt in phi.clauses:
         variables = sorted(abs(l) for l in lits)
         signs = {abs(l): l > 0 for l in lits}
         for values in product((False, True), repeat=len(variables)):
             if not any(v == signs[var] for var, v in zip(variables, values)):
                 continue  # the unique falsifying minterm
             minterm = frozenset(var if v else -var for var, v in zip(variables, values))
-            acc.add(minterm, wt, (i,))
+            clauses.append((minterm, wt))
     out = WeightedFormula(
-        KIND_DNF, phi.num_vars, tuple(acc.items()), phi.alpha, phi.objective, phi.comparison
+        KIND_DNF, phi.num_vars, clauses, phi.alpha, phi.objective, phi.comparison
     )
-    receipt = ReductionReceipt("cnf-to-dnf", KIND_CNF, KIND_DNF, acc.origin_tuples())
-    return out, receipt
+    return out, ReductionReceipt("cnf-to-dnf", KIND_CNF, KIND_DNF)
 
 
 def expand_conjunctions_to_disjunctions(
@@ -196,18 +154,17 @@ def expand_conjunctions_to_disjunctions(
         raise ContractViolationError("disjunction expansion rejects the empty clause")
     if phi.width > DEFAULT_WIDTH_CAP:
         raise BudgetExceededError(f"clause width {phi.width} exceeds cap {DEFAULT_WIDTH_CAP}")
-    acc = _MergeList()
-    for i, (lits, wt) in enumerate(phi.clauses):
+    clauses = []
+    for lits, wt in phi.clauses:
         for subset in iter_subsets_lex(lits):
             if not subset:
                 continue
             sign = 1 if len(subset) % 2 == 1 else -1
-            acc.add(subset, sign * wt, (i,))
+            clauses.append((subset, sign * wt))
     out = WeightedFormula(
-        KIND_CNF, phi.num_vars, tuple(acc.items()), phi.alpha, phi.objective, phi.comparison
+        KIND_CNF, phi.num_vars, clauses, phi.alpha, phi.objective, phi.comparison
     )
-    receipt = ReductionReceipt("expand-disjunctions", KIND_DNF, KIND_CNF, acc.origin_tuples())
-    return out, receipt
+    return out, ReductionReceipt("expand-disjunctions", KIND_DNF, KIND_CNF)
 
 
 def _check_k(k: int) -> None:
@@ -289,15 +246,9 @@ def _with_empty_clause(
         raise ContractViolationError(f"{name} expects a monotone DNF")
     if phi.objective != OBJ_ABS:
         raise ContractViolationError(f"{name} expects the absolute-value objective")
-    acc = _MergeList()
-    for i, (lits, wt) in enumerate(phi.clauses):
-        acc.add(lits, wt, (i,))
-    acc.add(frozenset(), -phi.alpha, ())
-    out = WeightedFormula(
-        KIND_DNF, phi.num_vars, tuple(acc.items()), 0, OBJ_ABS, comparison
-    )
-    receipt = ReductionReceipt(name, KIND_DNF, KIND_DNF, acc.origin_tuples())
-    return out, receipt
+    clauses = phi.clauses + ((frozenset(), -phi.alpha),)
+    out = WeightedFormula(KIND_DNF, phi.num_vars, clauses, 0, OBJ_ABS, comparison)
+    return out, ReductionReceipt(name, KIND_DNF, KIND_DNF)
 
 
 def gen_exact_variant(phi: WeightedFormula) -> tuple[WeightedFormula, ReductionReceipt]:

@@ -4,8 +4,6 @@ The compiled core is built from ``_core.c`` into a temporary directory once per
 test run, so its tests run whenever a C compiler exists, whether or not a
 library was built in place.  A second build with the undefined-behaviour
 sanitizer reruns the weight-sum edge cases and the cross-check of the cores.
-``model._max_abs_rows`` is built on ``decide``; its tests force every call it
-makes onto one core.
 """
 
 import itertools
@@ -30,12 +28,9 @@ from absopt.model import (
     Assignment,
     WeightedFormula,
     WeightedHypergraph,
-    _max_abs_rows,
     _target_intervals,
     brute_force_formula,
     brute_force_hypergraph,
-    max_abs_formula,
-    max_abs_hypergraph,
 )
 
 from helpers import (
@@ -43,8 +38,7 @@ from helpers import (
     formula_rows,
     naive_formula_value,
     naive_hypergraph_decide,
-    naive_max_abs_formula,
-    naive_max_abs_hypergraph,
+    naive_hypergraph_value,
     random_formula,
     random_hypergraph,
 )
@@ -128,12 +122,6 @@ def _call_decide(backend, phi):
     )
 
 
-def _max_abs_on(monkeypatch, core, num_vars, rows):
-    """``_max_abs_rows`` with every ``decide`` it makes run on ``core``."""
-    monkeypatch.setattr(engine, "_core_for", lambda *args: core)
-    return _max_abs_rows(num_vars, rows)
-
-
 def _naive_decide(phi):
     for values in assignments_lex(phi.num_vars):
         val = naive_formula_value(phi, values)
@@ -156,14 +144,14 @@ def test_decide_matches_naive(name, backend):
 
 
 @pytest.mark.parametrize("name,backend", BACKENDS, indirect=["backend"])
-def test_max_abs_matches_naive(name, backend, monkeypatch):
+def test_max_abs_matches_naive(name, backend):
     for phi in _formulas(43, 360, 6):
         rows = formula_rows(phi)
-        got = _max_abs_on(monkeypatch, backend, phi.num_vars, rows)
-        assert got == _naive_rows_max_abs(phi.num_vars, rows), phi
+        for closed, want in _abs_sweep(phi.num_vars, rows):
+            assert backend.decide(phi.num_vars, rows, closed) == want, (phi, closed)
 
 
-def _assert_backends_agree(compiled, monkeypatch):
+def _assert_backends_agree(compiled):
     for phi in _formulas(44, 360, 7):
         total = sum(abs(wt) for _, wt in phi.clauses)
         # 2^64 would wrap to 0 in an int64, so it checks that targets are closed
@@ -173,17 +161,18 @@ def _assert_backends_agree(compiled, monkeypatch):
             b = _call_decide(compiled, phi)
             assert a == b, f"decide: pure core {a} != compiled core {b} on {phi}"
         rows = formula_rows(phi)
-        a = _max_abs_on(monkeypatch, pure, phi.num_vars, rows)
-        b = _max_abs_on(monkeypatch, compiled, phi.num_vars, rows)
-        assert a == b, f"max |value|: pure core {a} != compiled core {b} on {phi}"
+        for closed, want in _abs_sweep(phi.num_vars, rows):
+            a = pure.decide(phi.num_vars, rows, closed)
+            b = compiled.decide(phi.num_vars, rows, closed)
+            assert a == b == want, f"at {closed}: pure {a}, compiled {b}, naive {want} on {phi}"
 
 
-def test_backends_agree_exactly(compiled_core, monkeypatch):
-    _assert_backends_agree(compiled_core, monkeypatch)
+def test_backends_agree_exactly(compiled_core):
+    _assert_backends_agree(compiled_core)
 
 
-def test_backends_agree_exactly_ubsan(ubsan_core, monkeypatch):
-    _assert_backends_agree(ubsan_core, monkeypatch)
+def test_backends_agree_exactly_ubsan(ubsan_core):
+    _assert_backends_agree(ubsan_core)
 
 
 class _Recording:
@@ -294,8 +283,12 @@ def test_core_sees_only_used_variables(monkeypatch):
         assert (verdict.decision, mask, verdict.achieved) == _naive_decide(phi), phi
         assert len(calls) == 1
         assert_only_used(count)
-        best, beta = max_abs_formula(phi)
-        assert (best, beta.values) == naive_max_abs_formula(phi), phi
+        best = max(
+            abs(naive_formula_value(phi, values)) for values in assignments_lex(phi.num_vars)
+        )
+        at_max = replace(phi, alpha=best, objective="abs", comparison="atleast")
+        verdict = brute_force_formula(at_max)
+        assert (True, verdict.witness.mask(), verdict.achieved) == _naive_decide(at_max), phi
         assert_only_used(count)
 
         h = random_hypergraph(rng, max_vertices=6)
@@ -306,7 +299,14 @@ def test_core_sees_only_used_variables(monkeypatch):
         assert (verdict.witness, verdict.achieved) == (want or (None, None)), h
         assert len(calls) == 1
         assert_only_used(count)
-        assert max_abs_hypergraph(h) == naive_max_abs_hypergraph(h), h
+        order = sorted(h.vertices)
+        best = max(
+            abs(naive_hypergraph_value(h, {v for v, p in zip(order, picks) if p}))
+            for picks in itertools.product((False, True), repeat=len(order))
+        )
+        at_max = replace(h, alpha=best)
+        verdict = brute_force_hypergraph(at_max)
+        assert (verdict.witness, verdict.achieved) == naive_hypergraph_decide(at_max), h
         assert_only_used(count)
 
 
@@ -317,10 +317,13 @@ def test_unused_variables_cost_nothing(monkeypatch):
     clauses = (((1,), 2), ((2,), -4), ((24,), 6))
     phi = WeightedFormula("dnf", 24, clauses, 1, "sum", "exact")
     assert not brute_force_formula(phi).decision
-    assert max_abs_formula(phi) == (8, Assignment.from_true_vars(24, {1, 24}))
+    # the largest |value| is 8, first reached by {1, 24}
+    verdict = brute_force_formula(replace(phi, alpha=8, objective="abs", comparison="atleast"))
+    assert (verdict.witness, verdict.achieved) == (Assignment.from_true_vars(24, {1, 24}), 8)
     h = WeightedHypergraph(24, clauses, 9)
     assert not brute_force_hypergraph(h).decision
-    assert max_abs_hypergraph(h) == (8, frozenset({1, 24}))
+    verdict = brute_force_hypergraph(replace(h, alpha=8))
+    assert (verdict.witness, verdict.achieved) == (frozenset({1, 24}), 8)
     assert time.perf_counter() - start < 0.5
 
 
@@ -367,13 +370,14 @@ def _naive_rows_decide(num_vars, rows, targets):
     return False, None, None
 
 
-def _naive_rows_max_abs(num_vars, rows):
-    """The largest |value| and the first assignment reaching it."""
-    best = None
-    for mask, val in _row_values(num_vars, rows):
-        if best is None or abs(val) > best[0]:
-            best = abs(val), mask
-    return best
+def _abs_sweep(num_vars, rows):
+    """Closed targets |value| >= t, each with the naive answer, for every
+    distinct |value| t of the rows and for one past the largest."""
+    total = engine._weight_total(rows)
+    values = sorted({abs(val) for _, val in _row_values(num_vars, rows)})
+    for t in values + [values[-1] + 1]:
+        closed = engine._close(((t, None), (None, -t)), total)
+        yield closed, _naive_rows_decide(num_vars, rows, closed)
 
 
 def _mixed_rows(rng, num_vars, count, bits, few_planes=False):
@@ -460,13 +464,13 @@ def _edge_cases():
 
 
 @pytest.mark.parametrize("name,backend", BACKENDS + [UBSAN_BACKEND], indirect=["backend"])
-def test_weight_sum_edge_cases(name, backend, monkeypatch):
+def test_weight_sum_edge_cases(name, backend):
     for num_vars, rows in _edge_cases():
         total = engine._weight_total(rows)
         if backend is not pure and total >= I64_SAFE:
             continue  # the compiled core never sees these; engine.py routes them pure
-        got = _max_abs_on(monkeypatch, backend, num_vars, rows)
-        assert got == _naive_rows_max_abs(num_vars, rows), rows
+        for closed, want in _abs_sweep(num_vars, rows):
+            assert backend.decide(num_vars, rows, closed) == want, (rows, closed)
         values = sorted({val for _, val in _row_values(num_vars, rows)})
         lo, mid, hi = values[0], values[len(values) // 2], values[-1]
         for targets in (
@@ -535,7 +539,7 @@ def test_layouts_agree(monkeypatch):
 
 
 @pytest.mark.parametrize("name,backend", BACKENDS, indirect=["backend"])
-def test_merged_zero_weight_clauses(name, backend, monkeypatch):
+def test_merged_zero_weight_clauses(name, backend):
     # clauses with equal literal sets merge at construction, and the model
     # keeps a merged weight of zero as a row of weight 0
     rng = random.Random(47)
@@ -551,8 +555,8 @@ def test_merged_zero_weight_clauses(name, backend, monkeypatch):
         rows = formula_rows(phi)
         assert any(w == 0 and pos | neg for pos, neg, w in rows), phi
         assert _call_decide(backend, phi) == _naive_decide(phi), phi
-        got = _max_abs_on(monkeypatch, backend, phi.num_vars, rows)
-        assert got == _naive_rows_max_abs(phi.num_vars, rows), phi
+        for closed, want in _abs_sweep(phi.num_vars, rows):
+            assert backend.decide(phi.num_vars, rows, closed) == want, (phi, closed)
 
 
 def _interval(data):

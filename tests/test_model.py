@@ -16,8 +16,6 @@ from absopt.model import (
     induced_weight,
     iter_subsets_lex,
     link,
-    max_abs_formula,
-    max_abs_hypergraph,
     max_degree,
     _target_intervals,
 )
@@ -28,8 +26,6 @@ from helpers import (
     formula_rows,
     naive_formula_value,
     naive_hypergraph_decide,
-    naive_max_abs_formula,
-    naive_max_abs_hypergraph,
     random_formula,
     random_hypergraph,
 )
@@ -173,19 +169,6 @@ def test_brute_force_hypergraph_sparse_ids():
             want = naive_hypergraph_decide(h)
             assert (got.witness, got.achieved) == (want or (None, None)), h
             assert got.decision == (want is not None)
-
-
-def test_max_abs_agrees_with_full_scan():
-    # the witness is the first assignment (subset) in lexicographic order
-    # whose |value| is the largest
-    rng = random.Random(7)
-    for _ in range(80):
-        phi = random_formula(rng, max_vars=5)
-        best, beta = max_abs_formula(phi)
-        assert (best, beta.values) == naive_max_abs_formula(phi), phi
-    for _ in range(80):
-        h = random_hypergraph(rng, max_vertices=7)
-        assert max_abs_hypergraph(h) == naive_max_abs_hypergraph(h), h
 
 
 def test_enumeration_cap():

@@ -30,10 +30,9 @@ from helpers import (
 
 def test_monotonize_single_negation():
     phi = WeightedFormula("dnf", 2, (((1, -2), 5),), 5)
-    mono, receipt = monotonize_abs_dnf(phi)
+    mono, _ = monotonize_abs_dnf(phi)
     assert mono.monotone
     assert mono.clauses == ((frozenset({1}), 5), (frozenset({1, 2}), -5))
-    assert receipt.origins == ((0,), (0,))
     assert np.array_equal(value_profile(phi), value_profile(mono))
 
 
@@ -59,7 +58,7 @@ def test_monotonize_exact_output():
     # clause 1 expands onto clause 2's {1, 2}, which cancels to a kept 0; the
     # all-negated clause 3 lands on the empty clause 0 and on clause 1's {1}
     phi = WeightedFormula("dnf", 3, (((), 4), ((1, -2), 3), ((1, 2), 3), ((-1, -3), 2)), 1)
-    mono, receipt = monotonize_abs_dnf(phi)
+    mono, _ = monotonize_abs_dnf(phi)
     assert mono.clauses == (
         (frozenset(), 6),
         (frozenset({1}), 1),
@@ -67,7 +66,6 @@ def test_monotonize_exact_output():
         (frozenset({3}), -2),
         (frozenset({1, 3}), 2),
     )
-    assert receipt.origins == ((0, 3), (1, 3), (1, 2), (3,), (3,))
     assert np.array_equal(value_profile(phi), value_profile(mono))
 
 
@@ -102,12 +100,13 @@ def test_cnf_to_dnf_minterms():
     phi = WeightedFormula("cnf", 2, (((1, -2), 3),), 1)
     dnf, _ = abs_cnf_to_abs_dnf(phi)
     assert dnf.kind == "dnf"
-    # all minterms over {1,2} except the single falsifier (-1, 2)
-    assert set(dnf.clauses) == {
-        (frozenset({-2, -1}), 3),
-        (frozenset({-2, 1}), 3),
+    # all minterms over {1,2} except the single falsifier (-1, 2), in the
+    # order of the truth table with x1 before x2 and false before true
+    assert dnf.clauses == (
+        (frozenset({-1, -2}), 3),
+        (frozenset({1, -2}), 3),
         (frozenset({1, 2}), 3),
-    }
+    )
     assert np.array_equal(value_profile(phi), value_profile(dnf))
 
 
@@ -130,10 +129,16 @@ def test_expand_inclusion_exclusion_signs():
     phi = WeightedFormula("dnf", 3, (((1, 2, 3), 1),), 1)
     cnf, _ = expand_conjunctions_to_disjunctions(phi)
     assert cnf.kind == "cnf"
-    by_clause = dict(cnf.clauses)
-    for lits, w in cnf.clauses:
-        assert w == (1 if len(lits) % 2 == 1 else -1)
-    assert len(by_clause) == 7
+    # nonempty subsets in iter_subsets_lex order, odd sizes +1, even sizes -1
+    assert cnf.clauses == (
+        (frozenset({3}), 1),
+        (frozenset({2}), 1),
+        (frozenset({2, 3}), -1),
+        (frozenset({1}), 1),
+        (frozenset({1, 3}), -1),
+        (frozenset({1, 2}), -1),
+        (frozenset({1, 2, 3}), 1),
+    )
     assert np.array_equal(value_profile(phi), value_profile(cnf))
 
 
@@ -153,7 +158,6 @@ def test_expand_preserves_values():
 def test_graph_construction():
     g = Graph(3, ((2, 1), (2, 3)))
     assert g.edges == ((1, 2), (2, 3))
-    assert g.neighbors(2) == frozenset({1, 3})
     with pytest.raises(InvalidInstanceError):
         Graph(3, ((1, 1),))
     with pytest.raises(InvalidInstanceError):
@@ -224,5 +228,15 @@ def test_variant_builders():
         beta = Assignment.from_mask(3, mask)
         base_val = eval_formula(base, beta)
         assert (abs(eval_formula(exact, beta)) == 0) == (base_val == 2)
+    # an empty clause already present takes the shift at its own position,
+    # and stays when the sum is 0
+    held = (((1,), 3), ((), 2), ((2,), -1))
+    for build, comparison in ((gen_exact_variant, "exact"), (gen_min_variant, "atmost")):
+        for alpha, empty in ((2, 0), (5, -3)):
+            out, _ = build(WeightedFormula("dnf", 2, held, alpha))
+            assert out.comparison == comparison and out.alpha == 0
+            assert out.clauses == (
+                (frozenset({1}), 3), (frozenset(), empty), (frozenset({2}), -1)
+            )
     with pytest.raises(ContractViolationError):
         gen_exact_variant(WeightedFormula("dnf", 1, (((-1,), 1),), 1))
