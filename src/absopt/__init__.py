@@ -23,7 +23,6 @@ from .model import (
     WeightedHypergraph,
     brute_force_formula,
     brute_force_hypergraph,
-    degree,
     eval_formula,
     induced_weight,
     link,
@@ -69,7 +68,6 @@ __all__ = [
     "brute_force_absio",
     "brute_force_formula",
     "brute_force_hypergraph",
-    "degree",
     "encode_dnf_as_hypergraph",
     "eval_formula",
     "eval_poly",

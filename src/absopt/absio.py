@@ -1,15 +1,15 @@
 """Decide |p(x)| >= alpha for an integer polynomial over an integer box.
 
-The polynomial is a weighted sum of monomials, p(x) = sum_j w_j * prod_i
-x_i^{A[i][j]}, with 0^0 = 1.  Each variable ranges over an integer interval
-whose ends may be infinite.  The solver first applies value-preserving
-simplification and normalization rules, then tries a hypergraph shortcut on
-the monomial support, then branches on a variable with a wide enough range,
-and finally enumerates the remaining finite box exactly.  That leaf writes
-p = sum_k x_n^k q_k(x_1..x_{n-1}), evaluates each q_k the same way on the box
-without its last axis, and sums over the powers of x_n, in numpy slabs of
-int64 when no sum of term magnitudes can reach ``I64_SAFE`` and of Python
-ints otherwise.
+The polynomial is a list of terms, one (exponent vector, weight) pair per
+monomial, p(x) = sum_j w_j * prod_i x_i^{a_ji}, with 0^0 = 1.  Each variable
+ranges over an integer interval whose ends may be infinite.  The solver first
+applies value-preserving simplification and normalization rules, then tries a
+hypergraph shortcut on the monomial supports, then branches on a variable with
+a wide enough range, and finally enumerates the remaining finite box exactly.
+That leaf writes p = sum_k x_n^k q_k(x_1..x_{n-1}), evaluates each q_k the
+same way on the box without its last axis, and sums over the powers of x_n, in
+numpy slabs of int64 when no sum of term magnitudes can reach ``I64_SAFE`` and
+of Python ints otherwise.
 
 Witnesses are returned in the coordinates of the caller's instance; every
 internal substitution is logged and replayed backwards before returning.
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .errors import (
     InvalidInstanceError,
 )
 from .kernel import MODE_EDGECOUNT, STATUS_TRIVIAL_YES, kernelize
-from .model import Verdict, WeightedHypergraph
+from .model import Verdict, WeightedHypergraph, _check_target
 from .pipeline import _checked_value
 
 DEFAULT_POINT_CAP = 2_000_000
@@ -41,6 +43,7 @@ DEFAULT_POINT_CAP = 2_000_000
 SLAB_POINTS = 1 << 16
 
 Bound = int | None
+Term = tuple[tuple[int, ...], int]
 
 
 def _is_int(x) -> bool:
@@ -51,54 +54,51 @@ def _is_int(x) -> bool:
 class AbsIoInstance:
     """Integer polynomial with box constraints and target alpha.
 
-    ``exponents`` is row-major: ``exponents[i][j]`` is the exponent of
-    variable i in monomial j.  ``lower``/``upper`` give per-variable interval
-    ends, ``None`` meaning unbounded on that side.  An interval with
+    ``terms`` holds one (exponent vector, weight) pair per monomial, in file
+    order, and ``vector[i]`` is the exponent of variable i; terms with equal
+    vectors are not merged here.  ``lower``/``upper`` give per-variable
+    interval ends, ``None`` meaning unbounded on that side.  An interval with
     lower > upper is permitted and denotes an empty domain.  ``var_ids``
-    names the rows; simplification removes rows, and survivors keep their
-    ids, so witnesses can be reported in the original coordinates.
+    names the variables; simplification removes variables, and survivors keep
+    their ids, so witnesses can be reported in the original coordinates.
     """
 
-    exponents: tuple[tuple[int, ...], ...]
-    weights: tuple[int, ...]
+    terms: tuple[Term, ...]
     lower: tuple[Bound, ...]
     upper: tuple[Bound, ...]
     alpha: int
     var_ids: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.exponents)
-        object.__setattr__(self, "exponents", rows)
-        object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "lower", tuple(self.lower))
         object.__setattr__(self, "upper", tuple(self.upper))
-        n = len(rows)
-        m = len(self.weights)
-        # One type(x) is int pass accepts the common case; a miss rescans
+        n = len(self.lower)
+        if len(self.upper) != n:
+            raise InvalidInstanceError(
+                f"{n} lower bounds but {len(self.upper)} upper bounds"
+            )
+        terms = tuple([(tuple(vec), w) for vec, w in self.terms])
+        object.__setattr__(self, "terms", terms)
+        vecs = [vec for vec, _ in terms]
+        weights = [w for _, w in terms]
+        if not set(map(len, vecs)) <= {n}:
+            bad = next(vec for vec in vecs if len(vec) != n)
+            raise InvalidInstanceError(f"exponent vector of length {len(bad)}, expected {n}")
+        # One pass over the types accepts the common case; a miss rescans
         # with the full check, which also admits int subclasses but not bool.
-        if not all(type(w) is int for w in self.weights):
-            for w in self.weights:
+        if not set(map(type, weights)) <= {int}:
+            for w in weights:
                 if not _is_int(w):
                     raise InvalidInstanceError(f"weight {w!r} is not an integer")
-        for r in rows:
-            if len(r) != m:
-                raise InvalidInstanceError(
-                    f"exponent row of length {len(r)}, expected {m}"
-                )
-            if all(type(a) is int and a >= 0 for a in r):
-                continue
-            for a in r:
+        flat = list(chain.from_iterable(vecs))
+        if not (set(map(type, flat)) <= {int} and min(flat, default=0) >= 0):
+            for a in flat:
                 if not _is_int(a) or a < 0:
                     raise InvalidInstanceError(f"bad exponent {a!r}")
-        if len(self.lower) != n or len(self.upper) != n:
-            raise InvalidInstanceError("bound count does not match variable count")
         for b in self.lower + self.upper:
             if b is not None and not _is_int(b):
                 raise InvalidInstanceError(f"bad bound {b!r}")
-        if not _is_int(self.alpha) or self.alpha < 0:
-            raise InvalidInstanceError(
-                f"target must be a non-negative integer, got {self.alpha!r}"
-            )
+        _check_target(self.alpha)
         ids = self.var_ids
         if ids == ():
             ids = tuple(range(1, n + 1))
@@ -112,11 +112,11 @@ class AbsIoInstance:
 
     @property
     def num_vars(self) -> int:
-        return len(self.exponents)
+        return len(self.lower)
 
     @property
     def num_terms(self) -> int:
-        return len(self.weights)
+        return len(self.terms)
 
 
 def _box_has(lo: Bound, hi: Bound, v: int) -> bool:
@@ -136,19 +136,13 @@ def _box_pick(lo: Bound, hi: Bound) -> int:
     return hi  # lo is None here, so hi must be the binding side
 
 
-def _columns(rows, m: int) -> list[tuple[int, ...]]:
-    # Each monomial's exponent vector, read from the rows; with no variables,
-    # m empty vectors.
-    return list(zip(*rows)) if rows else [()] * m
-
-
-def _merged(columns, weights) -> dict[tuple[int, ...], int]:
+def _merged(terms) -> dict[tuple[int, ...], int]:
     # The summed weight of each exponent vector, in order of first
     # occurrence; zero sums stay.
-    terms: dict[tuple[int, ...], int] = {}
-    for col, w in zip(columns, weights):
-        terms[col] = terms.get(col, 0) + w
-    return terms
+    merged: dict[tuple[int, ...], int] = {}
+    for vec, w in terms:
+        merged[vec] = merged.get(vec, 0) + w
+    return merged
 
 
 def eval_poly(inst: AbsIoInstance, point) -> int:
@@ -159,8 +153,8 @@ def eval_poly(inst: AbsIoInstance, point) -> int:
             f"point over {len(pt)} variables, instance has {inst.num_vars}"
         )
     total = 0
-    for col, w in zip(_columns(inst.exponents, inst.num_terms), inst.weights):
-        for x, a in zip(pt, col):
+    for vec, w in inst.terms:
+        for x, a in zip(pt, vec):
             if a:
                 w *= x**a
         total += w
@@ -200,62 +194,66 @@ def rule5_simplify(inst: AbsIoInstance) -> SimplifyOutcome:
     monomials with equal exponent vectors merge.  All steps preserve the set
     of achievable values, and removals are logged for witness replay.
     """
-    rows = [list(r) for r in inst.exponents]
-    weights = list(inst.weights)
-    lower = list(inst.lower)
-    upper = list(inst.upper)
-    ids = list(inst.var_ids)
+    terms = list(inst.terms)
+    lower, upper, ids = inst.lower, inst.upper, inst.var_ids
     log: list[LogEntry] = []
     lines: list[str] = []
+
+    def drop(gone: list[int]) -> None:
+        # Remove the variables at the positions in gone.
+        nonlocal terms, lower, upper, ids
+        skip = set(gone)
+        keep = [i for i in range(len(lower)) if i not in skip]
+        pick = lambda seq: tuple(map(seq.__getitem__, keep))
+        terms = [(pick(vec), w) for vec, w in terms]
+        lower, upper, ids = pick(lower), pick(upper), pick(ids)
+
     changed = True
     while changed:
         changed = False
         # zero-weight monomials
-        zero = [j for j, w in enumerate(weights) if w == 0]
-        if zero:
-            keep = [j for j in range(len(weights)) if weights[j] != 0]
-            weights = [weights[j] for j in keep]
-            rows = [[r[j] for j in keep] for r in rows]
-            lines.append(f"rule5 zerocols={len(zero)}")
+        nonzero = [t for t in terms if t[1] != 0]
+        if len(nonzero) < len(terms):
+            lines.append(f"rule5 zerocols={len(terms) - len(nonzero)}")
+            terms = nonzero
             changed = True
         # unused variables (guarded: an empty domain must survive to be seen)
-        i = 0
-        while i < len(rows):
-            if all(a == 0 for a in rows[i]) and not _box_empty(lower[i], upper[i]):
-                v = _box_pick(lower[i], upper[i])
-                log.append(("fix", ids[i], v))
-                lines.append(f"rule5 unused x{ids[i]}={v}")
-                del rows[i], lower[i], upper[i], ids[i]
-                changed = True
-            else:
-                i += 1
+        vecs = [vec for vec, _ in terms]
+        gone = [
+            i for i in range(len(lower))
+            if not any(map(itemgetter(i), vecs)) and not _box_empty(lower[i], upper[i])
+        ]
+        for i in gone:
+            v = _box_pick(lower[i], upper[i])
+            log.append(("fix", ids[i], v))
+            lines.append(f"rule5 unused x{ids[i]}={v}")
+        if gone:
+            drop(gone)
+            changed = True
         # empty domain
-        for i in range(len(rows)):
+        for i in range(len(lower)):
             if _box_empty(lower[i], upper[i]):
                 lines.append(f"rule5 empty x{ids[i]}")
-                out = AbsIoInstance(rows, weights, lower, upper, inst.alpha, ids)
+                out = AbsIoInstance(terms, lower, upper, inst.alpha, ids)
                 return SimplifyOutcome(out, tuple(log), tuple(lines), ids[i])
         # one-point domains
-        i = 0
-        while i < len(rows):
-            if lower[i] is not None and lower[i] == upper[i]:
-                v = lower[i]
-                for j in range(len(weights)):
-                    weights[j] *= v ** rows[i][j]
-                log.append(("fix", ids[i], v))
-                lines.append(f"rule5 fix x{ids[i]}={v}")
-                del rows[i], lower[i], upper[i], ids[i]
-                changed = True
-            else:
-                i += 1
-        # equal exponent vectors
-        terms = _merged(_columns(rows, len(weights)), weights)
-        if len(terms) < len(weights):
-            lines.append(f"rule5 merged={len(weights) - len(terms)}")
-            rows = [[key[r] for key in terms] for r in range(len(rows))]
-            weights = list(terms.values())
+        gone = [i for i in range(len(lower)) if lower[i] is not None and lower[i] == upper[i]]
+        for i in gone:
+            log.append(("fix", ids[i], lower[i]))
+            lines.append(f"rule5 fix x{ids[i]}={lower[i]}")
+        if gone:
+            terms = [
+                (vec, w * math.prod(lower[i] ** vec[i] for i in gone)) for vec, w in terms
+            ]
+            drop(gone)
             changed = True
-    out = AbsIoInstance(rows, weights, lower, upper, inst.alpha, ids)
+        # equal exponent vectors
+        merged = _merged(terms)
+        if len(merged) < len(terms):
+            lines.append(f"rule5 merged={len(terms) - len(merged)}")
+            terms = list(merged.items())
+            changed = True
+    out = AbsIoInstance(terms, lower, upper, inst.alpha, ids)
     return SimplifyOutcome(out, tuple(log), tuple(lines))
 
 
@@ -271,37 +269,32 @@ def shift_variable(inst: AbsIoInstance, i: int, t: int) -> tuple[AbsIoInstance, 
     the log entry that undoes the substitution on a witness.
     """
     if not 0 <= i < inst.num_vars:
-        raise InvalidInstanceError(f"no variable at row {i}")
-    columns, weights = [], []
-    for col, w in zip(_columns(inst.exponents, inst.num_terms), inst.weights):
-        c = col[i]
+        raise InvalidInstanceError(f"no variable at index {i}")
+    merged: dict[tuple[int, ...], int] = {}
+    for vec, w in inst.terms:
+        c = vec[i]
         for k in range(c + 1):
-            columns.append(col[:i] + (c - k,) + col[i + 1:])
-            weights.append(math.comb(c, k) * w * t**k)
-    merged = _merged(columns, weights)
-    out_rows = [[key[r] for key in merged] for r in range(inst.num_vars)]
-    out_weights = list(merged.values())
+            key = vec[:i] + (c - k,) + vec[i + 1:]
+            merged[key] = merged.get(key, 0) + math.comb(c, k) * w * t**k
     lower = list(inst.lower)
     upper = list(inst.upper)
     lower[i] = None if lower[i] is None else lower[i] - t
     upper[i] = None if upper[i] is None else upper[i] - t
-    out = AbsIoInstance(out_rows, out_weights, lower, upper, inst.alpha, inst.var_ids)
+    out = AbsIoInstance(tuple(merged.items()), lower, upper, inst.alpha, inst.var_ids)
     return out, ("shift", inst.var_ids[i], t)
 
 
 def negate_variable(inst: AbsIoInstance, i: int) -> tuple[AbsIoInstance, LogEntry]:
     """Substitute x_i = -y: odd-exponent weights flip, the interval mirrors."""
     if not 0 <= i < inst.num_vars:
-        raise InvalidInstanceError(f"no variable at row {i}")
-    weights = [
-        -w if inst.exponents[i][j] % 2 else w for j, w in enumerate(inst.weights)
-    ]
+        raise InvalidInstanceError(f"no variable at index {i}")
+    terms = [(vec, -w if vec[i] % 2 else w) for vec, w in inst.terms]
     lower = list(inst.lower)
     upper = list(inst.upper)
     lo, hi = lower[i], upper[i]
     lower[i] = None if hi is None else -hi
     upper[i] = None if lo is None else -lo
-    out = AbsIoInstance(inst.exponents, weights, lower, upper, inst.alpha, inst.var_ids)
+    out = AbsIoInstance(terms, lower, upper, inst.alpha, inst.var_ids)
     return out, ("negate", inst.var_ids[i])
 
 
@@ -371,12 +364,11 @@ def _grid(tree, powers: list[dict[int, np.ndarray]], dtype) -> np.ndarray:
 
 
 def _grid_parts(inst: AbsIoInstance, dtype) -> tuple[tuple, list[dict[int, np.ndarray]]]:
-    # The split polynomial, with equal exponent columns merged and zero sums
+    # The split polynomial, with equal exponent vectors merged and zero sums
     # dropped (the constant 0 when none is left), and the powers of each axis
     # of the box that it uses.
     n = inst.num_vars
-    terms = _merged(_columns(inst.exponents, inst.num_terms), inst.weights)
-    terms = {key: c for key, c in terms.items() if c} or {(0,) * n: 0}
+    terms = {key: c for key, c in _merged(inst.terms).items() if c} or {(0,) * n: 0}
     powers = []
     for i in range(n):
         # an axis only where p uses it, as unused ends may lie past int64
@@ -392,10 +384,7 @@ def _leaf_dtype(inst: AbsIoInstance) -> type:
     # included, is at most a sum of merged terms |c| * prod |x_i|^a with
     # |c| >= 1, so at most bound: int64 is exact below I64_SAFE.
     top = [max(abs(lo), abs(hi), 1) for lo, hi in zip(inst.lower, inst.upper)]
-    bound = sum(
-        abs(w) * math.prod(map(pow, top, col))
-        for col, w in zip(_columns(inst.exponents, inst.num_terms), inst.weights)
-    )
+    bound = sum(abs(w) * math.prod(map(pow, top, vec)) for vec, w in inst.terms)
     return np.int64 if bound < I64_SAFE and inst.alpha < I64_SAFE else object
 
 
@@ -445,7 +434,7 @@ def brute_force_absio(
         if total > cap:
             raise BudgetExceededError(f"point enumeration over {total}+ exceeds cap {cap}")
     if n == 0:
-        value = sum(inst.weights)
+        value = sum(w for _, w in inst.terms)
         if abs(value) >= inst.alpha:
             return Verdict(True, (), value, ("leaf points=1",))
         return Verdict(False, transcript=("leaf points=1",))
@@ -479,10 +468,7 @@ def _support_shortcut(inst: AbsIoInstance) -> tuple[tuple[int, ...] | None, tupl
     # Monomial supports as hyperedges; a heavy enough edge count certifies a
     # 0/1 witness.  Rules 5 and 6 ran to their fixpoint first, so every
     # interval holds 0 and 1; with no variables every edge is empty, d < 1.
-    edges = [
-        (frozenset(i + 1 for i, a in enumerate(col) if a), w)
-        for col, w in zip(_columns(inst.exponents, inst.num_terms), inst.weights)
-    ]
+    edges = [(frozenset(i + 1 for i, a in enumerate(vec) if a), w) for vec, w in inst.terms]
     h = WeightedHypergraph(inst.num_vars, edges, inst.alpha)
     if h.d < 1:
         return None, ()
@@ -494,8 +480,9 @@ def _support_shortcut(inst: AbsIoInstance) -> tuple[tuple[int, ...] | None, tupl
 
 
 def _pick_branch(inst: AbsIoInstance) -> tuple[int, int] | None:
+    vecs = [vec for vec, _ in inst.terms]
     for i in range(inst.num_vars):
-        e = max(inst.exponents[i], default=0)
+        e = max(map(itemgetter(i), vecs), default=0)
         if e < 1:
             continue
         lo, hi = inst.lower[i], inst.upper[i]
@@ -505,16 +492,9 @@ def _pick_branch(inst: AbsIoInstance) -> tuple[int, int] | None:
 
 
 def _branch_child(inst: AbsIoInstance, i: int, k: int, child_alpha: int) -> AbsIoInstance:
-    keep = [j for j in range(inst.num_terms) if inst.exponents[i][j] == k]
-    rows = [
-        tuple(inst.exponents[r][j] for j in keep)
-        for r in range(inst.num_vars)
-        if r != i
-    ]
-    drop = lambda seq: tuple(x for r, x in enumerate(seq) if r != i)
+    drop = lambda seq: seq[:i] + seq[i + 1:]
     return AbsIoInstance(
-        tuple(rows),
-        tuple(inst.weights[j] for j in keep),
+        [(drop(vec), w) for vec, w in inst.terms if vec[i] == k],
         drop(inst.lower),
         drop(inst.upper),
         child_alpha,
@@ -541,14 +521,15 @@ def _scan_window(
         start = 0
     # Collapse p at the partial witness to q(x) = sum_k coeffs[k] x^k.
     coeffs = [0] * (e + 1)
-    for col, w in zip(_columns(inst.exponents, inst.num_terms), inst.weights):
-        for r, a in enumerate(col):
+    for vec, w in inst.terms:
+        for r, a in enumerate(vec):
             if a and r != i:
                 w *= partial[inst.var_ids[r]] ** a
-        coeffs[col[i]] += w
+        coeffs[vec[i]] += w
     cap = DEFAULT_POINT_CAP if max_points is None else max_points
     line = AbsIoInstance(
-        (tuple(range(e + 1)),), coeffs, (start,), (start + min(width, cap - 1),), inst.alpha
+        [((k,), c) for k, c in enumerate(coeffs)], (start,), (start + min(width, cap - 1),),
+        inst.alpha,
     )
     hit = _grid_leaf(line, _leaf_dtype(line))
     if hit is None and width >= cap:

@@ -207,6 +207,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="absopt",
@@ -222,7 +232,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="skip reductions and enumerate directly")
     p.add_argument("--explain", action="store_true",
                    help="print the rule transcript as comments")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_budget, default=None,
                    help="enumeration budget override")
     p.set_defaults(func=_cmd_solve)
 

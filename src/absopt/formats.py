@@ -23,7 +23,7 @@ lines (one integer per variable).
 
 from __future__ import annotations
 
-from .absio import AbsIoInstance, Bound, _columns
+from .absio import AbsIoInstance, Bound, Term
 from .errors import InvalidInstanceError, ParseError
 from .model import (
     COMPARISONS,
@@ -228,7 +228,7 @@ def parse_absio(text: str) -> AbsIoInstance:
     n = _nonneg(toks[2], no, "variable count")
     m = _nonneg(toks[3], no, "term count")
     alpha = _nonneg(toks[4], no, "target")
-    cols: list[tuple[int, dict[int, int]]] = []
+    terms: list[Term] = []
     lower: dict[int, Bound] = {}
     upper: dict[int, Bound] = {}
     for no, toks in records:
@@ -236,7 +236,7 @@ def parse_absio(text: str) -> AbsIoInstance:
             if len(toks) < 3:
                 raise ParseError(no, "term line needs a weight and a 0 terminator")
             weight = _int(toks[1], no, "weight")
-            entries: dict[int, int] = {}
+            vec = [0] * n
             for tok in _terminated(toks[2:], no):
                 if ":" not in tok:
                     raise ParseError(no, f"expected <var>:<exp>, got {tok!r}")
@@ -247,10 +247,10 @@ def parse_absio(text: str) -> AbsIoInstance:
                     raise ParseError(no, f"variable {i} is not in 1..{n}")
                 if a < 1:
                     raise ParseError(no, f"exponent for variable {i} must be positive")
-                if i in entries:
+                if vec[i - 1]:
                     raise ParseError(no, f"variable {i} repeats in one term")
-                entries[i] = a
-            cols.append((weight, entries))
+                vec[i - 1] = a
+            terms.append((tuple(vec), weight))
             continue
         if len(toks) != 4:
             raise ParseError(no, "expected: b <var> <min|-inf> <max|inf>")
@@ -265,22 +265,18 @@ def parse_absio(text: str) -> AbsIoInstance:
             raise ParseError(no, "lower bound cannot be +inf")
         if toks[3] == "-inf":
             raise ParseError(no, "upper bound cannot be -inf")
-    _count(m, cols, "terms")
-    exponents = tuple(
-        tuple(entries.get(i, 0) for _, entries in cols) for i in range(1, n + 1)
-    )
-    weights = tuple(w for w, _ in cols)
+    _count(m, terms, "terms")
     lo = tuple(lower.get(i) for i in range(1, n + 1))
     hi = tuple(upper.get(i) for i in range(1, n + 1))
-    return AbsIoInstance(exponents, weights, lo, hi, alpha)
+    return AbsIoInstance(terms, lo, hi, alpha)
 
 
 def serialize_absio(inst: AbsIoInstance) -> str:
     if inst.var_ids != tuple(range(1, inst.num_vars + 1)):
         raise InvalidInstanceError("only identity variable ids can be serialized")
     out = [f"p absio {inst.num_vars} {inst.num_terms} {inst.alpha}"]
-    for col, w in zip(_columns(inst.exponents, inst.num_terms), inst.weights):
-        body = " ".join(f"{i}:{a}" for i, a in enumerate(col, start=1) if a)
+    for vec, w in inst.terms:
+        body = " ".join(f"{i}:{a}" for i, a in enumerate(vec, start=1) if a)
         out.append(f"col {w} {body} 0" if body else f"col {w} 0")
     for i in range(inst.num_vars):
         lo = "-inf" if inst.lower[i] is None else str(inst.lower[i])

@@ -77,6 +77,11 @@ def _merge_weighted(items: Iterable[tuple[frozenset, int]]) -> tuple[tuple[froze
     return tuple((key, weights[key]) for key in order)
 
 
+def _check_target(alpha) -> None:
+    if not isinstance(alpha, int) or isinstance(alpha, bool) or alpha < 0:
+        raise InvalidInstanceError(f"target must be a non-negative integer, got {alpha!r}")
+
+
 def _check_enums(kind: str, objective: str, comparison: str) -> None:
     if kind not in KINDS:
         raise InvalidInstanceError(f"unknown clause kind {kind!r}")
@@ -107,8 +112,7 @@ class WeightedFormula:
         n = self.num_vars
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise InvalidInstanceError(f"bad variable count {n!r}")
-        if not isinstance(self.alpha, int) or isinstance(self.alpha, bool) or self.alpha < 0:
-            raise InvalidInstanceError(f"target must be a non-negative integer, got {self.alpha!r}")
+        _check_target(self.alpha)
         normalized = [
             (_normalize_clause(lits, self.num_vars), wt) for lits, wt in self.clauses
         ]
@@ -198,8 +202,7 @@ class WeightedHypergraph:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise InvalidInstanceError(f"bad vertex id {v!r}")
         object.__setattr__(self, "vertices", verts)
-        if not isinstance(self.alpha, int) or isinstance(self.alpha, bool) or self.alpha < 0:
-            raise InvalidInstanceError(f"target must be a non-negative integer, got {self.alpha!r}")
+        _check_target(self.alpha)
         normalized = []
         for raw, wt in self.edges:
             e = frozenset(raw)
@@ -252,12 +255,6 @@ def link(h: WeightedHypergraph, c: Iterable[int]) -> tuple[VertexSet, ...]:
     """Edges strictly containing c, in the hypergraph's edge order."""
     cs = frozenset(c)
     return tuple(e for e, _ in h.edges if cs < e)
-
-
-def degree(h: WeightedHypergraph, v: int) -> int:
-    if v not in h.vertices:
-        raise InvalidInstanceError(f"vertex {v} not in the hypergraph")
-    return sum(1 for e, _ in h.edges if v in e)
 
 
 def max_degree(h: WeightedHypergraph) -> int:

@@ -121,10 +121,10 @@ def rule4_all_subsets(h):
 
 def naive_absio_value(inst, point):
     total = 0
-    for j, w in enumerate(inst.weights):
+    for vec, w in inst.terms:
         term = w
         for i in range(inst.num_vars):
-            term *= point[i] ** inst.exponents[i][j]
+            term *= point[i] ** vec[i]
         total += term
     return total
 
@@ -210,10 +210,10 @@ def random_absio(rng, *, max_vars=4, max_terms=6, max_exp=2, bound_range=(-6, 6)
                  max_alpha=4, allow_unbounded=False):
     n = rng.randint(0, max_vars)
     m = rng.randint(0, max_terms)
-    rows = tuple(
-        tuple(rng.randint(0, max_exp) for _ in range(m)) for _ in range(n)
+    terms = tuple(
+        (tuple(rng.randint(0, max_exp) for _ in range(n)), rng.randint(-4, 4))
+        for _ in range(m)
     )
-    weights = tuple(rng.randint(-4, 4) for _ in range(m))
     lower = []
     upper = []
     for _ in range(n):
@@ -227,4 +227,4 @@ def random_absio(rng, *, max_vars=4, max_terms=6, max_exp=2, bound_range=(-6, 6)
             hi = rng.randint(lo, bound_range[1])
             lower.append(lo)
             upper.append(hi)
-    return AbsIoInstance(rows, weights, tuple(lower), tuple(upper), rng.randint(0, max_alpha))
+    return AbsIoInstance(terms, tuple(lower), tuple(upper), rng.randint(0, max_alpha))

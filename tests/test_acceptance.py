@@ -290,10 +290,7 @@ def _windowed(inst):
             hi = max(width // 2, lo + width)
         lower.append(lo)
         upper.append(hi)
-    return AbsIoInstance(
-        inst.exponents, inst.weights, tuple(lower), tuple(upper), inst.alpha,
-        inst.var_ids,
-    )
+    return AbsIoInstance(inst.terms, tuple(lower), tuple(upper), inst.alpha, inst.var_ids)
 
 
 @criterion(7, budget=300)
@@ -330,18 +327,17 @@ def test_criterion_7_polynomial_solver():
 
 @criterion(8)
 def test_criterion_8_normalization_spot_checks():
-    inst = AbsIoInstance(((2,),), (1,), (-3,), (5,), 1)
+    inst = AbsIoInstance((((2,), 1),), (-3,), (5,), 1)
     shifted, entry = shift_variable(inst, 0, -3)
     assert entry == ("shift", 1, -3)
-    assert shifted.exponents == ((2, 1, 0),)
-    assert shifted.weights == (1, -6, 9)
+    assert shifted.terms == (((2,), 1), ((1,), -6), ((0,), 9))
     assert shifted.lower == (0,) and shifted.upper == (8,)
     for y in range(0, 9):
         assert eval_poly(shifted, (y,)) == (y - 3) ** 2
-    inst = AbsIoInstance(((1,),), (2,), (None,), (-1,), 1)
+    inst = AbsIoInstance((((1,), 2),), (None,), (-1,), 1)
     negated, entry = negate_variable(inst, 0)
     assert entry == ("negate", 1)
-    assert negated.weights == (-2,)
+    assert negated.terms == (((1,), -2),)
     assert negated.lower == (1,) and negated.upper == (None,)
     return "shift and negation rewrites match hand-computed results"
 

@@ -3,7 +3,13 @@ import pytest
 from absopt import WeightedFormula, brute_force_formula, cli, eval_formula
 from absopt.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from absopt.errors import InternalGuaranteeError
-from absopt.formats import parse_formula, parse_hypergraph, parse_instance, parse_witness
+from absopt.formats import (
+    parse_formula,
+    parse_hypergraph,
+    parse_instance,
+    parse_witness,
+    serialize_instance,
+)
 from absopt.kernel import STATUS_TRIVIAL_YES, KernelOutcome
 
 YES_DNF = "p wdnf 3 2 3\nw 5 1 -2 0\nw -2 3 0\n"
@@ -72,6 +78,16 @@ def test_solve_absio(tmp_path, capsys):
     assert int(x_line.split()[2]) >= 5
 
 
+def test_solve_zero_variable_polynomial(tmp_path, capsys):
+    # p = 1 + 2 over no variables: the constant 3, with the empty witness
+    text = "p absio 0 2 3\ncol 1 0\ncol 2 0\n"
+    assert serialize_instance(parse_instance(text)) == text
+    f = _write(tmp_path, "const.absio", text)
+    for flags, method in (([], "pipeline"), (["--oracle"], "oracle")):
+        assert main(["solve", f, *flags]) == EXIT_YES
+        assert capsys.readouterr().out == f"c method {method}\ns YES\no 3\n"
+
+
 def test_solve_rejects_bare_graph(tmp_path, capsys):
     f = _write(tmp_path, "g.col", GRAPH)
     assert main(["solve", f]) == EXIT_ERROR
@@ -119,6 +135,17 @@ def test_solve_absio_scan_window_budget(tmp_path, capsys):
     early = _write(tmp_path, "early.absio", "p absio 1 1 10000000\ncol 1000000 1:1 0\nb 1 0 inf\n")
     assert main(["solve", early]) == EXIT_YES
     assert "x 1 10\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, text", [
+    ("a.wdnf", YES_DNF), ("a.uhg", SMALL_UHG), ("a.absio", ABSIO_YES),
+], ids=["wdnf", "uhg", "absio"])
+def test_solve_rejects_negative_cap(tmp_path, capsys, name, text):
+    f = _write(tmp_path, name, text)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", f, "--cap", "-1"])
+    assert exc.value.code == EXIT_ERROR
+    assert "argument --cap: must be non-negative, got -1" in capsys.readouterr().err
 
 
 def test_solve_missing_file(capsys):

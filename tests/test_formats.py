@@ -123,7 +123,7 @@ def test_absio_unbounded_tokens():
     text = "p absio 2 1 5\ncol 3 1:2 0\nb 1 -inf 4\n"
     inst = parse_absio(text)
     assert inst.lower == (None, None) and inst.upper == (4, None)
-    assert inst.exponents == ((2,), (0,))
+    assert inst.terms == (((2, 0), 3),)
     out = serialize_absio(inst)
     assert "b 1 -inf 4" in out and "b 2 -inf inf" in out
 
@@ -146,7 +146,7 @@ def test_absio_parse_errors():
 
 
 def test_absio_serialize_requires_identity_ids():
-    inst = AbsIoInstance(((1,),), (2,), (0,), (3,), 1, (5,))
+    inst = AbsIoInstance((((1,), 2),), (0,), (3,), 1, (5,))
     with pytest.raises(InvalidInstanceError):
         serialize_absio(inst)
 
@@ -269,7 +269,7 @@ def test_hypergraph_witness_roundtrip():
 
 
 def test_absio_witness_roundtrip():
-    inst = AbsIoInstance(((1, 0), (0, 1)), (2, 3), (0, -5), (9, 5), 1)
+    inst = AbsIoInstance((((1, 0), 2), ((0, 1), 3)), (0, -5), (9, 5), 1)
     text = serialize_witness(inst, (4, -1))
     assert text == "x 1 4\nx 2 -1\n"
     assert parse_witness(text, inst) == (4, -1)

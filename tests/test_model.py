@@ -11,7 +11,6 @@ from absopt.model import (
     WeightedHypergraph,
     brute_force_formula,
     brute_force_hypergraph,
-    degree,
     eval_formula,
     induced_weight,
     iter_subsets_lex,
@@ -109,8 +108,6 @@ def test_induced_weight_and_degree():
     assert induced_weight(h, (1, 2, 3)) == 4
     assert link(h, (2,)) == (frozenset({1, 2}), frozenset({2, 3}))
     assert link(h, (1, 2)) == ()
-    assert degree(h, 2) == 2
-    assert degree(h, 4) == 0
     assert max_degree(h) == 2
     assert max_degree(WeightedHypergraph(0, (), 0)) == 0
 

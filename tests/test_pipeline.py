@@ -56,7 +56,7 @@ def test_verify_witness_hypergraph():
 
 
 def test_verify_witness_absio():
-    inst = AbsIoInstance(((2,),), (1,), (-3,), (5,), 4)
+    inst = AbsIoInstance((((2,), 1),), (-3,), (5,), 4)
     ok, value = verify_witness(inst, (-2,))
     assert ok and value == 4
     ok, value = verify_witness(inst, (9,))
