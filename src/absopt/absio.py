@@ -32,7 +32,7 @@ from .errors import (
     InvalidInstanceError,
 )
 from .kernel import MODE_EDGECOUNT, STATUS_TRIVIAL_YES, kernelize
-from .model import Verdict, WeightedHypergraph, _check_target
+from .model import Verdict, WeightedHypergraph, _bare, _check_target
 from .pipeline import _checked_value
 
 DEFAULT_POINT_CAP = 2_000_000
@@ -109,6 +109,12 @@ class AbsIoInstance:
         ):
             raise InvalidInstanceError(f"bad variable ids {ids!r}")
         object.__setattr__(self, "var_ids", ids)
+
+    @classmethod
+    def _trusted(cls, terms: tuple[Term, ...], lower: tuple[Bound, ...],
+                 upper: tuple[Bound, ...], alpha: int, var_ids: tuple[int, ...]) -> "AbsIoInstance":
+        """Build from tuples that already pass every check, without checking them."""
+        return _bare(cls, terms=terms, lower=lower, upper=upper, alpha=alpha, var_ids=var_ids)
 
     @property
     def num_vars(self) -> int:
@@ -234,7 +240,7 @@ def rule5_simplify(inst: AbsIoInstance) -> SimplifyOutcome:
         for i in range(len(lower)):
             if _box_empty(lower[i], upper[i]):
                 lines.append(f"rule5 empty x{ids[i]}")
-                out = AbsIoInstance(terms, lower, upper, inst.alpha, ids)
+                out = AbsIoInstance._trusted(tuple(terms), lower, upper, inst.alpha, ids)
                 return SimplifyOutcome(out, tuple(log), tuple(lines), ids[i])
         # one-point domains
         gone = [i for i in range(len(lower)) if lower[i] is not None and lower[i] == upper[i]]
@@ -253,7 +259,7 @@ def rule5_simplify(inst: AbsIoInstance) -> SimplifyOutcome:
             lines.append(f"rule5 merged={len(terms) - len(merged)}")
             terms = list(merged.items())
             changed = True
-    out = AbsIoInstance(terms, lower, upper, inst.alpha, ids)
+    out = AbsIoInstance._trusted(tuple(terms), lower, upper, inst.alpha, ids)
     return SimplifyOutcome(out, tuple(log), tuple(lines))
 
 
@@ -280,7 +286,9 @@ def shift_variable(inst: AbsIoInstance, i: int, t: int) -> tuple[AbsIoInstance, 
     upper = list(inst.upper)
     lower[i] = None if lower[i] is None else lower[i] - t
     upper[i] = None if upper[i] is None else upper[i] - t
-    out = AbsIoInstance(tuple(merged.items()), lower, upper, inst.alpha, inst.var_ids)
+    out = AbsIoInstance._trusted(
+        tuple(merged.items()), tuple(lower), tuple(upper), inst.alpha, inst.var_ids
+    )
     return out, ("shift", inst.var_ids[i], t)
 
 
@@ -288,13 +296,13 @@ def negate_variable(inst: AbsIoInstance, i: int) -> tuple[AbsIoInstance, LogEntr
     """Substitute x_i = -y: odd-exponent weights flip, the interval mirrors."""
     if not 0 <= i < inst.num_vars:
         raise InvalidInstanceError(f"no variable at index {i}")
-    terms = [(vec, -w if vec[i] % 2 else w) for vec, w in inst.terms]
+    terms = tuple([(vec, -w if vec[i] % 2 else w) for vec, w in inst.terms])
     lower = list(inst.lower)
     upper = list(inst.upper)
     lo, hi = lower[i], upper[i]
     lower[i] = None if hi is None else -hi
     upper[i] = None if lo is None else -lo
-    out = AbsIoInstance(terms, lower, upper, inst.alpha, inst.var_ids)
+    out = AbsIoInstance._trusted(terms, tuple(lower), tuple(upper), inst.alpha, inst.var_ids)
     return out, ("negate", inst.var_ids[i])
 
 
@@ -469,7 +477,8 @@ def _support_shortcut(inst: AbsIoInstance) -> tuple[tuple[int, ...] | None, tupl
     # 0/1 witness.  Rules 5 and 6 ran to their fixpoint first, so every
     # interval holds 0 and 1; with no variables every edge is empty, d < 1.
     edges = [(frozenset(i + 1 for i, a in enumerate(vec) if a), w) for vec, w in inst.terms]
-    h = WeightedHypergraph(inst.num_vars, edges, inst.alpha)
+    d = max((len(e) for e, _ in edges), default=0)
+    h = WeightedHypergraph._trusted(frozenset(range(1, inst.num_vars + 1)), edges, inst.alpha, d)
     if h.d < 1:
         return None, ()
     outcome = kernelize(h, MODE_EDGECOUNT)
@@ -493,8 +502,8 @@ def _pick_branch(inst: AbsIoInstance) -> tuple[int, int] | None:
 
 def _branch_child(inst: AbsIoInstance, i: int, k: int, child_alpha: int) -> AbsIoInstance:
     drop = lambda seq: seq[:i] + seq[i + 1:]
-    return AbsIoInstance(
-        [(drop(vec), w) for vec, w in inst.terms if vec[i] == k],
+    return AbsIoInstance._trusted(
+        tuple([(drop(vec), w) for vec, w in inst.terms if vec[i] == k]),
         drop(inst.lower),
         drop(inst.upper),
         child_alpha,
@@ -527,9 +536,9 @@ def _scan_window(
                 w *= partial[inst.var_ids[r]] ** a
         coeffs[vec[i]] += w
     cap = DEFAULT_POINT_CAP if max_points is None else max_points
-    line = AbsIoInstance(
-        [((k,), c) for k, c in enumerate(coeffs)], (start,), (start + min(width, cap - 1),),
-        inst.alpha,
+    line = AbsIoInstance._trusted(
+        tuple([((k,), c) for k, c in enumerate(coeffs)]), (start,),
+        (start + min(width, cap - 1),), inst.alpha, (1,),
     )
     hit = _grid_leaf(line, _leaf_dtype(line))
     if hit is None and width >= cap:

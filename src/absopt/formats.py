@@ -131,7 +131,7 @@ def parse_formula(text: str) -> WeightedFormula:
         if toks[6] not in COMPARISONS:
             raise ParseError(no, f"comparison must be atleast, exact, or atmost, got {toks[6]!r}")
         comparison = toks[6]
-    clauses: list[tuple[list[int], int]] = []
+    clauses: list[tuple[frozenset[int], int]] = []
     for no, toks in records:
         if len(toks) < 3:
             raise ParseError(no, "clause line needs a weight and a 0 terminator")
@@ -146,10 +146,9 @@ def parse_formula(text: str) -> WeightedFormula:
             if abs(lit) in seen:
                 raise ParseError(no, f"variable {abs(lit)} repeats in one clause")
             seen.add(abs(lit))
-        clauses.append((lits, weight))
+        clauses.append((frozenset(lits), weight))
     _count(nclauses, clauses, "clauses")
-    return WeightedFormula(kind, nvars, tuple((tuple(l), w) for l, w in clauses),
-                           alpha, objective, comparison)
+    return WeightedFormula._trusted(kind, nvars, clauses, alpha, objective, comparison)
 
 
 def serialize_formula(phi: WeightedFormula) -> str:
@@ -172,7 +171,7 @@ def parse_hypergraph(text: str) -> WeightedHypergraph:
     nedges = _nonneg(toks[3], no, "edge count")
     alpha = _nonneg(toks[4], no, "target")
     known: set[int] | None = None
-    edges: list[tuple[list[int], int]] = []
+    edges: list[tuple[frozenset[int], int]] = []
     for no, toks in records:
         if toks[0] == "n":
             if known is not None:
@@ -197,10 +196,11 @@ def parse_hypergraph(text: str) -> WeightedHypergraph:
             if v in seen:
                 raise ParseError(no, f"vertex {v} repeats in one edge")
             seen.add(v)
-        edges.append((vs, weight))
+        edges.append((frozenset(vs), weight))
     _count(nedges, edges, "edges")
-    vertices = frozenset(known) if known is not None else nvertices
-    return WeightedHypergraph(vertices, tuple((tuple(e), w) for e, w in edges), alpha)
+    vertices = frozenset(known) if known is not None else frozenset(range(1, nvertices + 1))
+    d = max((len(e) for e, _ in edges), default=0)
+    return WeightedHypergraph._trusted(vertices, edges, alpha, d)
 
 
 def serialize_hypergraph(h: WeightedHypergraph) -> str:
@@ -268,7 +268,7 @@ def parse_absio(text: str) -> AbsIoInstance:
     _count(m, terms, "terms")
     lo = tuple(lower.get(i) for i in range(1, n + 1))
     hi = tuple(upper.get(i) for i in range(1, n + 1))
-    return AbsIoInstance(terms, lo, hi, alpha)
+    return AbsIoInstance._trusted(tuple(terms), lo, hi, alpha, tuple(range(1, n + 1)))
 
 
 def serialize_absio(inst: AbsIoInstance) -> str:

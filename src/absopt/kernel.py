@@ -97,7 +97,7 @@ def rule1_isolated(h: WeightedHypergraph) -> tuple[WeightedHypergraph, VertexSet
     if not isolated:
         return None
     return (
-        WeightedHypergraph(h.vertices - isolated, h.edges, h.alpha, h.d),
+        WeightedHypergraph._trusted(h.vertices - isolated, h.edges, h.alpha, h.d),
         frozenset(isolated),
     )
 
@@ -108,7 +108,7 @@ def rule2_zero_weight(h: WeightedHypergraph) -> tuple[WeightedHypergraph, tuple[
     if not removed:
         return None
     kept = tuple((e, wt) for e, wt in h.edges if wt != 0)
-    return WeightedHypergraph(h.vertices, kept, h.alpha, h.d), removed
+    return WeightedHypergraph._trusted(h.vertices, kept, h.alpha, h.d), removed
 
 
 def extract_witness_packing(h: WeightedHypergraph) -> VertexSet:

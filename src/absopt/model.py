@@ -61,20 +61,30 @@ def _normalize_clause(lits: Iterable[int], num_vars: int) -> Clause:
     return frozenset(lit_list)
 
 
+def _check_weights(items: Iterable[tuple[frozenset, int]]) -> None:
+    for _, wt in items:
+        if not isinstance(wt, int) or isinstance(wt, bool):
+            raise InvalidInstanceError(f"weight {wt!r} is not an integer")
+
+
 def _merge_weighted(items: Iterable[tuple[frozenset, int]]) -> tuple[tuple[frozenset, int], ...]:
     # Duplicate keys merge by weight sum; first occurrence fixes the position.
     # A merged weight of zero is kept, not dropped.
-    order: list[frozenset] = []
     weights: dict[frozenset, int] = {}
     for key, wt in items:
-        if not isinstance(wt, int) or isinstance(wt, bool):
-            raise InvalidInstanceError(f"weight {wt!r} is not an integer")
         if key in weights:
             weights[key] += wt
         else:
             weights[key] = wt
-            order.append(key)
-    return tuple((key, weights[key]) for key in order)
+    return tuple(weights.items())
+
+
+def _bare(cls, **fields):
+    # An instance of a frozen dataclass holding exactly these field values;
+    # __init__ and __post_init__ do not run.
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _check_target(alpha) -> None:
@@ -116,7 +126,19 @@ class WeightedFormula:
         normalized = [
             (_normalize_clause(lits, self.num_vars), wt) for lits, wt in self.clauses
         ]
+        _check_weights(normalized)
         object.__setattr__(self, "clauses", _merge_weighted(normalized))
+
+    @classmethod
+    def _trusted(cls, kind: str, num_vars: int, clauses, alpha: int,
+                 objective: str, comparison: str) -> "WeightedFormula":
+        """Build from parts that already pass every check, without checking them.
+
+        ``clauses`` are (frozenset of literals, int weight) pairs; equal
+        literal sets merge as in the public constructor.
+        """
+        return _bare(cls, kind=kind, num_vars=num_vars, clauses=_merge_weighted(clauses),
+                     alpha=alpha, objective=objective, comparison=comparison)
 
     @property
     def monotone(self) -> bool:
@@ -209,6 +231,7 @@ class WeightedHypergraph:
             if not e <= verts:
                 raise InvalidInstanceError(f"edge {sorted(e)} leaves the vertex set")
             normalized.append((e, wt))
+        _check_weights(normalized)
         merged = _merge_weighted(normalized)
         object.__setattr__(self, "edges", merged)
         max_size = max((len(e) for e, _ in merged), default=0)
@@ -218,6 +241,16 @@ class WeightedHypergraph:
         if not isinstance(d, int) or isinstance(d, bool) or d < max_size:
             raise InvalidInstanceError(f"edge size bound {d!r} below largest edge {max_size}")
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _trusted(cls, vertices: frozenset[int], edges, alpha: int, d: int) -> "WeightedHypergraph":
+        """Build from parts that already pass every check, without checking them.
+
+        ``edges`` are (frozenset inside ``vertices``, int weight) pairs; equal
+        edges merge as in the public constructor.  ``d`` is not derived: it
+        must be at least the largest edge size.
+        """
+        return _bare(cls, vertices=vertices, edges=_merge_weighted(edges), alpha=alpha, d=d)
 
     @property
     def num_vertices(self) -> int:

@@ -88,7 +88,7 @@ def monotonize_abs_dnf(phi: WeightedFormula) -> tuple[WeightedFormula, Reduction
         positive = frozenset(l for l in lits if l > 0)
         for subset in iter_subsets_lex(negated):
             clauses.append((positive | subset, -wt if len(subset) % 2 else wt))
-    out = WeightedFormula(
+    out = WeightedFormula._trusted(
         KIND_DNF, phi.num_vars, clauses, phi.alpha, phi.objective, phi.comparison
     )
     return out, ReductionReceipt("monotonize", KIND_DNF, KIND_DNF)
@@ -106,7 +106,8 @@ def encode_dnf_as_hypergraph(
     """
     if phi.kind != KIND_DNF or not phi.monotone:
         raise ContractViolationError("hypergraph encoding expects a monotone DNF")
-    h = WeightedHypergraph(phi.num_vars, phi.clauses, phi.alpha, phi.width)
+    vertices = frozenset(range(1, phi.num_vars + 1))
+    h = WeightedHypergraph._trusted(vertices, phi.clauses, phi.alpha, phi.width)
     return h, ReductionReceipt("encode-hypergraph", KIND_DNF, "hypergraph")
 
 
@@ -132,7 +133,7 @@ def abs_cnf_to_abs_dnf(phi: WeightedFormula) -> tuple[WeightedFormula, Reduction
                 continue  # the unique falsifying minterm
             minterm = frozenset(var if v else -var for var, v in zip(variables, values))
             clauses.append((minterm, wt))
-    out = WeightedFormula(
+    out = WeightedFormula._trusted(
         KIND_DNF, phi.num_vars, clauses, phi.alpha, phi.objective, phi.comparison
     )
     return out, ReductionReceipt("cnf-to-dnf", KIND_CNF, KIND_DNF)

@@ -54,21 +54,28 @@ def test_formula_comments_and_blanks():
 
 def test_formula_parse_errors():
     cases = [
-        ("p wxyz 1 0 0\n", 1),
-        ("w 1 1 0\n", 1),  # clause before the problem line
-        ("p wdnf 1 0 0\np wdnf 1 0 0\n", 2),
-        ("p wdnf 1 1 0\nw 2 0 0\n", 2),  # literal 0
-        ("p wdnf 1 1 0\nw 2 5 0\n", 2),  # out of range
-        ("p wdnf 2 1 0\nw 2 1 -1 0\n", 2),  # repeated variable
-        ("p wdnf 2 1 0\nw 2 1\n", 2),  # missing terminator
-        ("p wdnf 1 1 0\nq zzz\n", 2),
-        ("p wdnf 1 1 0 fancy\n", 1),
-        ("p wdnf 1 1 0 abs near\n", 1),
+        ("p wxyz 1 0 0\n", 1,
+         "expected: p wdnf|wcnf nvars nclauses alpha [objective] [comparison]"),
+        ("w 1 1 0\n", 1, "clause before the problem line"),
+        ("p wdnf 1 0 0\np wdnf 1 0 0\n", 2, "second problem line"),
+        ("p wdnf 1 1 0\nw 2 0 0\n", 2, "literal 0 inside a clause"),
+        ("p wdnf 1 1 0\nw 2 5 0\n", 2, "literal 5 exceeds 1 variables"),
+        ("p wdnf 2 1 0\nw 2 -3 0\n", 2, "literal -3 exceeds 2 variables"),
+        ("p wdnf 2 1 0\nw 2 1 -1 0\n", 2, "variable 1 repeats in one clause"),
+        ("p wdnf 2 1 0\nw 2 1 x 0\n", 2, "literal must be an integer, got 'x'"),
+        ("p wdnf 2 1 0\nw 2.5 1 0\n", 2, "weight must be an integer, got '2.5'"),
+        ("p wdnf 2 1 0\nw 2 1\n", 2, "list line must end with 0"),
+        ("p wdnf 2 1 0\nw 2\n", 2, "clause line needs a weight and a 0 terminator"),
+        ("p wdnf 1 1 0\nq zzz\n", 2, "unexpected line 'q' in a formula file"),
+        ("p wdnf 1 1 0 fancy\n", 1, "objective must be abs or sum, got 'fancy'"),
+        ("p wdnf 1 1 0 abs near\n", 1,
+         "comparison must be atleast, exact, or atmost, got 'near'"),
     ]
-    for text, line in cases:
+    for text, line, message in cases:
         with pytest.raises(ParseError) as exc:
             parse_formula(text)
         assert exc.value.line_no == line, text
+        assert str(exc.value) == f"line {line}: {message}"
     with pytest.raises(ParseError):
         parse_formula("p wdnf 1 2 0\nw 1 1 0\n")  # count mismatch
     with pytest.raises(ParseError):
@@ -96,17 +103,23 @@ def test_hypergraph_roundtrip_named_vertices():
 
 def test_hypergraph_parse_errors():
     cases = [
-        ("p uhg 2 1 1\ne 3 1 1 0\n", 2),  # repeated vertex
-        ("p uhg 2 1 1\ne 3 5 0\n", 2),  # unknown vertex
-        ("p uhg 2 1 1\nn 1 2 0\ne 3 1 0\nn 1 2 0\n", 4),
-        ("p uhg 2 1 1\ne 3 1 0\nn 1 2 0\n", 3),  # vertex list after edges
-        ("p uhg 2 1 1\nn 1 1 0\ne 3 1 0\n", 2),  # duplicate ids
-        ("p uhg 2 1\n", 1),
+        ("p uhg 2 1 1\ne 3 1 1 0\n", 2, "vertex 1 repeats in one edge"),
+        ("p uhg 2 1 1\nn 3 7 0\ne 1 3 3 0\n", 3, "vertex 3 repeats in one edge"),
+        ("p uhg 2 1 1\ne 3 5 0\n", 2, "vertex 5 is not in the vertex set"),
+        ("p uhg 2 1 1\ne 3 0 0\n", 2, "vertex 0 is not in the vertex set"),
+        ("p uhg 2 1 1\nn 3 7 0\ne 1 3 4 0\n", 3, "vertex 4 is not in the vertex set"),
+        ("p uhg 2 1 1\ne 3 1 v 0\n", 2, "vertex must be an integer, got 'v'"),
+        ("p uhg 2 1 1\nn 1 2 0\ne 3 1 0\nn 1 2 0\n", 4, "second vertex list"),
+        ("p uhg 2 1 1\ne 3 1 0\nn 1 2 0\n", 3, "vertex list must come before the edges"),
+        ("p uhg 2 1 1\nn 1 1 0\ne 3 1 0\n", 2,
+         "vertex ids must be distinct positive integers"),
+        ("p uhg 2 1\n", 1, "expected: p uhg nvertices nedges alpha"),
     ]
-    for text, line in cases:
+    for text, line, message in cases:
         with pytest.raises(ParseError) as exc:
             parse_hypergraph(text)
         assert exc.value.line_no == line, text
+        assert str(exc.value) == f"line {line}: {message}"
     with pytest.raises(ParseError):
         parse_hypergraph("p uhg 1 2 1\ne 1 1 0\n")
 
@@ -130,19 +143,27 @@ def test_absio_unbounded_tokens():
 
 def test_absio_parse_errors():
     cases = [
-        ("p absio 1 1 1\ncol 2 1:0 0\n", 2),  # zero exponent
-        ("p absio 1 1 1\ncol 2 2:1 0\n", 2),  # unknown variable
-        ("p absio 1 1 1\ncol 2 1:1 1:2 0\n", 2),  # repeat
-        ("p absio 1 1 1\ncol 2 x 0\n", 2),  # not var:exp
-        ("p absio 1 0 1\nb 1 inf 3\n", 2),
-        ("p absio 1 0 1\nb 1 0 -inf\n", 2),
-        ("p absio 1 0 1\nb 1 0 3\nb 1 0 3\n", 3),
-        ("p absio 1 0 1\nb 2 0 3\n", 2),
+        ("p absio 1 1 1\ncol 2\n", 2, "term line needs a weight and a 0 terminator"),
+        ("p absio 1 1 1\ncol w 1:1 0\n", 2, "weight must be an integer, got 'w'"),
+        ("p absio 1 1 1\ncol 2 1:1\n", 2, "list line must end with 0"),
+        ("p absio 1 1 1\ncol 2 x 0\n", 2, "expected <var>:<exp>, got 'x'"),
+        ("p absio 1 1 1\ncol 2 a:1 0\n", 2, "variable must be an integer, got 'a'"),
+        ("p absio 1 1 1\ncol 2 1:b 0\n", 2, "exponent must be an integer, got 'b'"),
+        ("p absio 1 1 1\ncol 2 2:1 0\n", 2, "variable 2 is not in 1..1"),
+        ("p absio 1 1 1\ncol 2 0:1 0\n", 2, "variable 0 is not in 1..1"),
+        ("p absio 1 1 1\ncol 2 1:0 0\n", 2, "exponent for variable 1 must be positive"),
+        ("p absio 1 1 1\ncol 2 1:-1 0\n", 2, "exponent for variable 1 must be positive"),
+        ("p absio 1 1 1\ncol 2 1:1 1:2 0\n", 2, "variable 1 repeats in one term"),
+        ("p absio 1 0 1\nb 1 inf 3\n", 2, "lower bound cannot be +inf"),
+        ("p absio 1 0 1\nb 1 0 -inf\n", 2, "upper bound cannot be -inf"),
+        ("p absio 1 0 1\nb 1 0 3\nb 1 0 3\n", 3, "second bounds line for variable 1"),
+        ("p absio 1 0 1\nb 2 0 3\n", 2, "variable 2 is not in 1..1"),
     ]
-    for text, line in cases:
+    for text, line, message in cases:
         with pytest.raises(ParseError) as exc:
             parse_absio(text)
         assert exc.value.line_no == line, text
+        assert str(exc.value) == f"line {line}: {message}"
 
 
 def test_absio_serialize_requires_identity_ids():

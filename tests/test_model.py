@@ -101,6 +101,64 @@ def test_hypergraph_construction():
         WeightedHypergraph(2, (((1,), 1),), 1, d=True)
 
 
+def test_formula_validation_messages():
+    good = dict(kind="dnf", num_vars=2, clauses=(((1, -2), 3), ((2,), -4)), alpha=1)
+    bad = [
+        ("clauses", (((1, -2), 3), ((2,), True)), "weight True is not an integer"),
+        ("clauses", (((1, -2), 3.0), ((2,), -4)), "weight 3.0 is not an integer"),
+        ("clauses", (((1, 0), 3),), "bad literal 0"),
+        ("clauses", (((1, True), 3),), "bad literal True"),
+        ("clauses", (((1, 2.0), 3),), "bad literal 2.0"),
+        ("clauses", (((1, -1), 3),), "variable 1 appears twice in one clause"),
+        ("clauses", (((1, -3), 3),), "literal -3 exceeds 2 variables"),
+        # literals are checked across all clauses before any weight
+        ("clauses", (((1,), 1.5), ((3,), 1)), "literal 3 exceeds 2 variables"),
+        ("num_vars", -1, "bad variable count -1"),
+        ("num_vars", True, "bad variable count True"),
+        ("alpha", -2, "target must be a non-negative integer, got -2"),
+        ("kind", "xnf", "unknown clause kind 'xnf'"),
+    ]
+    for key, value, message in bad:
+        with pytest.raises(InvalidInstanceError) as info:
+            WeightedFormula(**{**good, key: value})
+        assert str(info.value) == message
+    for key, value, message in [
+        ("objective", "max", "unknown objective 'max'"),
+        ("comparison", "above", "unknown comparison 'above'"),
+    ]:
+        with pytest.raises(InvalidInstanceError) as info:
+            WeightedFormula(**good, **{key: value})
+        assert str(info.value) == message
+
+
+def test_hypergraph_validation_messages():
+    good = dict(vertices=3, edges=(((1, 2), 3), ((3,), -4)), alpha=1)
+    bad = [
+        ("edges", (((1, 2), 3), ((3,), False)), "weight False is not an integer"),
+        ("edges", (((1, 2), 0.5),), "weight 0.5 is not an integer"),
+        ("vertices", frozenset({0, 1, 2, 3}), "bad vertex id 0"),
+        ("vertices", (1, 2, 3, 4.0), "bad vertex id 4.0"),
+        ("vertices", -1, "bad vertex count -1"),
+        ("vertices", True, "bad vertex count True"),
+        ("edges", (((1, 4), 3),), "edge [1, 4] leaves the vertex set"),
+        # vertices are checked across all edges before any weight
+        ("edges", (((1,), 1.5), ((2, 5), 1)), "edge [2, 5] leaves the vertex set"),
+        ("alpha", 1.0, "target must be a non-negative integer, got 1.0"),
+    ]
+    for key, value, message in bad:
+        with pytest.raises(InvalidInstanceError) as info:
+            WeightedHypergraph(**{**good, key: value})
+        assert str(info.value) == message
+    for d, message in [
+        (1, "edge size bound 1 below largest edge 2"),
+        (True, "edge size bound True below largest edge 2"),
+        (2.5, "edge size bound 2.5 below largest edge 2"),
+    ]:
+        with pytest.raises(InvalidInstanceError) as info:
+            WeightedHypergraph(**good, d=d)
+        assert str(info.value) == message
+
+
 def test_induced_weight_and_degree():
     h = WeightedHypergraph(4, (((1, 2), 2), ((2, 3), -3), ((), 5)), 1)
     assert induced_weight(h, ()) == 5
