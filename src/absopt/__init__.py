@@ -17,7 +17,6 @@ from .errors import (
 )
 from .kernel import KernelOutcome, g, kernelize
 from .model import (
-    Assignment,
     Verdict,
     WeightedFormula,
     WeightedHypergraph,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbsIoInstance",
-    "Assignment",
     "BACKEND",
     "BudgetExceededError",
     "ContractViolationError",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -79,20 +78,14 @@ class AbsIoInstance:
             )
         terms = tuple([(tuple(vec), w) for vec, w in self.terms])
         object.__setattr__(self, "terms", terms)
-        vecs = [vec for vec, _ in terms]
-        weights = [w for _, w in terms]
-        if not set(map(len, vecs)) <= {n}:
-            bad = next(vec for vec in vecs if len(vec) != n)
-            raise InvalidInstanceError(f"exponent vector of length {len(bad)}, expected {n}")
-        # One pass over the types accepts the common case; a miss rescans
-        # with the full check, which also admits int subclasses but not bool.
-        if not set(map(type, weights)) <= {int}:
-            for w in weights:
-                if not _is_int(w):
-                    raise InvalidInstanceError(f"weight {w!r} is not an integer")
-        flat = list(chain.from_iterable(vecs))
-        if not (set(map(type, flat)) <= {int} and min(flat, default=0) >= 0):
-            for a in flat:
+        for vec, _ in terms:
+            if len(vec) != n:
+                raise InvalidInstanceError(f"exponent vector of length {len(vec)}, expected {n}")
+        for _, w in terms:
+            if not _is_int(w):
+                raise InvalidInstanceError(f"weight {w!r} is not an integer")
+        for vec, _ in terms:
+            for a in vec:
                 if not _is_int(a) or a < 0:
                     raise InvalidInstanceError(f"bad exponent {a!r}")
         for b in self.lower + self.upper:

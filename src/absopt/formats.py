@@ -32,9 +32,9 @@ from .model import (
     OBJ_ABS,
     OBJECTIVES,
     CMP_ATLEAST,
-    Assignment,
     WeightedFormula,
     WeightedHypergraph,
+    _true_vars,
 )
 from .reductions import Graph
 
@@ -349,7 +349,8 @@ def serialize_instance(obj) -> str:
 def parse_witness(text: str, instance):
     """Parse a witness file against its instance.
 
-    Returns an ``Assignment`` for a formula, a vertex ``frozenset`` for a
+    Returns the ``frozenset`` of true variables for a formula (a ``v`` file
+    must give every variable exactly once), a vertex ``frozenset`` for a
     hypergraph, or an integer tuple for a polynomial instance.
     """
     if isinstance(instance, WeightedFormula):
@@ -358,18 +359,18 @@ def parse_witness(text: str, instance):
             if toks[0] != "v":
                 raise ParseError(no, f"expected a v line, got {toks[0]!r}")
             lits.extend(_int(t, no, "literal") for t in toks[1:])
-        values: dict[int, bool] = {}
+        seen: set[int] = set()
         for lit in lits:
             v = abs(lit)
             if lit == 0 or v > instance.num_vars:
                 raise ParseError(0, f"literal {lit} does not name a variable")
-            if v in values:
+            if v in seen:
                 raise ParseError(0, f"variable {v} assigned twice")
-            values[v] = lit > 0
-        missing = [v for v in range(1, instance.num_vars + 1) if v not in values]
-        if missing:
-            raise ParseError(0, f"variable {missing[0]} has no value")
-        return Assignment(tuple(values[v] for v in range(1, instance.num_vars + 1)))
+            seen.add(v)
+        if len(seen) != instance.num_vars:
+            missing = next(v for v in range(1, instance.num_vars + 1) if v not in seen)
+            raise ParseError(0, f"variable {missing} has no value")
+        return frozenset(lit for lit in lits if lit > 0)
     if isinstance(instance, WeightedHypergraph):
         vs: list[int] = []
         for no, toks in _lines(text):
@@ -403,10 +404,8 @@ def parse_witness(text: str, instance):
 
 def serialize_witness(instance, witness) -> str:
     if isinstance(instance, WeightedFormula):
-        if not isinstance(witness, Assignment):
-            witness = Assignment.from_true_vars(instance.num_vars, witness)
-        lits = [v if witness.value(v) else -v for v in range(1, instance.num_vars + 1)]
-        body = " ".join(str(l) for l in lits)
+        trues = _true_vars(instance.num_vars, witness)
+        body = " ".join(str(v if v in trues else -v) for v in range(1, instance.num_vars + 1))
         return (f"v {body}" if body else "v") + "\n"
     if isinstance(instance, WeightedHypergraph):
         body = " ".join(str(v) for v in sorted(witness))

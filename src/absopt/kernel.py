@@ -163,13 +163,14 @@ def extract_witness_packing(h: WeightedHypergraph) -> VertexSet:
     raise InternalGuaranteeError("packing extraction produced no verifying side")
 
 
-def rule3_degree(h: WeightedHypergraph) -> KernelOutcome | None:
+def rule3_degree(h: WeightedHypergraph) -> tuple[VertexSet, str] | None:
     """Certify yes when |V| >= 2*alpha*d^3*Delta^2 (V nonempty).
 
     With rules 1-2 exhausted, every vertex has degree >= 1, so the greedy
     packing reaches 2*alpha members and a witness exists.  The vacuous case
     V = empty is excluded: the threshold degenerates to 0 there while no
-    packing member can be picked.
+    packing member can be picked.  Returns the witness and its transcript
+    line, or None.
     """
     if h.alpha < 1 or not h.vertices:
         return None
@@ -177,13 +178,7 @@ def rule3_degree(h: WeightedHypergraph) -> KernelOutcome | None:
     threshold = 2 * h.alpha * h.d**3 * delta**2
     if h.num_vertices < threshold:
         return None
-    witness = extract_witness_packing(h)
-    return KernelOutcome(
-        STATUS_TRIVIAL_YES,
-        h,
-        witness,
-        (f"rule3 |V|={h.num_vertices} threshold={threshold}",),
-    )
+    return extract_witness_packing(h), f"rule3 |V|={h.num_vertices} threshold={threshold}"
 
 
 def rule4_subedge(h: WeightedHypergraph) -> VertexSet | None:
@@ -288,9 +283,9 @@ def kernelize(h: WeightedHypergraph, mode: str = MODE_SUBEDGE) -> KernelOutcome:
         if mode in (MODE_DEGREE, MODE_SUBEDGE):
             r3 = rule3_degree(h)
             if r3 is not None:
-                return KernelOutcome(
-                    STATUS_TRIVIAL_YES, h, r3.witness, tuple(transcript) + r3.transcript
-                )
+                witness, line = r3
+                transcript.append(line)
+                return KernelOutcome(STATUS_TRIVIAL_YES, h, witness, tuple(transcript))
         if mode == MODE_SUBEDGE:
             core = rule4_subedge(h)
             if core is not None:

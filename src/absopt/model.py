@@ -4,9 +4,10 @@ Two instance families share the same exact-integer evaluation semantics:
 
 * ``WeightedFormula``: a weighted clause set over boolean variables 1..n.
   Clauses are conjunctions (kind ``dnf``) or disjunctions (kind ``cnf``) with
-  integer weights of either sign.  The value of an assignment is the signed
-  sum of the weights of the satisfied clauses.  The decision compares either
-  the signed value or its absolute value against a non-negative target.
+  integer weights of either sign.  An assignment is the set of its true
+  variables, as a vertex subset is the set of its members; its value is the
+  signed sum of the weights of the satisfied clauses.  The decision compares
+  either the signed value or its absolute value against a non-negative target.
 * ``WeightedHypergraph``: integer-weighted hyperedges over a vertex set.  A
   vertex subset X induces the weight sum of all edges fully inside X, the
   empty edge included.  The decision asks for |w[X]| >= alpha.
@@ -152,42 +153,13 @@ class WeightedFormula:
 
 
 @dataclass(frozen=True)
-class Assignment:
-    """Total boolean assignment; ``values[i]`` is the value of variable i+1."""
-
-    values: tuple[bool, ...]
-
-    @classmethod
-    def from_true_vars(cls, num_vars: int, true_vars: Iterable[int]) -> "Assignment":
-        trues = set(true_vars)
-        bad = [v for v in trues if v < 1 or v > num_vars]
-        if bad:
-            raise InvalidInstanceError(f"variable {bad[0]} out of range 1..{num_vars}")
-        return cls(tuple(v in trues for v in range(1, num_vars + 1)))
-
-    @classmethod
-    def from_mask(cls, num_vars: int, mask: int) -> "Assignment":
-        return cls(tuple(bool(mask >> i & 1) for i in range(num_vars)))
-
-    def value(self, var: int) -> bool:
-        if var < 1 or var > len(self.values):
-            raise InvalidInstanceError(f"variable {var} out of range 1..{len(self.values)}")
-        return self.values[var - 1]
-
-    def true_vars(self) -> frozenset[int]:
-        return frozenset(i + 1 for i, v in enumerate(self.values) if v)
-
-    def mask(self) -> int:
-        m = 0
-        for i, v in enumerate(self.values):
-            if v:
-                m |= 1 << i
-        return m
-
-
-@dataclass(frozen=True)
 class Verdict:
-    """Decision result; a yes carries a witness and its achieved value."""
+    """Decision result; a yes carries a witness and its achieved value.
+
+    The witness is a ``frozenset`` of ids for a formula (its true variables)
+    or a hypergraph (its vertex subset), and a tuple of integers, one per
+    variable, for a polynomial.
+    """
 
     decision: bool
     witness: object = None
@@ -257,21 +229,23 @@ class WeightedHypergraph:
         return len(self.vertices)
 
 
-def eval_formula(phi: WeightedFormula, beta: Assignment) -> int:
-    """Signed weight sum of the clauses satisfied by ``beta``."""
-    if len(beta.values) != phi.num_vars:
-        raise InvalidInstanceError(
-            f"assignment over {len(beta.values)} variables, formula has {phi.num_vars}"
-        )
-    vals = beta.values
+def _true_vars(num_vars: int, true_vars: Iterable[int]) -> frozenset[int]:
+    """The ids as a set; an id outside 1..num_vars is rejected."""
+    trues = frozenset(true_vars)
+    bad = [v for v in trues if v < 1 or v > num_vars]
+    if bad:
+        raise InvalidInstanceError(f"variable {bad[0]} out of range 1..{num_vars}")
+    return trues
+
+
+def eval_formula(phi: WeightedFormula, true_vars: Iterable[int]) -> int:
+    """Signed weight sum of the clauses satisfied when exactly ``true_vars`` hold."""
+    trues = _true_vars(phi.num_vars, true_vars)
     dnf = phi.kind == KIND_DNF
     total = 0
     for lits, wt in phi.clauses:
-        if dnf:
-            sat = all(vals[l - 1] if l > 0 else not vals[-l - 1] for l in lits)
-        else:
-            sat = any(vals[l - 1] if l > 0 else not vals[-l - 1] for l in lits)
-        if sat:
+        holds = (l in trues if l > 0 else -l not in trues for l in lits)
+        if all(holds) if dnf else any(holds):
             total += wt
     return total
 
@@ -363,15 +337,16 @@ def _first_hit(clauses, cnf: bool, targets) -> tuple[frozenset[int], int] | None
 def brute_force_formula(phi: WeightedFormula, *, max_vars: int | None = None) -> Verdict:
     """Exact decision by lexicographic enumeration of all assignments.
 
-    Returns the first qualifying assignment in lexicographic order (variables
-    ascending, false before true) together with its signed value.
+    Returns the set of true variables of the first qualifying assignment in
+    lexicographic order (variables ascending, false before true) together
+    with its signed value.
     """
     _check_cap(phi.num_vars, max_vars, "assignment")
     targets = _target_intervals(phi.alpha, phi.objective, phi.comparison)
     hit = _first_hit(phi.clauses, phi.kind == KIND_CNF, targets)
     if hit is None:
         return Verdict(False)
-    return Verdict(True, Assignment.from_true_vars(phi.num_vars, hit[0]), hit[1])
+    return Verdict(True, *hit)
 
 
 def brute_force_hypergraph(h: WeightedHypergraph, *, max_vertices: int | None = None) -> Verdict:

@@ -18,7 +18,6 @@ from .model import (
     KIND_CNF,
     KIND_DNF,
     OBJ_ABS,
-    Assignment,
     Verdict,
     WeightedFormula,
     WeightedHypergraph,
@@ -52,13 +51,10 @@ def verify_witness(instance, witness) -> tuple[bool, int]:
     """Check a claimed witness against its instance.
 
     Returns (qualifies, achieved value).  Accepts a ``WeightedFormula`` with
-    an ``Assignment`` (or an iterable of true variables), a
-    ``WeightedHypergraph`` with a vertex subset, or an ``AbsIoInstance`` with
-    an integer point.
+    the ids of its true variables, a ``WeightedHypergraph`` with a vertex
+    subset, or an ``AbsIoInstance`` with an integer point.
     """
     if isinstance(instance, WeightedFormula):
-        if not isinstance(witness, Assignment):
-            witness = Assignment.from_true_vars(instance.num_vars, witness)
         value = eval_formula(instance, witness)
         return (
             qualifies(value, instance.alpha, instance.objective, instance.comparison),
@@ -82,8 +78,6 @@ def _checked_value(instance, witness) -> int:
     """
     ok, value = verify_witness(instance, witness)
     if not ok:
-        if isinstance(witness, Assignment):
-            witness = witness.true_vars()
         if not isinstance(witness, tuple):  # a set; a point stays in coordinate order
             witness = sorted(witness)
         raise InternalGuaranteeError(
@@ -163,7 +157,8 @@ def solve_abs_dnf(
     The formula is monotonized (value preserved pointwise), its clause sets
     become hyperedges, and the hypergraph is kernelized.  When no rule
     certifies the answer, the surviving vertices are enumerated exactly.  A
-    yes answer carries an assignment re-checked on the input formula.
+    yes answer carries the set of true variables, re-checked on the input
+    formula.
     """
     _require_abs_atleast(phi, KIND_DNF)
     mono, _ = monotonize_abs_dnf(phi)
@@ -183,8 +178,7 @@ def solve_abs_dnf(
         subset = _enumerate_survivors(phi, reduced, max_vertices)
         if subset is None:
             return Verdict(False, transcript=transcript)
-    beta = Assignment.from_true_vars(phi.num_vars, subset)
-    return Verdict(True, beta, _checked_value(phi, beta), transcript)
+    return Verdict(True, subset, _checked_value(phi, subset), transcript)
 
 
 def solve_abs_cnf(

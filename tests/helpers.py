@@ -26,6 +26,16 @@ def naive_formula_value(phi, values):
     return total
 
 
+def true_vars(values):
+    """The set of true variables of a boolean tuple; ``values[i]`` is variable i + 1."""
+    return frozenset(i for i, v in enumerate(values, start=1) if v)
+
+
+def mask_vars(mask):
+    """The set of variables whose bit is set; bit i stands for variable i + 1."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def assignments_lex(n):
     """All assignments in lexicographic order: variable 1 outermost, False first."""
     return itertools.product((False, True), repeat=n)

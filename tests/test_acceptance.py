@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from absopt import (
-    Assignment,
     Graph,
     WeightedFormula,
     WeightedHypergraph,

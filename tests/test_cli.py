@@ -1,6 +1,7 @@
 import pytest
 
 from absopt import WeightedFormula, brute_force_formula, cli, eval_formula
+from helpers import mask_vars
 from absopt.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from absopt.errors import InternalGuaranteeError
 from absopt.formats import (
@@ -191,10 +192,8 @@ def test_reduce_monotonize(tmp_path, capsys):
     assert mono.monotone
     phi = parse_formula(YES_DNF)
     for mask in range(1 << 3):
-        from absopt import Assignment
-
-        beta = Assignment.from_mask(3, mask)
-        assert eval_formula(mono, beta) == eval_formula(phi, beta)
+        trues = mask_vars(mask)
+        assert eval_formula(mono, trues) == eval_formula(phi, trues)
 
 
 def test_reduce_cnf2dnf_and_expand(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used, and no private helper is dead.
+"""Every name a package module imports is used, no private helper is dead,
+and ``absopt.__all__`` lists exactly the public names ``__init__`` imports.
 
 No linter ships with the package, so this walks each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` must be read somewhere in
@@ -78,3 +79,34 @@ def test_dead_private_check_catches_one():
         "b.py": "from .a import _used\nimport a\nprint(a._used, _used)\n",
     }
     assert _dead_private_names(sources) == ["a.py:6: _dead", "a.py:9: _Gone"]
+
+
+def _export_mismatch(source: str) -> list[str]:
+    """Public names ``__init__`` imports but leaves out of ``__all__``, and the reverse."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    listed = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    public = {name for name in imported if not name.startswith("_")}
+    named = {name for name in listed if not name.startswith("__")}
+    return sorted([f"not exported: {n}" for n in public - named]
+                  + [f"not imported: {n}" for n in named - public])
+
+
+def test_exports_resolve_and_match_imports():
+    assert [name for name in absopt.__all__ if not hasattr(absopt, name)] == []
+    init = Path(absopt.__file__).read_text()
+    assert _export_mismatch(init) == []
+
+
+def test_export_check_catches_one():
+    source = ("from .model import Verdict, eval_formula\nfrom .engine import BACKEND\n"
+              '__version__ = "1"\n__all__ = ["Assignment", "BACKEND", "Verdict", "__version__"]\n')
+    assert _export_mismatch(source) == ["not exported: eval_formula", "not imported: Assignment"]

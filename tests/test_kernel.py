@@ -78,9 +78,10 @@ def test_rule3_fires_on_disjoint_singletons():
     # d=1, Delta=1: threshold is 2*alpha, met exactly
     h = WeightedHypergraph(range(1, 5), _singletons(4, [1, 1, 1, 1]), 2, 1)
     out = rule3_degree(h)
-    assert out is not None and out.status == STATUS_TRIVIAL_YES
-    assert abs(induced_weight(h, out.witness)) >= 2
-    assert out.transcript[0].startswith("rule3 |V|=4 threshold=4")
+    assert out is not None
+    witness, line = out
+    assert abs(induced_weight(h, witness)) >= 2
+    assert line == "rule3 |V|=4 threshold=4"
 
 
 def test_rule3_below_threshold_or_empty():
@@ -93,7 +94,8 @@ def test_rule3_mixed_signs():
     h = WeightedHypergraph(range(1, 7), _singletons(6, [1, -1, 1, -1, 1, -1]), 3, 1)
     out = rule3_degree(h)
     assert out is not None
-    assert abs(induced_weight(h, out.witness)) >= 3
+    witness, _ = out
+    assert abs(induced_weight(h, witness)) >= 3
 
 
 def test_packing_survives_hostile_empty_edge():

@@ -6,7 +6,6 @@ import pytest
 from absopt import engine
 from absopt.errors import BudgetExceededError, InvalidInstanceError
 from absopt.model import (
-    Assignment,
     WeightedFormula,
     WeightedHypergraph,
     brute_force_formula,
@@ -18,15 +17,18 @@ from absopt.model import (
     max_degree,
     _target_intervals,
 )
-from absopt.pipeline import qualifies
+from absopt.formats import parse_witness, serialize_witness
+from absopt.pipeline import qualifies, solve_abs_cnf, solve_abs_dnf, verify_witness
 
 from helpers import (
     assignments_lex,
     formula_rows,
+    mask_vars,
     naive_formula_value,
     naive_hypergraph_decide,
     random_formula,
     random_hypergraph,
+    true_vars,
 )
 
 
@@ -59,9 +61,8 @@ def test_empty_clause_semantics():
     # empty conjunction always holds, empty disjunction never does
     dnf = WeightedFormula("dnf", 1, (((), 4),), 0)
     cnf = WeightedFormula("cnf", 1, (((), 4),), 0)
-    beta = Assignment((False,))
-    assert eval_formula(dnf, beta) == 4
-    assert eval_formula(cnf, beta) == 0
+    assert eval_formula(dnf, ()) == 4
+    assert eval_formula(cnf, ()) == 0
 
 
 def test_eval_matches_naive_random():
@@ -69,20 +70,38 @@ def test_eval_matches_naive_random():
     for _ in range(150):
         phi = random_formula(rng)
         for values in assignments_lex(phi.num_vars):
-            beta = Assignment(values)
-            assert eval_formula(phi, beta) == naive_formula_value(phi, values)
+            assert eval_formula(phi, true_vars(values)) == naive_formula_value(phi, values)
 
 
 def test_assignment_round_trips():
-    beta = Assignment.from_true_vars(4, {2, 4})
-    assert beta.values == (False, True, False, True)
-    assert beta.true_vars() == frozenset({2, 4})
-    assert beta.mask() == 0b1010
-    assert Assignment.from_mask(4, 0b1010) == beta
-    with pytest.raises(InvalidInstanceError):
-        Assignment.from_true_vars(2, {3})
-    with pytest.raises(InvalidInstanceError):
-        beta.value(5)
+    # a formula witness is the set of its true variables; written as a v file
+    # and read back, it is the solver's own set and verifies to its value
+    rng = random.Random(2)
+    checked = 0
+    for i in range(300):
+        kind = "cnf" if i % 2 else "dnf"
+        phi = random_formula(rng, kind=kind, objective="abs" if i % 3 else None,
+                             comparison="atleast" if i % 3 else None)
+        verdicts = [brute_force_formula(phi)]
+        if phi.objective == "abs" and phi.comparison == "atleast":
+            verdicts.append((solve_abs_cnf if kind == "cnf" else solve_abs_dnf)(phi))
+        for verdict in verdicts:
+            if not verdict.decision:
+                continue
+            back = parse_witness(serialize_witness(phi, verdict.witness), phi)
+            assert type(back) is frozenset and back == verdict.witness, phi
+            assert verify_witness(phi, back) == (True, verdict.achieved), phi
+            checked += 1
+    assert checked > 300
+
+
+def test_true_variable_out_of_range():
+    phi = WeightedFormula("dnf", 2, (((1,), 1),), 1)
+    for bad in (0, 3, -1):
+        for call in (eval_formula, serialize_witness, verify_witness):
+            with pytest.raises(InvalidInstanceError) as err:
+                call(phi, {1, bad})
+            assert str(err.value) == f"variable {bad} out of range 1..2"
 
 
 def test_hypergraph_construction():
@@ -191,7 +210,7 @@ def test_brute_force_formula_lex_first():
             assert not got.decision
         else:
             assert got.decision
-            assert got.witness.values == want[0]
+            assert got.witness == true_vars(want[0])
             assert got.achieved == want[1]
 
 
@@ -293,4 +312,4 @@ def test_folded_rows_match_eval_formula():
         rows = formula_rows(phi)
         for mask in range(1 << phi.num_vars):
             value = sum(w for pos, neg, w in rows if mask & pos == pos and not mask & neg)
-            assert value == eval_formula(phi, Assignment.from_mask(phi.num_vars, mask)), phi
+            assert value == eval_formula(phi, mask_vars(mask)), phi

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from absopt import (
-    Assignment,
     BudgetExceededError,
     ContractViolationError,
     WeightedFormula,
@@ -40,10 +39,10 @@ def test_qualifies_matrix():
 
 def test_verify_witness_formula():
     phi = WeightedFormula("dnf", 2, (((1,), 3), ((-2,), 4)), 7)
-    ok, value = verify_witness(phi, Assignment.from_true_vars(2, {1}))
+    ok, value = verify_witness(phi, frozenset({1}))
     assert ok and value == 7
-    # iterables of true variables are accepted too
-    ok, value = verify_witness(phi, {1, 2})
+    # any iterable of true variables is accepted
+    ok, value = verify_witness(phi, [1, 2])
     assert not ok and value == 3
 
 
@@ -137,6 +136,36 @@ def test_solve_abs_dnf_enumeration_matches_brute():
             want.decision, want.witness, want.achieved
         ), phi
     assert enumerated > 150
+
+
+def _weight(rng):
+    return rng.choice((-1, 1)) * rng.randint(1, 5)
+
+
+def test_formula_and_hypergraph_routes_agree():
+    # a monotone DNF and its hypergraph are one object, and both routes give
+    # the same set of true variables (vertices) with the same value, whether
+    # enumeration, rule 3 (singletons) or rule 4 (a star of 32 pairs) decides
+    rng = random.Random(61)
+    phis = [
+        random_formula(rng, kind="dnf", max_vars=8, max_clauses=10, monotone=True,
+                       objective="abs", comparison="atleast")
+        for _ in range(200)
+    ]
+    for _ in range(20):
+        n = rng.randint(4, 12)
+        phis.append(WeightedFormula("dnf", n, [((v,), _weight(rng)) for v in range(1, n + 1)],
+                                    rng.randint(1, n // 2)))
+        phis.append(WeightedFormula("dnf", 33, [((1, v), _weight(rng)) for v in range(2, 34)], 1))
+    decided_by = set()
+    for phi in phis:
+        got = solve_abs_dnf(phi)
+        want = solve_unbalanced(encode_dnf_as_hypergraph(phi)[0])
+        assert (got.decision, got.witness, got.achieved) == (
+            want.decision, want.witness, want.achieved
+        ), phi
+        decided_by.add((got.decision, got.transcript[-1].split()[0]))
+    assert {(False, "enumerate"), (True, "enumerate"), (True, "rule3"), (True, "rule4")} <= decided_by
 
 
 def _reduced_edges(phi):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from absopt.errors import BudgetExceededError, ContractViolationError, InvalidInstanceError
-from absopt.model import Assignment, WeightedFormula, brute_force_formula, eval_formula
+from absopt.model import WeightedFormula, brute_force_formula, eval_formula
 from absopt.reductions import (
     Graph,
     abs_cnf_to_abs_dnf,
@@ -21,6 +21,7 @@ from absopt.reductions import (
 from helpers import (
     independence_number,
     is_independent,
+    mask_vars,
     naive_hypergraph_value,
     random_formula,
     random_graph,
@@ -194,8 +195,7 @@ def test_max_dnf_shape():
     weights = dict(phi.clauses)
     assert weights[frozenset({1})] == 1 and weights[frozenset({1, 2})] == -1
     # an independent set of size k scores exactly k
-    beta = Assignment.from_true_vars(3, {1, 3})
-    assert eval_formula(phi, beta) == 2
+    assert eval_formula(phi, {1, 3}) == 2
 
 
 def test_np_shape_and_alpha():
@@ -225,9 +225,9 @@ def test_variant_builders():
     assert mn.comparison == "atmost" and mn.alpha == 0
     # exact variant holds exactly where the base value equals the old target
     for mask in range(1 << 3):
-        beta = Assignment.from_mask(3, mask)
-        base_val = eval_formula(base, beta)
-        assert (abs(eval_formula(exact, beta)) == 0) == (base_val == 2)
+        trues = mask_vars(mask)
+        base_val = eval_formula(base, trues)
+        assert (abs(eval_formula(exact, trues)) == 0) == (base_val == 2)
     # an empty clause already present takes the shift at its own position,
     # and stays when the sum is 0
     held = (((1,), 3), ((), 2), ((2,), -1))
