@@ -6,10 +6,12 @@ ranges over an integer interval whose ends may be infinite.  The solver first
 applies value-preserving simplification and normalization rules, then tries a
 hypergraph shortcut on the monomial supports, then branches on a variable with
 a wide enough range, and finally enumerates the remaining finite box exactly.
-That leaf writes p = sum_k x_n^k q_k(x_1..x_{n-1}), evaluates each q_k the
-same way on the box without its last axis, and sums over the powers of x_n, in
-numpy slabs of int64 when no sum of term magnitudes can reach ``I64_SAFE`` and
-of Python ints otherwise.
+That leaf scans the box in numpy slabs of whole rows along x_1, of int64 when
+no sum of term magnitudes can reach ``I64_SAFE`` and of Python ints otherwise.
+When the box spans several slabs, it writes p = sum_e x_1^e q_e(x_2..x_n),
+evaluates each q_e once on the box without axis 1, and each slab sums its rows
+of x_1^e times q_e; when those q_e would not fit in a bounded store, or the
+box is one slab, the whole polynomial is evaluated per slab.
 
 Witnesses are returned in the coordinates of the caller's instance; every
 internal substitution is logged and replayed backwards before returning.
@@ -37,8 +39,10 @@ from .pipeline import _checked_value
 DEFAULT_POINT_CAP = 2_000_000
 
 # Points per slab of the leaf: slabs are whole rows along variable 1, at
-# least one row, so memory follows the slab and a hit ends the scan early.
-# Both the int64 and the Python-int leaf use it.
+# least one row, and a hit ends the scan early.  Both the int64 and the
+# Python-int leaf use it.  The q_e that a leaf of several slabs evaluates
+# once are kept only when they hold at most 4 * SLAB_POINTS points, so memory
+# follows the slab either way.
 SLAB_POINTS = 1 << 16
 
 Bound = int | None
@@ -337,46 +341,50 @@ def rule6_shift(inst: AbsIoInstance) -> tuple[AbsIoInstance, tuple[LogEntry, ...
 # --- exact enumeration ----------------------------------------------------
 
 
-def _split(terms: dict[tuple[int, ...], int], k: int):
-    # p over the first k variables as ((e, q_e), ...) with p = sum_e x_k^e q_e,
-    # e ascending and each q_e split the same way; over no variables, the
-    # constant.
-    if k == 0:
-        return terms.get((), 0)
-    groups: dict[int, dict[tuple[int, ...], int]] = {}
-    for key, c in terms.items():
-        groups.setdefault(key[-1], {})[key[:-1]] = c
-    return tuple((e, _split(groups[e], k - 1)) for e in sorted(groups))
+def _split(terms: list[Term], order: tuple[int, ...]):
+    # p as ((e, q_e), ...) with p = sum_e x_i^e q_e for i = order[0], e
+    # ascending and each q_e split the same way on order[1:]; past the last
+    # variable of order, the constant.  terms are (exponent vector, weight)
+    # pairs, and two vectors differ only on variables in order.
+    if not order:
+        return sum(c for _, c in terms)
+    i, rest = order[0], order[1:]
+    groups: dict[int, list] = {}
+    for key, c in terms:
+        groups.setdefault(key[i], []).append((key, c))
+    return tuple((e, _split(groups[e], rest)) for e in sorted(groups))
 
 
 def _grid(tree, powers: list[dict[int, np.ndarray]], dtype) -> np.ndarray:
-    # Values of a split polynomial on the grid of the first len(powers)
-    # variables, powers[i][e] holding x_i^e along axis i.  An axis the
-    # polynomial does not depend on keeps size 1.
+    # Values of a split polynomial on the grid, powers[k][e] holding x^e of
+    # the variable split at depth k, shaped to that variable's own axis.  The
+    # result keeps size 1 on every axis the polynomial does not use (no axis
+    # at all when it is constant); a leaf of the tree may already be an array.
     if not powers:
-        return np.array(tree, dtype=dtype)
+        return np.asarray(tree, dtype=dtype)
     total = None
     for e, sub in tree:
-        part = _grid(sub, powers[:-1], dtype)[..., None]
+        part = _grid(sub, powers[1:], dtype)
         if e:
-            part = part * powers[-1][e]
+            part = part * powers[0][e]
         total = part if total is None else total + part
     return total
 
 
-def _grid_parts(inst: AbsIoInstance, dtype) -> tuple[tuple, list[dict[int, np.ndarray]]]:
-    # The split polynomial, with equal exponent vectors merged and zero sums
-    # dropped (the constant 0 when none is left), and the powers of each axis
-    # of the box that it uses.
+def _grid_parts(inst: AbsIoInstance, dtype) -> tuple[list[Term], list[dict[int, np.ndarray]]]:
+    # The terms, with equal exponent vectors merged and zero sums dropped (the
+    # constant 0 when none is left), and the powers of each axis of the box
+    # that they use, axis i shaped (1, .., side_i, .., 1).
     n = inst.num_vars
-    terms = {key: c for key, c in _merged(inst.terms).items() if c} or {(0,) * n: 0}
+    terms = [(key, c) for key, c in _merged(inst.terms).items() if c] or [((0,) * n, 0)]
     powers = []
     for i in range(n):
         # an axis only where p uses it, as unused ends may lie past int64
-        used = {key[i] for key in terms if key[i]}
+        used = {key[i] for key, _ in terms if key[i]}
         axis = np.arange(inst.lower[i], inst.upper[i] + 1, dtype=dtype) if used else None
-        powers.append({a: axis**a for a in used})
-    return _split(terms, n), powers
+        shape = (1,) * i + (-1,) + (1,) * (n - 1 - i)
+        powers.append({a: axis.reshape(shape) ** a for a in used})
+    return terms, powers
 
 
 def _leaf_dtype(inst: AbsIoInstance) -> type:
@@ -392,21 +400,44 @@ def _leaf_dtype(inst: AbsIoInstance) -> type:
 def _grid_leaf(inst: AbsIoInstance, dtype) -> tuple[int, ...] | None:
     """First point of the finite box in lexicographic order with |p| >= alpha.
 
-    ``_grid`` evaluates p in slabs of whole rows along variable 1.  A slab's
-    values are tested by their max and min before a hit mask is built; in the
-    mask, the C-ordered argmax is the lexicographically first hit, also
-    across axes of size 1.  ``dtype`` is ``np.int64`` or ``object`` (Python
-    ints), as ``_leaf_dtype`` picks it.
+    The box is scanned in slabs of whole rows along variable 1.  When it
+    spans more than one slab and the q_e of p = sum_e x_1^e q_e(x_2..x_n)
+    fit in the store (at most 4 * ``SLAB_POINTS`` points, each q_e counted
+    over the axes it uses), ``_grid`` evaluates every q_e once on the box
+    without axis 1, and each slab sums its rows of x_1^e times q_e.
+    Otherwise the split runs from variable n down to variable 1 and ``_grid``
+    evaluates the whole tree per slab.  A slab's values are tested by their
+    max and min before a hit mask is built; in the mask, the C-ordered argmax
+    is the lexicographically first hit, also across axes of size 1.
+    ``dtype`` is ``np.int64`` or ``object`` (Python ints), as ``_leaf_dtype``
+    picks it.
     """
-    tree, powers = _grid_parts(inst, dtype)
+    terms, powers = _grid_parts(inst, dtype)
+    n = inst.num_vars
     sides = [hi - lo + 1 for lo, hi in zip(inst.lower, inst.upper)]
     rows = max(1, SLAB_POINTS // math.prod(sides[1:]))
+    down = tuple(range(n - 1, 0, -1))
+    hoist = False
+    if rows < sides[0]:
+        axes: dict[int, set[int]] = {}
+        for key, _ in terms:
+            axes.setdefault(key[0], set()).update(i for i in down if key[i])
+        store = sum(math.prod(sides[i] for i in used) for used in axes.values())
+        hoist = store <= 4 * SLAB_POINTS
+    order = (0,) + down if hoist else down + (0,)
+    tree = _split(terms, order)
+    levels = [powers[i] for i in order]
+    if hoist:
+        tree = tuple((e, _grid(q, levels[1:], dtype)) for e, q in tree)
+        levels = levels[:1]
+    # variable 1's powers are the last level either way
     for start in range(0, sides[0], rows):
-        first = {a: p[start:start + rows] for a, p in powers[0].items()}
-        total = _grid(tree, [first] + powers[1:], dtype)
+        levels[-1] = {a: p[start:start + rows] for a, p in powers[0].items()}
+        total = _grid(tree, levels, dtype)
         if total.max() >= inst.alpha or total.min() <= -inst.alpha:
-            hits = np.abs(total) >= inst.alpha
-            coords = np.unravel_index(int(np.argmax(hits)), hits.shape)
+            hits = np.abs(total) >= inst.alpha  # a bool when p is constant
+            shape = np.shape(hits)
+            coords = (0,) * (n - len(shape)) + np.unravel_index(int(np.argmax(hits)), shape)
             corner = (inst.lower[0] + start,) + inst.lower[1:]
             return tuple(lo + int(c) for lo, c in zip(corner, coords))
     return None

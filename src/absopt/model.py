@@ -230,8 +230,12 @@ class WeightedHypergraph:
 
 
 def _true_vars(num_vars: int, true_vars: Iterable[int]) -> frozenset[int]:
-    """The ids as a set; an id outside 1..num_vars is rejected."""
-    trues = frozenset(true_vars)
+    """The ids as a set; an id that is not an int or lies outside 1..num_vars is rejected."""
+    ids = tuple(true_vars)
+    for v in ids:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise InvalidInstanceError(f"bad variable id {v!r}")
+    trues = frozenset(ids)
     bad = [v for v in trues if v < 1 or v > num_vars]
     if bad:
         raise InvalidInstanceError(f"variable {bad[0]} out of range 1..{num_vars}")
@@ -254,7 +258,8 @@ def induced_weight(h: WeightedHypergraph, x: Iterable[int]) -> int:
     """Weight sum of all edges contained in X (the empty edge always is)."""
     xs = frozenset(x)
     if not xs <= h.vertices:
-        raise InvalidInstanceError("subset contains unknown vertices")
+        bad = next(iter(xs - h.vertices))
+        raise InvalidInstanceError(f"subset contains unknown vertex {bad!r}")
     return sum(wt for e, wt in h.edges if e <= xs)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from absopt.absio import (
     _grid_parts,
     _replay,
     _scan_window,
+    _split,
     negate_variable,
     rule5_simplify,
     rule6_shift,
@@ -443,8 +445,9 @@ def test_leaf_box_ends_past_int64(monkeypatch):
 
 def _grid_everywhere(inst, dtype):
     # The evaluator's values over the whole box in one grid, broadcast out
-    tree, powers = _grid_parts(inst, dtype)
-    values = _grid(tree, powers, dtype)
+    terms, powers = _grid_parts(inst, dtype)
+    order = tuple(range(inst.num_vars))
+    values = _grid(_split(terms, order), [powers[i] for i in order], dtype)
     return np.broadcast_to(values, tuple(h - l + 1 for l, h in zip(inst.lower, inst.upper)))
 
 
@@ -494,6 +497,76 @@ def test_grid_leaf_slabs(monkeypatch):
             want = naive_absio_decide(inst)
             for dtype in (np.int64, object):
                 assert _grid_leaf(inst, dtype) == (None if want is None else want[0]), inst
+
+
+def _record_paths(monkeypatch):
+    # One flag per _grid call: True when the tree it gets holds arrays, the
+    # q_e that the leaf evaluated once before its slabs
+    calls = []
+    grid = absio._grid
+
+    def spy(tree, powers, dtype):
+        calls.append(bool(powers) and any(isinstance(q, np.ndarray) for _, q in tree))
+        return grid(tree, powers, dtype)
+
+    monkeypatch.setattr(absio, "_grid", spy)
+    return calls
+
+
+def _lex_box(m, side, alpha):
+    # p = (x1 + .. + x1^m) * x2 over x1 in [0, 2], x2 in [1, side]: one row of
+    # x1 to a slab when side > SLAB_POINTS / 2, and the q_e, x2 for each
+    # e = 1..m, hold m * side points
+    return AbsIoInstance([((e, 1), 1) for e in range(1, m + 1)], (0, 1), (2, side), alpha)
+
+
+def test_grid_leaf_paths(monkeypatch):
+    # Both leaf paths against the naive scan: the q_e evaluated once when
+    # they fit in 4 * SLAB_POINTS points, the whole tree per slab otherwise
+    calls = _record_paths(monkeypatch)
+    rng = random.Random(47)
+    for slab in (1, 5, 40, SLAB_POINTS):
+        monkeypatch.setattr(absio, "SLAB_POINTS", slab)
+        side = slab // 2 + 1
+        cases = []
+        for m, hoisted in ((2, True), (8, False)):
+            top = (2 ** (m + 1) - 2) * side  # p at the last point, x1 = 2 and x2 = side
+            # a hit in the third slab, only at the last point, and none
+            for alpha in (m * side + 1, top, top + 1):
+                cases.append((_lex_box(m, side, alpha), hoisted))
+        if slab < SLAB_POINTS:
+            for _ in range(60):
+                inst = random_absio(rng, max_vars=4, max_terms=6, max_exp=3, bound_range=(-4, 4),
+                                    max_alpha=200)
+                if inst.num_vars:
+                    cases.append((inst, None))
+        seen = set()
+        for inst, hoisted in cases:
+            want = naive_absio_decide(inst)
+            for dtype in (np.int64, object):
+                calls.clear()
+                assert _grid_leaf(inst, dtype) == (None if want is None else want[0]), inst
+                if hoisted is not None:
+                    assert any(calls) == hoisted, inst
+                seen.add(any(calls))
+        assert seen == {True, False}, slab
+
+
+def test_leaf_store_bound():
+    # x1 in [0, 1], x2 in [0, 65535] and p = sum_e x1^e x2 for e = 1..1000:
+    # two slabs, but the q_e would hold 1000 * 65536 points, so the leaf
+    # keeps to the per-slab tree and its memory follows the slab
+    terms = [((e, 1), 1) for e in range(1, 1001)]
+    for alpha in (10**9, 1 << 62):
+        inst = AbsIoInstance(terms, (0, 0), (1, 65535), alpha)
+        tracemalloc.start()
+        try:
+            verdict = brute_force_absio(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not verdict.decision
+        assert peak < 8 << 20, peak
 
 
 def test_grid_int64_just_below_i64_safe():

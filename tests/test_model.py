@@ -104,6 +104,18 @@ def test_true_variable_out_of_range():
             assert str(err.value) == f"variable {bad} out of range 1..2"
 
 
+def test_true_variable_wrong_type():
+    # a bool, a float or a string is no variable id, even where it equals one
+    phi = WeightedFormula("dnf", 2, (((1,), 1),), 1)
+    for ids, bad in ((["1"], "'1'"), ([1.0], "1.0"), ([True], "True"), ((True, 4), "True"),
+                     ([2, None], "None")):
+        for call in (eval_formula, serialize_witness, verify_witness):
+            with pytest.raises(InvalidInstanceError) as err:
+                call(phi, ids)
+            assert str(err.value) == f"bad variable id {bad}"
+    assert verify_witness(phi, [1]) == (True, 1)
+
+
 def test_hypergraph_construction():
     h = WeightedHypergraph(3, (((1, 2), 2), ((2, 1), 1), ((), -1)), 2)
     assert h.edges == ((frozenset({1, 2}), 3), (frozenset(), -1))
@@ -183,6 +195,10 @@ def test_induced_weight_and_degree():
     assert induced_weight(h, ()) == 5
     assert induced_weight(h, (1, 2)) == 7
     assert induced_weight(h, (1, 2, 3)) == 4
+    for bad in (0, 5):
+        with pytest.raises(InvalidInstanceError) as err:
+            induced_weight(h, (1, bad, 2))
+        assert str(err.value) == f"subset contains unknown vertex {bad}"
     assert link(h, (2,)) == (frozenset({1, 2}), frozenset({2, 3}))
     assert link(h, (1, 2)) == ()
     assert max_degree(h) == 2
