@@ -11,7 +11,9 @@ no sum of term magnitudes can reach ``I64_SAFE`` and of Python ints otherwise.
 When the box spans several slabs, it writes p = sum_e x_1^e q_e(x_2..x_n),
 evaluates each q_e once on the box without axis 1, and each slab sums its rows
 of x_1^e times q_e; when those q_e would not fit in a bounded store, or the
-box is one slab, the whole polynomial is evaluated per slab.
+box is one slab, the whole polynomial is evaluated per slab.  numpy is
+imported on the first leaf or scan-window call, not with this module, so the
+formula and hypergraph solvers never load it.
 
 Witnesses are returned in the coordinates of the caller's instance; every
 internal substitution is logged and replayed backwards before returning.
@@ -22,8 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .engine import I64_SAFE
 from .errors import (
@@ -35,6 +36,9 @@ from .errors import (
 from .kernel import MODE_EDGECOUNT, STATUS_TRIVIAL_YES, kernelize
 from .model import Verdict, WeightedHypergraph, _bare, _check_target
 from .pipeline import _checked_value
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_POINT_CAP = 2_000_000
 
@@ -361,6 +365,8 @@ def _grid(tree, powers: list[dict[int, np.ndarray]], dtype) -> np.ndarray:
     # result keeps size 1 on every axis the polynomial does not use (no axis
     # at all when it is constant); a leaf of the tree may already be an array.
     if not powers:
+        import numpy as np
+
         return np.asarray(tree, dtype=dtype)
     total = None
     for e, sub in tree:
@@ -375,6 +381,8 @@ def _grid_parts(inst: AbsIoInstance, dtype) -> tuple[list[Term], list[dict[int, 
     # The terms, with equal exponent vectors merged and zero sums dropped (the
     # constant 0 when none is left), and the powers of each axis of the box
     # that they use, axis i shaped (1, .., side_i, .., 1).
+    import numpy as np
+
     n = inst.num_vars
     terms = [(key, c) for key, c in _merged(inst.terms).items() if c] or [((0,) * n, 0)]
     powers = []
@@ -392,6 +400,8 @@ def _leaf_dtype(inst: AbsIoInstance) -> type:
     # object (Python ints).  Every value the leaf forms, a power of an axis
     # included, is at most a sum of merged terms |c| * prod |x_i|^a with
     # |c| >= 1, so at most bound: int64 is exact below I64_SAFE.
+    import numpy as np
+
     top = [max(abs(lo), abs(hi), 1) for lo, hi in zip(inst.lower, inst.upper)]
     bound = sum(abs(w) * math.prod(map(pow, top, vec)) for vec, w in inst.terms)
     return np.int64 if bound < I64_SAFE and inst.alpha < I64_SAFE else object
@@ -412,6 +422,8 @@ def _grid_leaf(inst: AbsIoInstance, dtype) -> tuple[int, ...] | None:
     ``dtype`` is ``np.int64`` or ``object`` (Python ints), as ``_leaf_dtype``
     picks it.
     """
+    import numpy as np
+
     terms, powers = _grid_parts(inst, dtype)
     n = inst.num_vars
     sides = [hi - lo + 1 for lo, hi in zip(inst.lower, inst.upper)]
@@ -450,6 +462,8 @@ def brute_force_absio(
 
     Points are enumerated in lexicographic order, variable 1 outermost and
     values ascending; the first point with |p| >= alpha is the witness.
+    A box with at least one variable is scanned by the numpy leaf, which
+    imports numpy on its first call.
     """
     n = inst.num_vars
     for i in range(n):

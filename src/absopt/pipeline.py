@@ -9,12 +9,11 @@ fails its own re-check is a bug, not a "no".
 
 from __future__ import annotations
 
-from .errors import ContractViolationError, InternalGuaranteeError
+from .errors import ContractViolationError, InternalGuaranteeError, InvalidInstanceError
 from .kernel import MODE_SUBEDGE, STATUS_TRIVIAL_YES, kernelize
 from .model import (
     CMP_ATLEAST,
-    CMP_ATMOST,
-    CMP_EXACT,
+    COMPARISONS,
     KIND_CNF,
     KIND_DNF,
     OBJ_ABS,
@@ -36,15 +35,17 @@ from .reductions import (
 
 
 def qualifies(value: int, alpha: int, objective: str, comparison: str) -> bool:
-    """Whether a signed value meets the target under objective/comparison."""
-    measure = abs(value) if objective == OBJ_ABS else value
-    if comparison == CMP_ATLEAST:
-        return measure >= alpha
-    if comparison == CMP_EXACT:
-        return measure == alpha
-    if comparison == CMP_ATMOST:
-        return measure <= alpha
-    raise ContractViolationError(f"unknown comparison {comparison!r}")
+    """Whether a signed value meets the target under objective/comparison.
+
+    The value qualifies when it lies in either interval the engine searches
+    for, ``_target_intervals(alpha, objective, comparison)``.
+    """
+    if comparison not in COMPARISONS:
+        raise ContractViolationError(f"unknown comparison {comparison!r}")
+    return any(
+        (lo is None or value >= lo) and (hi is None or value <= hi)
+        for lo, hi in _target_intervals(alpha, objective, comparison)
+    )
 
 
 def verify_witness(instance, witness) -> tuple[bool, int]:
@@ -52,7 +53,8 @@ def verify_witness(instance, witness) -> tuple[bool, int]:
 
     Returns (qualifies, achieved value).  Accepts a ``WeightedFormula`` with
     the ids of its true variables, a ``WeightedHypergraph`` with a vertex
-    subset, or an ``AbsIoInstance`` with an integer point.
+    subset, or an ``AbsIoInstance`` with an integer point.  A variable or
+    vertex id that is not an int, or is a bool, is rejected.
     """
     if isinstance(instance, WeightedFormula):
         value = eval_formula(instance, witness)
@@ -61,6 +63,10 @@ def verify_witness(instance, witness) -> tuple[bool, int]:
             value,
         )
     if isinstance(instance, WeightedHypergraph):
+        witness = tuple(witness)
+        for v in witness:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise InvalidInstanceError(f"bad vertex id {v!r}")
         value = induced_weight(instance, witness)
         return abs(value) >= instance.alpha, value
     from . import absio

@@ -5,10 +5,16 @@ No linter ships with the package, so this walks each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` must be read somewhere in
 the same file.  ``__init__.py`` is skipped, since it imports to re-export.
 A module-level ``_name`` defined anywhere in the package must be read,
-imported or reached as an attribute somewhere in the package.
+imported or reached as an attribute somewhere in the package.  numpy is
+loaded only by the absio leaf, never by ``import absopt`` or a formula or
+hypergraph command.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,3 +116,51 @@ def test_export_check_catches_one():
     source = ("from .model import Verdict, eval_formula\nfrom .engine import BACKEND\n"
               '__version__ = "1"\n__all__ = ["Assignment", "BACKEND", "Verdict", "__version__"]\n')
     assert _export_mismatch(source) == ["not exported: eval_formula", "not imported: Assignment"]
+
+
+NUMPY_CHILD = """
+import contextlib, io, json, sys
+import absopt
+from absopt import cli
+
+files = json.loads(sys.argv[1])
+codes = []
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(list(argv)))
+
+run("solve", files["wdnf"])
+run("solve", files["wcnf"])
+run("solve", files["uhg"])
+run("kernelize", files["uhg"])
+run("reduce", "monotonize", files["wdnf"])
+run("verify", files["wdnf"], files["v"])
+before = "numpy" in sys.modules
+run("solve", files["absio"])
+print(json.dumps({"codes": codes, "before": before, "after": "numpy" in sys.modules}))
+"""
+
+
+def test_numpy_loads_only_with_the_absio_leaf(tmp_path):
+    texts = {
+        "wdnf": "p wdnf 3 2 3\nw 5 1 -2 0\nw -2 3 0\n",
+        "v": "v 1 -2 -3\n",  # the wdnf file's witness
+        "wcnf": "p wcnf 2 1 2\nw 3 1 2 0\n",
+        "uhg": "p uhg 3 2 5\ne 2 1 2 0\ne 0 3 0\n",
+        # a finite two-variable box: no rule or shortcut settles it, the leaf scans it
+        "absio": "p absio 2 2 7\ncol 1 1:1 2:1 0\ncol -1 1:2 0\nb 1 -2 2\nb 2 -2 2\n",
+    }
+    files = {kind: str(tmp_path / f"a.{kind}") for kind in texts}
+    for kind, text in texts.items():
+        Path(files[kind]).write_text(text)
+    src = str(Path(absopt.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_CHILD, json.dumps(files)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [10, 10, 20, 0, 0, 0, 10]
+    assert not got["before"]
+    assert got["after"]

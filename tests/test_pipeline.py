@@ -5,6 +5,7 @@ import pytest
 from absopt import (
     BudgetExceededError,
     ContractViolationError,
+    InvalidInstanceError,
     WeightedFormula,
     WeightedHypergraph,
     brute_force_formula,
@@ -37,6 +38,21 @@ def test_qualifies_matrix():
         qualifies(1, 1, "abs", "near")
 
 
+def test_qualifies_matches_explicit_table():
+    # reference: the comparison table written out on the measure |value| or value
+    def table(value, alpha, objective, comparison):
+        measure = abs(value) if objective == "abs" else value
+        return {"atleast": measure >= alpha, "exact": measure == alpha,
+                "atmost": measure <= alpha}[comparison]
+
+    for objective in ("abs", "sum"):
+        for comparison in ("atleast", "exact", "atmost"):
+            for alpha in range(4):
+                for value in range(-5, 6):
+                    want = table(value, alpha, objective, comparison)
+                    assert qualifies(value, alpha, objective, comparison) == want
+
+
 def test_verify_witness_formula():
     phi = WeightedFormula("dnf", 2, (((1,), 3), ((-2,), 4)), 7)
     ok, value = verify_witness(phi, frozenset({1}))
@@ -52,6 +68,17 @@ def test_verify_witness_hypergraph():
     assert ok and value == -4
     ok, value = verify_witness(h, {1})
     assert not ok and value == 0
+
+
+def test_verify_witness_hypergraph_rejects_non_int_ids():
+    # True == 1 and 1.0 == 1 as set members, yet neither is a vertex id
+    h = WeightedHypergraph(3, (((1, 2), 2),), 1)
+    for subset, bad in (([True, 2], "True"), ([1.0, 2.0], "1.0"), ([1, "2"], "'2'"),
+                        ([None], "None")):
+        with pytest.raises(InvalidInstanceError) as err:
+            verify_witness(h, subset)
+        assert str(err.value) == f"bad vertex id {bad}"
+    assert verify_witness(h, iter([1, 2])) == (True, 2)
 
 
 def test_verify_witness_absio():
