@@ -12,8 +12,8 @@ When the box spans several slabs, it writes p = sum_e x_1^e q_e(x_2..x_n),
 evaluates each q_e once on the box without axis 1, and each slab sums its rows
 of x_1^e times q_e; when those q_e would not fit in a bounded store, or the
 box is one slab, the whole polynomial is evaluated per slab.  numpy is
-imported on the first leaf or scan-window call, not with this module, so the
-formula and hypergraph solvers never load it.
+imported on the first leaf call, not with this module, so the formula and
+hypergraph solvers never load it.
 
 Witnesses are returned in the coordinates of the caller's instance; every
 internal substitution is logged and replayed backwards before returning.
@@ -549,15 +549,48 @@ def _branch_child(inst: AbsIoInstance, i: int, k: int, child_alpha: int) -> AbsI
     )
 
 
-def _scan_window(
-    inst: AbsIoInstance, i: int, e: int, partial: dict[int, int],
-    max_points: int | None = None,
-) -> int | None:
+def _at(coeffs: list[int], x: int) -> int:
+    v = 0
+    for c in reversed(coeffs):
+        v = v * x + c
+    return v
+
+
+def _bisect(pred, lo: int, hi: int) -> int:
+    # The first x in [lo, hi) with pred(x), pred being false and then true;
+    # hi when there is none.
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _runs(coeffs: list[int], lo: int, hi: int) -> list[int]:
+    # Ascending starts of runs covering [lo, hi] on each of which
+    # q(x) = sum_k coeffs[k] x^k is monotone.  The forward difference
+    # q(x+1) - q(x) has integer coefficients and one degree less; on each of
+    # its own runs it changes sign at most once, and q is cut there.
+    if len(coeffs) < 3 or lo == hi:
+        return [lo]
+    diff = [sum(math.comb(k, j) * coeffs[k] for k in range(j + 1, len(coeffs)))
+            for j in range(len(coeffs) - 1)]
+    starts = _runs(diff, lo, hi - 1)
+    cuts = []
+    for s, t in zip(starts, starts[1:] + [hi]):
+        sign = 1 if _at(diff, s) <= _at(diff, t - 1) else -1
+        c = _bisect(lambda x: sign * _at(diff, x) >= 0, s, t)
+        cuts += [s, c] if s < c < t else [s]
+    return cuts
+
+
+def _scan_window(inst: AbsIoInstance, i: int, e: int, partial: dict[int, int]) -> int | None:
     # The first x of 2*e*alpha + 1 consecutive in-box integers with
     # |p| >= alpha at the partial witness; an integer polynomial of degree
-    # 1..e cannot stay below alpha in absolute value on all of them.  At most
-    # the point cap of them are scanned, by the leaf on a one-variable box,
-    # and a window past the cap with no hit among those exceeds the budget.
+    # 1..e cannot stay below alpha in absolute value on all of them.  Each
+    # monotone run is searched in order: its start, then by bisection.
     width = 2 * e * inst.alpha
     lo, hi = inst.lower[i], inst.upper[i]
     if lo is not None:
@@ -573,15 +606,16 @@ def _scan_window(
             if a and r != i:
                 w *= partial[inst.var_ids[r]] ** a
         coeffs[vec[i]] += w
-    cap = DEFAULT_POINT_CAP if max_points is None else max_points
-    line = AbsIoInstance._trusted(
-        tuple([((k,), c) for k, c in enumerate(coeffs)]), (start,),
-        (start + min(width, cap - 1),), inst.alpha, (1,),
-    )
-    hit = _grid_leaf(line, _leaf_dtype(line))
-    if hit is None and width >= cap:
-        raise BudgetExceededError(f"scan window of {width + 1} points exceeds cap {cap}")
-    return None if hit is None else hit[0]
+    starts = _runs(coeffs, start, start + width)
+    for s, t in zip(starts, starts[1:] + [start + width + 1]):
+        first = _at(coeffs, s)
+        if abs(first) >= inst.alpha:
+            return s
+        sign = 1 if first <= _at(coeffs, t - 1) else -1
+        x = _bisect(lambda x: sign * _at(coeffs, x) >= inst.alpha, s, t)
+        if x < t:
+            return x
+    return None
 
 
 def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdict:
@@ -590,8 +624,9 @@ def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdic
     Phases: cleanup and normalization rules to a fixpoint, the monomial
     support shortcut, then branching on the exponent of a wide variable
     (children ask for a nonzero coefficient, the lowest yes child extends
-    its witness by a short scan), and exact enumeration once every interval
-    is narrow.  The returned witness is re-verified against the input.
+    its witness by an exact search of a window for the first hit), and exact
+    enumeration once every interval is narrow.  The returned witness is
+    re-verified against the input.
     """
     # target 0 is met by any point, so only domain emptiness matters
     if inst.alpha == 0:
@@ -655,7 +690,7 @@ def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdic
         if k == 0:
             x_star = 0
         else:
-            x_star = _scan_window(cur, i, e, partial, max_points)
+            x_star = _scan_window(cur, i, e, partial)
             if x_star is None:
                 raise InternalGuaranteeError(
                     f"no window point for x{gid} despite a nonzero coefficient"

@@ -346,16 +346,27 @@ def serialize_instance(obj) -> str:
     raise InvalidInstanceError(f"cannot serialize {type(obj).__name__}")
 
 
+def _witness_lines(text: str):
+    # The witness lines, past the "s YES" and "o <value>" lines that solve
+    # prints before them; an "s NO" file holds no witness.
+    for no, toks in _lines(text):
+        if toks == ["s", "NO"]:
+            raise ParseError(no, "status s NO: the file holds no witness")
+        if toks != ["s", "YES"] and not (toks[0] == "o" and len(toks) == 2):
+            yield no, toks
+
+
 def parse_witness(text: str, instance):
     """Parse a witness file against its instance.
 
     Returns the ``frozenset`` of true variables for a formula (a ``v`` file
     must give every variable exactly once), a vertex ``frozenset`` for a
-    hypergraph, or an integer tuple for a polynomial instance.
+    hypergraph, or an integer tuple for a polynomial instance.  The output of
+    ``absopt solve`` is a witness file: its status and value lines are skipped.
     """
     if isinstance(instance, WeightedFormula):
         lits: list[int] = []
-        for no, toks in _lines(text):
+        for no, toks in _witness_lines(text):
             if toks[0] != "v":
                 raise ParseError(no, f"expected a v line, got {toks[0]!r}")
             lits.extend(_int(t, no, "literal") for t in toks[1:])
@@ -373,7 +384,7 @@ def parse_witness(text: str, instance):
         return frozenset(lit for lit in lits if lit > 0)
     if isinstance(instance, WeightedHypergraph):
         vs: list[int] = []
-        for no, toks in _lines(text):
+        for no, toks in _witness_lines(text):
             if toks[0] != "s":
                 raise ParseError(no, f"expected an s line, got {toks[0]!r}")
             vs.extend(_int(t, no, "vertex") for t in toks[1:])
@@ -386,7 +397,7 @@ def parse_witness(text: str, instance):
         return out
     if isinstance(instance, AbsIoInstance):
         values: dict[int, int] = {}
-        for no, toks in _lines(text):
+        for no, toks in _witness_lines(text):
             if toks[0] != "x" or len(toks) != 3:
                 raise ParseError(no, "expected: x <var> <value>")
             i = _int(toks[1], no, "variable")

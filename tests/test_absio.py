@@ -356,17 +356,8 @@ def test_scan_window_matches_pointwise_scan():
         assert _scan_window(inst, i, e, partial) == _window_reference(inst, i, e, partial)
 
 
-def test_scan_window_slabs_and_python_ints(monkeypatch):
-    # the window runs on the leaf: with 3-point slabs a hit lies past the
-    # first slab, and a window starting near 3*10^9 squares past int64
-    monkeypatch.setattr(absio, "SLAB_POINTS", 3)
-    dtypes = []
-
-    def leaf(inst, dtype):
-        dtypes.append(dtype)
-        return _grid_leaf(inst, dtype)
-
-    monkeypatch.setattr(absio, "_grid_leaf", leaf)
+def test_scan_window_slabs_and_python_ints():
+    # exact on Python ints: a window starting near 3*10^9 squares past int64
     linear = AbsIoInstance([((1, 0), 1), ((0, 1), 1)], (0, 0), (None, 0), 40)
     assert _scan_window(linear, 0, 1, {2: 0}) == 40 == _window_reference(linear, 0, 1, {2: 0})
     big = 3 * 10**9
@@ -374,7 +365,38 @@ def test_scan_window_slabs_and_python_ints(monkeypatch):
     partial = {2: -(big**2)}
     assert _scan_window(square, 0, 2, partial) == big + 1
     assert _window_reference(square, 0, 2, partial) == big + 1
-    assert dtypes == [np.int64, object]
+
+
+def test_scan_window_random_degrees():
+    # q(x) = sum_k c_k x^k of degree 1..8, its window bounded below only,
+    # above only, or on neither side
+    rng = random.Random(22)
+    for _ in range(1500):
+        e = rng.randint(1, 8)
+        top = rng.choice((-1, 1)) * rng.randint(1, 30)
+        terms = [((k,), rng.randint(-30, 30)) for k in range(e)] + [((e,), top)]
+        alpha = rng.randint(1, 400)
+        # windows starting near 0, where q is mostly below alpha at the start
+        near = rng.randint(-5, 5)
+        lo, hi = rng.choice(((near, None), (None, 2 * e * alpha + near), (None, None)))
+        inst = AbsIoInstance(terms, (lo,), (hi,), alpha)
+        assert _scan_window(inst, 0, e, {}) == _window_reference(inst, 0, e, {}), inst
+
+
+def test_scan_window_huge_alpha():
+    # windows of 2*10^12 + 1 and 12*10^30 + 1 points, first hits by hand
+    line = AbsIoInstance([((1,), 1)], (0,), (None,), 10**12)
+    assert _scan_window(line, 0, 1, {}) == 10**12
+    # x^6 - 1 at 10^30 is 10^30 - 1 at x = 10^5 and past 10^30 at 10^5 + 1,
+    # whether the window starts at -5, at 0 (no end) or at -7 (upper end only)
+    sextic = AbsIoInstance([((6,), 1), ((0,), -1)], (-5,), (None,), 10**30)
+    assert _scan_window(sextic, 0, 6, {}) == 10**5 + 1
+    assert _scan_window(replace(sextic, lower=(None,)), 0, 6, {}) == 10**5 + 1
+    below = replace(sextic, lower=(None,), upper=(12 * 10**30 - 7,))
+    assert _scan_window(below, 0, 6, {}) == 10**5 + 1
+    # 2 - x^6 falls on the window's first run [0, 12*10^30]
+    falling = replace(below, terms=(((6,), -1), ((0,), 2)), upper=(None,))
+    assert _scan_window(falling, 0, 6, {}) == 10**5 + 1
 
 
 def _pure_leaf_agrees(inst):

@@ -114,24 +114,19 @@ def test_solve_budget(tmp_path, capsys):
     assert "budget:" in capsys.readouterr().err
 
 
-def test_solve_absio_scan_window_budget(tmp_path, capsys):
+def test_solve_absio_scan_window_exact(tmp_path, capsys):
     # p = x1 over [0, inf): the k=1 child only asks for a nonzero coefficient,
-    # and extending its witness scans a window of 2*e*alpha + 1 points from 0,
-    # here 2*10^12 + 1; the first hit, x1 = 10^12, lies past the default cap
+    # and its witness extends into a window of 2*e*alpha + 1 points from 0,
+    # here 2*10^12 + 1; the first hit, x1 = 10^12, is found without a scan
     wide = _write(tmp_path, "wide.absio", "p absio 1 1 1000000000000\ncol 1 1:1 0\nb 1 0 inf\n")
-    assert main(["solve", wide]) == EXIT_BUDGET
-    assert "budget: scan window of 2000000000001 points exceeds cap 2000000" in (
-        capsys.readouterr().err
-    )
-    # at target 1000 the window holds 2001 points and the hit is the 1001st
+    assert main(["solve", wide]) == EXIT_YES
+    assert "x 1 1000000000000\n" in capsys.readouterr().out
+    # at target 1000 the window holds 2001 points and the hit is the 1001st;
+    # the point cap bounds leaves only
     narrow = _write(tmp_path, "narrow.absio", "p absio 1 1 1000\ncol 1 1:1 0\nb 1 0 inf\n")
-    assert main(["solve", narrow]) == EXIT_YES
-    assert "x 1 1000" in capsys.readouterr().out
-    assert main(["solve", narrow, "--cap", "1001"]) == EXIT_YES
-    assert "x 1 1000" in capsys.readouterr().out
-    assert main(["solve", narrow, "--cap", "1000"]) == EXIT_BUDGET
-    assert "budget: scan window of 2001 points exceeds cap 1000" in capsys.readouterr().err
-    # a window far past the cap whose hit comes early is scanned, not refused:
+    for cap in ([], ["--cap", "1000"], ["--cap", "0"]):
+        assert main(["solve", narrow, *cap]) == EXIT_YES
+        assert "x 1 1000\n" in capsys.readouterr().out
     # p = 10^6 x1 reaches 10^7 at x1 = 10
     early = _write(tmp_path, "early.absio", "p absio 1 1 10000000\ncol 1000000 1:1 0\nb 1 0 inf\n")
     assert main(["solve", early]) == EXIT_YES
@@ -300,6 +295,25 @@ def test_verify_valid_and_invalid(tmp_path, capsys):
     assert "s INVALID" in out
     partial = _write(tmp_path, "p.wit", "v 1\n")
     assert main(["verify", inst, partial]) == EXIT_ERROR
+
+
+@pytest.mark.parametrize("name, text", [
+    ("a.wdnf", YES_DNF), ("a.uhg", STAR_UHG), ("a.absio", ABSIO_YES),
+], ids=["wdnf", "uhg", "absio"])
+def test_verify_reads_solve_output(tmp_path, capsys, name, text):
+    f = _write(tmp_path, name, text)
+    assert main(["solve", f]) == EXIT_YES
+    w = _write(tmp_path, "w.txt", capsys.readouterr().out)
+    assert main(["verify", f, w]) == 0
+    assert "s VALID" in capsys.readouterr().out
+
+
+def test_verify_rejects_solve_no_output(tmp_path, capsys):
+    f = _write(tmp_path, "a.wdnf", NO_DNF)
+    assert main(["solve", f]) == EXIT_NO
+    w = _write(tmp_path, "w.txt", capsys.readouterr().out)
+    assert main(["verify", f, w]) == EXIT_ERROR
+    assert "status s NO: the file holds no witness" in capsys.readouterr().err
 
 
 def test_parse_error_exit(tmp_path, capsys):

@@ -300,6 +300,22 @@ def test_absio_witness_roundtrip():
         serialize_witness(inst, (1,))
 
 
+def test_witness_skips_solve_status_lines():
+    # solve's own output is a witness file for every kind; s NO holds none
+    phi = WeightedFormula("dnf", 2, (((1,), 1),), 1)
+    h = WeightedHypergraph({2, 4}, (((2, 4), 1),), 1)
+    inst = AbsIoInstance((((1,), 2),), (0,), (9,), 1)
+    head = "c method pipeline\ns YES\no 7\n"
+    assert parse_witness(head + "v 1 -2\n", phi) == frozenset({1})
+    assert parse_witness(head + "s 2 4\n", h) == frozenset({2, 4})
+    assert parse_witness(head + "s\n", h) == frozenset()
+    assert parse_witness(head + "x 1 4\n", inst) == (4,)
+    for instance in (phi, h, inst):
+        with pytest.raises(ParseError) as exc:
+            parse_witness("c method pipeline\ns NO\n", instance)
+        assert str(exc.value) == "line 2: status s NO: the file holds no witness"
+
+
 def test_witness_rejects_graph():
     g = Graph(2, ((1, 2),))
     with pytest.raises(InvalidInstanceError):

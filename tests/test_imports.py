@@ -6,8 +6,8 @@ a name bound by ``import`` or ``from ... import`` must be read somewhere in
 the same file.  ``__init__.py`` is skipped, since it imports to re-export.
 A module-level ``_name`` defined anywhere in the package must be read,
 imported or reached as an attribute somewhere in the package.  numpy is
-loaded only by the absio leaf, never by ``import absopt`` or a formula or
-hypergraph command.
+loaded only by the absio leaf, never by ``import absopt``, a formula or
+hypergraph command or a polynomial that branching and its window decide.
 """
 
 import ast
@@ -136,6 +136,7 @@ run("solve", files["uhg"])
 run("kernelize", files["uhg"])
 run("reduce", "monotonize", files["wdnf"])
 run("verify", files["wdnf"], files["v"])
+run("solve", files["window"])
 before = "numpy" in sys.modules
 run("solve", files["absio"])
 print(json.dumps({"codes": codes, "before": before, "after": "numpy" in sys.modules}))
@@ -148,6 +149,8 @@ def test_numpy_loads_only_with_the_absio_leaf(tmp_path):
         "v": "v 1 -2 -3\n",  # the wdnf file's witness
         "wcnf": "p wcnf 2 1 2\nw 3 1 2 0\n",
         "uhg": "p uhg 3 2 5\ne 2 1 2 0\ne 0 3 0\n",
+        # branching on x1 and the window decide it, with no leaf over x1
+        "window": "p absio 1 1 1000000000000\ncol 1 1:1 0\nb 1 0 inf\n",
         # a finite two-variable box: no rule or shortcut settles it, the leaf scans it
         "absio": "p absio 2 2 7\ncol 1 1:1 2:1 0\ncol -1 1:2 0\nb 1 -2 2\nb 2 -2 2\n",
     }
@@ -161,6 +164,6 @@ def test_numpy_loads_only_with_the_absio_leaf(tmp_path):
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     )
     got = json.loads(proc.stdout)
-    assert got["codes"] == [10, 10, 20, 0, 0, 0, 10]
+    assert got["codes"] == [10, 10, 20, 0, 0, 0, 10, 10]
     assert not got["before"]
     assert got["after"]

@@ -131,7 +131,7 @@ SITES = {
     "rule1_isolated", "rule2_zero_weight",
     "monotonize_abs_dnf", "abs_cnf_to_abs_dnf", "encode_dnf_as_hypergraph",
     "rule5_simplify", "shift_variable", "negate_variable",
-    "_support_shortcut", "_branch_child", "_scan_window",
+    "_support_shortcut", "_branch_child",
 }
 
 
