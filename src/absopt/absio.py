@@ -462,8 +462,9 @@ def brute_force_absio(
 
     Points are enumerated in lexicographic order, variable 1 outermost and
     values ascending; the first point with |p| >= alpha is the witness.
-    A box with at least one variable is scanned by the numpy leaf, which
-    imports numpy on its first call.
+    The box's point count, one for a box with no variables, may not exceed
+    ``max_points``.  A box with at least one variable is scanned by the
+    numpy leaf, which imports numpy on its first call.
     """
     n = inst.num_vars
     for i in range(n):
@@ -476,9 +477,11 @@ def brute_force_absio(
     cap = DEFAULT_POINT_CAP if max_points is None else max_points
     total = 1
     for i in range(n):
-        total *= inst.upper[i] - inst.lower[i] + 1
         if total > cap:
-            raise BudgetExceededError(f"point enumeration over {total}+ exceeds cap {cap}")
+            break
+        total *= inst.upper[i] - inst.lower[i] + 1
+    if total > cap:
+        raise BudgetExceededError(f"point enumeration over {total}+ exceeds cap {cap}")
     if n == 0:
         value = sum(w for _, w in inst.terms)
         if abs(value) >= inst.alpha:
@@ -665,7 +668,9 @@ def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdic
 
     picked = _pick_branch(cur)
     if picked is None:
-        leaf = brute_force_absio(cur, max_points=max_points)
+        # with no variables left the leaf only evaluates a constant, which
+        # the per-leaf cap leaves alone
+        leaf = brute_force_absio(cur, max_points=max_points if cur.num_vars else None)
         transcript.extend(leaf.transcript)
         if not leaf.decision:
             return Verdict(False, transcript=tuple(transcript))

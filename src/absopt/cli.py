@@ -12,6 +12,7 @@ when the witness is valid and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -217,7 +218,9 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call."""
     top = _Parser(
         prog="absopt",
         description="weighted clause, hypergraph, and polynomial imbalance solver",

@@ -70,24 +70,28 @@ def monotonize_abs_dnf(phi: WeightedFormula) -> tuple[WeightedFormula, Reduction
     Each clause expands on its own by inclusion-exclusion: with P its plain
     variables and N its negated ones, ``AND(P) AND NOT(N)`` equals the sum over
     subsets S of N of ``(-1)^|S| AND(P | S)``.  Every assignment keeps its
-    exact signed value, and clause width never grows.  Subsets are taken in
-    ``iter_subsets_lex`` order and the constructor merges equal literal sets
-    in order of first appearance, keeping weights that cancel to zero; that
-    fixes the output clause order.  A clause with more than ``DEFAULT_WIDTH_CAP``
-    negated literals exceeds the budget, since it expands into 2^|N| clauses.
+    exact signed value, and clause width never grows.  The expansion doubles:
+    it starts from ``(P, w)`` and, for each variable v of N in descending
+    order, appends ``(C | {v}, -c)`` for every ``(C, c)`` built so far.  With
+    the largest variable the fastest-changing bit, that is ``iter_subsets_lex``
+    order.  The constructor merges equal literal sets in order of first
+    appearance, keeping weights that cancel to zero; that fixes the output
+    clause order.  A clause with more than ``DEFAULT_WIDTH_CAP`` negated
+    literals exceeds the budget, since it expands into 2^|N| clauses.
     """
     if phi.kind != KIND_DNF:
         raise ContractViolationError("monotonization expects a DNF")
     clauses = []
     for lits, wt in phi.clauses:
-        negated = [-l for l in lits if l < 0]
+        negated = sorted((-l for l in lits if l < 0), reverse=True)
         if len(negated) > DEFAULT_WIDTH_CAP:
             raise BudgetExceededError(
                 f"{len(negated)} negated literals in one clause exceed cap {DEFAULT_WIDTH_CAP}"
             )
-        positive = frozenset(l for l in lits if l > 0)
-        for subset in iter_subsets_lex(negated):
-            clauses.append((positive | subset, -wt if len(subset) % 2 else wt))
+        expanded = [(frozenset(l for l in lits if l > 0), wt)]
+        for v in negated:
+            expanded += [(c | {v}, -w) for c, w in expanded]
+        clauses += expanded
     out = WeightedFormula._trusted(
         KIND_DNF, phi.num_vars, clauses, phi.alpha, phi.objective, phi.comparison
     )

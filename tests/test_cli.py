@@ -133,6 +133,22 @@ def test_solve_absio_scan_window_exact(tmp_path, capsys):
     assert "x 1 10\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", [
+    "p absio 0 1 1\ncol 1 0\n",
+    "p absio 1 1 1\ncol 1 0\nb 1 0 0\n",
+], ids=["no-variables", "one-point"])
+def test_solve_absio_oracle_cap_counts_the_one_point(tmp_path, capsys, text):
+    f = _write(tmp_path, "a.absio", text)
+    assert main(["solve", f, "--oracle", "--cap", "0"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == "budget: point enumeration over 1+ exceeds cap 0\n"
+    assert main(["solve", f, "--oracle", "--cap", "1"]) == EXIT_YES
+    capsys.readouterr()
+    # the pipeline drops a one-point variable and evaluates the constant left;
+    # the cap bounds only leaves that still hold variables
+    assert main(["solve", f, "--cap", "0"]) == EXIT_YES
+    assert "o 1\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("name, text", [
     ("a.wdnf", YES_DNF), ("a.uhg", SMALL_UHG), ("a.absio", ABSIO_YES),
 ], ids=["wdnf", "uhg", "absio"])
@@ -335,6 +351,35 @@ def test_unknown_flag_exits_with_usage_error(tmp_path, capsys, flag):
         main(["solve", f, *flag])
     assert exc.value.code == EXIT_ERROR
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_usage_errors_leave_the_shared_parser_intact(tmp_path, capsys):
+    f = _write(tmp_path, "a.wdnf", YES_DNF)
+    assert main(["solve", f, "--explain"]) == EXIT_YES
+    first = capsys.readouterr().out
+    for argv in (["solve", f, "--bogus", "x"], ["reduce", "nosuch", f]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_ERROR
+    capsys.readouterr()
+    assert main(["solve", f, "--explain"]) == EXIT_YES
+    assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=["top", "solve"])
+def test_help_is_stable(capsys, argv):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: absopt")
 
 
 def test_solve_output_is_deterministic(tmp_path, capsys):

@@ -8,6 +8,7 @@ A module-level ``_name`` defined anywhere in the package must be read,
 imported or reached as an attribute somewhere in the package.  numpy is
 loaded only by the absio leaf, never by ``import absopt``, a formula or
 hypergraph command or a polynomial that branching and its window decide.
+The CLI parser is built on the first ``main`` call, not at import.
 """
 
 import ast
@@ -167,3 +168,14 @@ def test_numpy_loads_only_with_the_absio_leaf(tmp_path):
     assert got["codes"] == [10, 10, 20, 0, 0, 0, 10, 10]
     assert not got["before"]
     assert got["after"]
+
+
+def test_import_builds_no_parser():
+    src = str(Path(absopt.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "from absopt import cli; print(cli._parser.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "0\n"

@@ -2,9 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from absopt.errors import BudgetExceededError, ContractViolationError, InvalidInstanceError
-from absopt.model import WeightedFormula, brute_force_formula, eval_formula
+from absopt.model import WeightedFormula, brute_force_formula, eval_formula, iter_subsets_lex
 from absopt.reductions import (
     Graph,
     abs_cnf_to_abs_dnf,
@@ -68,6 +70,32 @@ def test_monotonize_exact_output():
         (frozenset({1, 3}), 2),
     )
     assert np.array_equal(value_profile(phi), value_profile(mono))
+
+
+@st.composite
+def _dnf_clause(draw):
+    # 0-5 negated and 0-2 plain variables out of 1..6, listed in any order,
+    # so that expansions of different clauses often meet and merge
+    order = draw(st.permutations(range(1, 7)))
+    negated = draw(st.integers(0, 5))
+    plain = draw(st.integers(0, min(2, 6 - negated)))
+    lits = [-v for v in order[:negated]] + list(order[negated:negated + plain])
+    return tuple(draw(st.permutations(lits))), draw(st.integers(-3, 3))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_dnf_clause(), min_size=1, max_size=4))
+@example([((1, -2), 3), ((2, 1), 3)])  # {1, 2} cancels to a kept 0
+@example([((-5, -3, -1, -4, -2), 1)])
+def test_monotonize_matches_subset_reference(clauses):
+    phi = WeightedFormula("dnf", 6, clauses, 1)
+    expected = []
+    for lits, wt in phi.clauses:
+        positive = frozenset(l for l in lits if l > 0)
+        for subset in iter_subsets_lex(-l for l in lits if l < 0):
+            expected.append((positive | subset, -wt if len(subset) % 2 else wt))
+    mono, _ = monotonize_abs_dnf(phi)
+    assert mono.clauses == WeightedFormula("dnf", 6, expected, 1).clauses
 
 
 def test_monotonize_negation_cap():
