@@ -8,12 +8,12 @@ hypergraph shortcut on the monomial supports, then branches on a variable with
 a wide enough range, and finally enumerates the remaining finite box exactly.
 That leaf scans the box in numpy slabs of whole rows along x_1, of int64 when
 no sum of term magnitudes can reach ``I64_SAFE`` and of Python ints otherwise.
-When the box spans several slabs, it writes p = sum_e x_1^e q_e(x_2..x_n),
-evaluates each q_e once on the box without axis 1, and each slab sums its rows
-of x_1^e times q_e; when those q_e would not fit in a bounded store, or the
-box is one slab, the whole polynomial is evaluated per slab.  numpy is
-imported on the first leaf call, not with this module, so the formula and
-hypergraph solvers never load it.
+One evaluator works straight from the terms, grouped by exponent one variable
+at a time.  When the box spans several slabs, each q_e of p = sum_e x_1^e q_e
+is evaluated once on the box without axis 1 and is the weight of x_1^e on each
+slab; when those q_e would not fit in a bounded store, or the box is one slab,
+each slab evaluates all the terms.  numpy is imported on the first leaf call,
+not with this module, so the formula and hypergraph solvers never load it.
 
 Witnesses are returned in the coordinates of the caller's instance; every
 internal substitution is logged and replayed backwards before returning.
@@ -34,7 +34,7 @@ from .errors import (
     InvalidInstanceError,
 )
 from .kernel import MODE_EDGECOUNT, STATUS_TRIVIAL_YES, kernelize
-from .model import Verdict, WeightedHypergraph, _bare, _check_target
+from .model import Verdict, WeightedHypergraph, _bare, _check_target, _merge_weighted
 from .pipeline import _checked_value
 
 if TYPE_CHECKING:
@@ -143,15 +143,6 @@ def _box_pick(lo: Bound, hi: Bound) -> int:
     return hi  # lo is None here, so hi must be the binding side
 
 
-def _merged(terms) -> dict[tuple[int, ...], int]:
-    # The summed weight of each exponent vector, in order of first
-    # occurrence; zero sums stay.
-    merged: dict[tuple[int, ...], int] = {}
-    for vec, w in terms:
-        merged[vec] = merged.get(vec, 0) + w
-    return merged
-
-
 def eval_poly(inst: AbsIoInstance, point) -> int:
     """Exact integer value of the polynomial at a point (0^0 = 1)."""
     pt = tuple(point)
@@ -255,10 +246,10 @@ def rule5_simplify(inst: AbsIoInstance) -> SimplifyOutcome:
             drop(gone)
             changed = True
         # equal exponent vectors
-        merged = _merged(terms)
+        merged = _merge_weighted(terms)
         if len(merged) < len(terms):
             lines.append(f"rule5 merged={len(terms) - len(merged)}")
-            terms = list(merged.items())
+            terms = list(merged)
             changed = True
     out = AbsIoInstance._trusted(tuple(terms), lower, upper, inst.alpha, ids)
     return SimplifyOutcome(out, tuple(log), tuple(lines))
@@ -345,34 +336,28 @@ def rule6_shift(inst: AbsIoInstance) -> tuple[AbsIoInstance, tuple[LogEntry, ...
 # --- exact enumeration ----------------------------------------------------
 
 
-def _split(terms: list[Term], order: tuple[int, ...]):
-    # p as ((e, q_e), ...) with p = sum_e x_i^e q_e for i = order[0], e
-    # ascending and each q_e split the same way on order[1:]; past the last
-    # variable of order, the constant.  terms are (exponent vector, weight)
-    # pairs, and two vectors differ only on variables in order.
+def _grid(terms: list[Term], order: tuple[int, ...], powers: list[dict[int, np.ndarray]],
+          dtype) -> np.ndarray:
+    # Values of the terms' sum on the grid: grouped by their exponent e of
+    # variable i = order[0], each group evaluated on order[1:] times
+    # powers[i][e], x_i^e shaped to axis i; with order empty, the sum of the
+    # weights, which may be arrays.  Two exponent vectors differ only on
+    # variables in order.  The result keeps size 1 on every axis the terms do
+    # not use (no axis at all when they are constant).
     if not order:
-        return sum(c for _, c in terms)
-    i, rest = order[0], order[1:]
-    groups: dict[int, list] = {}
-    for key, c in terms:
-        groups.setdefault(key[i], []).append((key, c))
-    return tuple((e, _split(groups[e], rest)) for e in sorted(groups))
-
-
-def _grid(tree, powers: list[dict[int, np.ndarray]], dtype) -> np.ndarray:
-    # Values of a split polynomial on the grid, powers[k][e] holding x^e of
-    # the variable split at depth k, shaped to that variable's own axis.  The
-    # result keeps size 1 on every axis the polynomial does not use (no axis
-    # at all when it is constant); a leaf of the tree may already be an array.
-    if not powers:
         import numpy as np
 
-        return np.asarray(tree, dtype=dtype)
+        # started at the first weight, so a lone array weight is not copied
+        return np.asarray(sum((w for _, w in terms[1:]), terms[0][1]), dtype=dtype)
+    i, rest = order[0], order[1:]
+    groups: dict[int, list[Term]] = {}
+    for term in terms:
+        groups.setdefault(term[0][i], []).append(term)
     total = None
-    for e, sub in tree:
-        part = _grid(sub, powers[1:], dtype)
+    for e in sorted(groups):
+        part = _grid(groups[e], rest, powers, dtype)
         if e:
-            part = part * powers[0][e]
+            part = part * powers[i][e]
         total = part if total is None else total + part
     return total
 
@@ -384,7 +369,7 @@ def _grid_parts(inst: AbsIoInstance, dtype) -> tuple[list[Term], list[dict[int, 
     import numpy as np
 
     n = inst.num_vars
-    terms = [(key, c) for key, c in _merged(inst.terms).items() if c] or [((0,) * n, 0)]
+    terms = [(key, c) for key, c in _merge_weighted(inst.terms) if c] or [((0,) * n, 0)]
     powers = []
     for i in range(n):
         # an axis only where p uses it, as unused ends may lie past int64
@@ -414,11 +399,11 @@ def _grid_leaf(inst: AbsIoInstance, dtype) -> tuple[int, ...] | None:
     spans more than one slab and the q_e of p = sum_e x_1^e q_e(x_2..x_n)
     fit in the store (at most 4 * ``SLAB_POINTS`` points, each q_e counted
     over the axes it uses), ``_grid`` evaluates every q_e once on the box
-    without axis 1, and each slab sums its rows of x_1^e times q_e.
-    Otherwise the split runs from variable n down to variable 1 and ``_grid``
-    evaluates the whole tree per slab.  A slab's values are tested by their
-    max and min before a hit mask is built; in the mask, the C-ordered argmax
-    is the lexicographically first hit, also across axes of size 1.
+    without axis 1, and each slab evaluates the terms x_1^e of weight q_e.
+    Otherwise ``_grid`` evaluates all the terms per slab, variable n first.
+    A slab's values are tested by their max and min before a hit mask is
+    built; in the mask, the C-ordered argmax is the lexicographically first
+    hit, also across axes of size 1.
     ``dtype`` is ``np.int64`` or ``object`` (Python ints), as ``_leaf_dtype``
     picks it.
     """
@@ -431,21 +416,22 @@ def _grid_leaf(inst: AbsIoInstance, dtype) -> tuple[int, ...] | None:
     down = tuple(range(n - 1, 0, -1))
     hoist = False
     if rows < sides[0]:
-        axes: dict[int, set[int]] = {}
-        for key, _ in terms:
-            axes.setdefault(key[0], set()).update(i for i in down if key[i])
-        store = sum(math.prod(sides[i] for i in used) for used in axes.values())
+        groups: dict[int, list[Term]] = {}
+        for term in terms:
+            groups.setdefault(term[0][0], []).append(term)
+        store = sum(math.prod(sides[i] for i in down if any(key[i] for key, _ in group))
+                    for group in groups.values())
         hoist = store <= 4 * SLAB_POINTS
-    order = (0,) + down if hoist else down + (0,)
-    tree = _split(terms, order)
-    levels = [powers[i] for i in order]
+    order = down + (0,)
     if hoist:
-        tree = tuple((e, _grid(q, levels[1:], dtype)) for e, q in tree)
-        levels = levels[:1]
-    # variable 1's powers are the last level either way
+        # each q_e, evaluated once, is the array weight of the term x_1^e
+        terms = [((e,) + (0,) * (n - 1), _grid(group, down, powers, dtype))
+                 for e, group in groups.items()]
+        order = (0,)
+    first = powers[0]
     for start in range(0, sides[0], rows):
-        levels[-1] = {a: p[start:start + rows] for a, p in powers[0].items()}
-        total = _grid(tree, levels, dtype)
+        powers[0] = {a: p[start:start + rows] for a, p in first.items()}
+        total = _grid(terms, order, powers, dtype)
         if total.max() >= inst.alpha or total.min() <= -inst.alpha:
             hits = np.abs(total) >= inst.alpha  # a bool when p is constant
             shape = np.shape(hits)

@@ -40,11 +40,20 @@ from .reductions import Graph
 
 
 def _lines(text: str):
+    # Outside comments the grammar is ASCII without '_', which int() would
+    # otherwise take in 1_0 and non-ASCII digits; the lines are searched only
+    # when the whole text holds such a character.
+    strict = not text.isascii() or "_" in text
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line == "c" or line.startswith("c "):
             continue
-        yield no, line.split()
+        toks = line.split()
+        if strict:
+            for tok in toks:
+                if not tok.isascii() or "_" in tok:
+                    raise ParseError(no, f"token {tok!r} holds '_' or a non-ASCII character")
+        yield no, toks
 
 
 def _int(tok: str, no: int, what: str) -> int:

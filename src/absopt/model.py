@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress, product
-from typing import Iterable, Iterator
+from typing import Hashable, Iterable, Iterator
 
 from . import engine
 from .errors import BudgetExceededError, InvalidInstanceError
@@ -68,10 +68,11 @@ def _check_weights(items: Iterable[tuple[frozenset, int]]) -> None:
             raise InvalidInstanceError(f"weight {wt!r} is not an integer")
 
 
-def _merge_weighted(items: Iterable[tuple[frozenset, int]]) -> tuple[tuple[frozenset, int], ...]:
-    # Duplicate keys merge by weight sum; first occurrence fixes the position.
-    # A merged weight of zero is kept, not dropped.
-    weights: dict[frozenset, int] = {}
+def _merge_weighted(items: Iterable[tuple[Hashable, int]]) -> tuple[tuple[Hashable, int], ...]:
+    # Duplicate keys (clause or edge frozensets, absio exponent vectors) merge
+    # by weight sum; first occurrence fixes the position.  A merged weight of
+    # zero is kept, not dropped.
+    weights: dict[Hashable, int] = {}
     for key, wt in items:
         if key in weights:
             weights[key] += wt

@@ -28,7 +28,6 @@ from absopt.absio import (
     _grid_parts,
     _replay,
     _scan_window,
-    _split,
     negate_variable,
     rule5_simplify,
     rule6_shift,
@@ -216,6 +215,15 @@ def test_rule6_leaves_point_domains_alone():
     inst = AbsIoInstance([((1,), 2)], (5,), (5,), 1)
     out, log, lines = rule6_shift(inst)
     assert out == inst and log == () and lines == ()
+
+
+def test_rule6_point_domain_guard_keeps_loop_finite():
+    # one-point domains away from 0 and 1 stay put while x2 shifts: shifting
+    # -7..-7 to 0..0 would still miss 1 and shift by 0 forever
+    inst = AbsIoInstance([((1, 1, 1), 2)], (-7, 3, 5), (-7, 9, 5), 1)
+    out, log, lines = rule6_shift(inst)
+    assert log == (("shift", 2, 3),) and lines == ("rule6 shift x2 t=3",)
+    assert out.lower == (-7, 0, 5) and out.upper == (-7, 6, 5)
 
 
 def test_rule6_skips_good_boxes():
@@ -468,8 +476,7 @@ def test_leaf_box_ends_past_int64(monkeypatch):
 def _grid_everywhere(inst, dtype):
     # The evaluator's values over the whole box in one grid, broadcast out
     terms, powers = _grid_parts(inst, dtype)
-    order = tuple(range(inst.num_vars))
-    values = _grid(_split(terms, order), [powers[i] for i in order], dtype)
+    values = _grid(terms, tuple(range(inst.num_vars)), powers, dtype)
     return np.broadcast_to(values, tuple(h - l + 1 for l, h in zip(inst.lower, inst.upper)))
 
 
@@ -522,14 +529,14 @@ def test_grid_leaf_slabs(monkeypatch):
 
 
 def _record_paths(monkeypatch):
-    # One flag per _grid call: True when the tree it gets holds arrays, the
-    # q_e that the leaf evaluated once before its slabs
+    # One flag per _grid call: True when the terms it gets have array
+    # weights, the q_e that the leaf evaluated once before its slabs
     calls = []
     grid = absio._grid
 
-    def spy(tree, powers, dtype):
-        calls.append(bool(powers) and any(isinstance(q, np.ndarray) for _, q in tree))
-        return grid(tree, powers, dtype)
+    def spy(terms, order, powers, dtype):
+        calls.append(any(isinstance(w, np.ndarray) for _, w in terms))
+        return grid(terms, order, powers, dtype)
 
     monkeypatch.setattr(absio, "_grid", spy)
     return calls
@@ -544,7 +551,7 @@ def _lex_box(m, side, alpha):
 
 def test_grid_leaf_paths(monkeypatch):
     # Both leaf paths against the naive scan: the q_e evaluated once when
-    # they fit in 4 * SLAB_POINTS points, the whole tree per slab otherwise
+    # they fit in 4 * SLAB_POINTS points, all the terms per slab otherwise
     calls = _record_paths(monkeypatch)
     rng = random.Random(47)
     for slab in (1, 5, 40, SLAB_POINTS):
@@ -577,7 +584,7 @@ def test_grid_leaf_paths(monkeypatch):
 def test_leaf_store_bound():
     # x1 in [0, 1], x2 in [0, 65535] and p = sum_e x1^e x2 for e = 1..1000:
     # two slabs, but the q_e would hold 1000 * 65536 points, so the leaf
-    # keeps to the per-slab tree and its memory follows the slab
+    # evaluates all the terms per slab and its memory follows the slab
     terms = [((e, 1), 1) for e in range(1, 1001)]
     for alpha in (10**9, 1 << 62):
         inst = AbsIoInstance(terms, (0, 0), (1, 65535), alpha)

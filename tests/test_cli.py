@@ -160,6 +160,38 @@ def test_solve_rejects_negative_cap(tmp_path, capsys, name, text):
     assert "argument --cap: must be non-negative, got -1" in capsys.readouterr().err
 
 
+def test_solve_rejects_non_integer_cap(tmp_path, capsys):
+    f = _write(tmp_path, "a.wdnf", YES_DNF)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", f, "--cap", "x"])
+    assert exc.value.code == EXIT_ERROR
+    assert "argument --cap: invalid int value: 'x'" in capsys.readouterr().err
+
+
+def test_solve_oracle_on_hypergraph(tmp_path, capsys):
+    f = _write(tmp_path, "a.uhg", SMALL_UHG)
+    assert main(["solve", f, "--oracle"]) == EXIT_NO
+    assert capsys.readouterr().out == "c method oracle\ns NO\n"
+    g = _write(tmp_path, "b.uhg", "p uhg 3 2 2\ne 2 1 2 0\ne 0 3 0\n")
+    assert main(["solve", g, "--oracle"]) == EXIT_YES
+    assert capsys.readouterr().out == "c method oracle\ns YES\no 2\ns 1 2\n"
+
+
+@pytest.mark.parametrize("text, explain", [
+    # an empty domain: rule 5 certifies no before anything else runs
+    ("p absio 1 1 5\ncol 1 1:1 0\nb 1 3 1\n", ["rule5 empty x1"]),
+    # x1 x2^2 - x1 x2 over x2 in [0, 1]: x1 is branched on, its k = 0 child
+    # holds no term and its k = 1 child, x2^2 - x2, is 0 on both points
+    ("p absio 2 2 1\ncol 1 1:1 2:2 0\ncol -1 1:1 2:1 0\nb 2 0 1\n",
+     ["branch x1 e=1", "child k=0 empty", "k=1:leaf points=2", "child k=1 no"]),
+], ids=["empty-domain", "every-child-no"])
+def test_solve_absio_no(tmp_path, capsys, text, explain):
+    f = _write(tmp_path, "a.absio", text)
+    assert main(["solve", f, "--explain"]) == EXIT_NO
+    comments = "".join(f"c {line}\n" for line in explain)
+    assert capsys.readouterr().out == f"c method pipeline\n{comments}s NO\n"
+
+
 def test_solve_missing_file(capsys):
     assert main(["solve", "/nonexistent/zzz.wdnf"]) == EXIT_ERROR
     assert "error:" in capsys.readouterr().err
@@ -239,6 +271,12 @@ def test_reduce_rejects_hypergraph(tmp_path, capsys):
     f = _write(tmp_path, "h.uhg", SMALL_UHG)
     assert main(["reduce", "monotonize", f]) == EXIT_ERROR
     assert "error:" in capsys.readouterr().err
+
+
+def test_kernelize_rejects_other_kinds(tmp_path, capsys):
+    f = _write(tmp_path, "a.wdnf", YES_DNF)
+    assert main(["kernelize", f]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: kernelize expects a uhg file\n"
 
 
 def test_kernelize_trivial_yes(tmp_path, capsys):
@@ -322,6 +360,13 @@ def test_verify_reads_solve_output(tmp_path, capsys, name, text):
     w = _write(tmp_path, "w.txt", capsys.readouterr().out)
     assert main(["verify", f, w]) == 0
     assert "s VALID" in capsys.readouterr().out
+
+
+def test_verify_rejects_bare_graph(tmp_path, capsys):
+    g = _write(tmp_path, "g.col", GRAPH)
+    w = _write(tmp_path, "w.txt", "s 1\n")
+    assert main(["verify", g, w]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: a bare graph has nothing to verify against\n"
 
 
 def test_verify_rejects_solve_no_output(tmp_path, capsys):

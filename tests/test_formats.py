@@ -113,6 +113,8 @@ def test_hypergraph_parse_errors():
         ("p uhg 2 1 1\nn 1 1 0\ne 3 1 0\n", 2,
          "vertex ids must be distinct positive integers"),
         ("p uhg 2 1\n", 1, "expected: p uhg nvertices nedges alpha"),
+        ("p uhg 2 0 1\nn 1 0\n", 2, "header promises 2 vertices, list has 1"),
+        ("p uhg 2 1 1\ne 3\n", 2, "edge line needs a weight and a 0 terminator"),
     ]
     for text, line, message in cases:
         with pytest.raises(ParseError) as exc:
@@ -157,6 +159,8 @@ def test_absio_parse_errors():
         ("p absio 1 0 1\nb 1 0 -inf\n", 2, "upper bound cannot be -inf"),
         ("p absio 1 0 1\nb 1 0 3\nb 1 0 3\n", 3, "second bounds line for variable 1"),
         ("p absio 1 0 1\nb 2 0 3\n", 2, "variable 2 is not in 1..1"),
+        ("p absio 1 0\n", 1, "expected: p absio nvars nterms alpha"),
+        ("p absio 1 0 1\nb 1 0\n", 2, "expected: b <var> <min|-inf> <max|inf>"),
     ]
     for text, line, message in cases:
         with pytest.raises(ParseError) as exc:
@@ -176,14 +180,17 @@ def test_graph_roundtrip_and_errors():
     for _ in range(60):
         g = random_graph(rng)
         assert parse_graph(serialize_graph(g)) == g
-    for text, line in [
-        ("p edge 2 1\ne 1 1\n", 2),
-        ("p edge 2 2\ne 1 2\ne 2 1\n", 3),
-        ("p edge 2 1\ne 1 5\n", 2),
+    for text, line, message in [
+        ("p edge 2 1\ne 1 1\n", 2, "self-loop at 1"),
+        ("p edge 2 2\ne 1 2\ne 2 1\n", 3, "edge (1, 2) repeats"),
+        ("p edge 2 1\ne 1 5\n", 2, "vertex 5 is not in 1..2"),
+        ("p edge 2\n", 1, "expected: p edge nvertices nedges"),
+        ("p edge 2 1\ne 1\n", 2, "expected: e <u> <v>"),
     ]:
         with pytest.raises(ParseError) as exc:
             parse_graph(text)
         assert exc.value.line_no == line
+        assert str(exc.value) == f"line {line}: {message}"
 
 
 # The errors every instance grammar shares, with their full text.
@@ -214,6 +221,24 @@ SHARED_PARSE_ERRORS = [
     (parse_graph, "p edge 2 0\ncol 1 0\n", "line 2: unexpected line 'col' in a graph file"),
     (parse_graph, "c\n", "line 0: no problem line found"),
     (parse_graph, "p edge 2 2\ne 1 2\n", "line 0: header promises 2 edges, file has 1"),
+    (parse_formula, "p wdnf -1 0 0\n", "line 1: variable count must be non-negative, got -1"),
+    (parse_hypergraph, "p uhg 1 -2 0\n", "line 1: edge count must be non-negative, got -2"),
+    (parse_absio, "p absio 0 0 -3\n", "line 1: target must be non-negative, got -3"),
+    (parse_graph, "p edge -1 0\n", "line 1: vertex count must be non-negative, got -1"),
+    (parse_instance, "q 1\n", "line 1: expected a problem line, got 'q'"),
+    (parse_instance, "c only\n", "line 0: no problem line found"),
+    (parse_instance, "c\np\n", "line 2: problem line needs a kind"),
+    (parse_instance, "p mystery 1 0\n", "line 1: unknown instance kind 'mystery'"),
+    # outside comments, tokens are ASCII without '_': int() alone takes both
+    (parse_hypergraph, "p uhg 2 1 1_0\n", "line 1: token '1_0' holds '_' or a non-ASCII character"),
+    (parse_instance, "p uhg 2 0 \uff13\n",
+     "line 1: token '\uff13' holds '_' or a non-ASCII character"),
+    (parse_formula, "c \u00e9\np wdnf 1 1 0\nw 1 \u0661 0\n",
+     "line 3: token '\u0661' holds '_' or a non-ASCII character"),
+    (parse_absio, "p absio 1 0 1\nb 1 0 1_000\n",
+     "line 2: token '1_000' holds '_' or a non-ASCII character"),
+    (parse_graph, "p edge 2 1\ne 1 2\u2081\n",
+     "line 2: token '2\u2081' holds '_' or a non-ASCII character"),
 ]
 
 
@@ -225,6 +250,11 @@ def test_shared_parse_error_text(parse, text, message):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert str(exc.value) == message
+
+
+def test_comments_may_hold_anything():
+    text = "c x_1 \u00e9 \uff13\np uhg 2 1 3\nc _\ne 3 1 2 0\n"
+    assert parse_hypergraph(text) == parse_hypergraph("p uhg 2 1 3\ne 3 1 2 0\n")
 
 
 def test_detect_and_dispatch():
@@ -314,6 +344,26 @@ def test_witness_skips_solve_status_lines():
         with pytest.raises(ParseError) as exc:
             parse_witness("c method pipeline\ns NO\n", instance)
         assert str(exc.value) == "line 2: status s NO: the file holds no witness"
+
+
+WITNESS_PARSE_ERRORS = [
+    (WeightedHypergraph({1, 2}, (((1,), 1),), 1), "x 1\n", "line 1: expected an s line, got 'x'"),
+    (AbsIoInstance((((1,), 2),), (0,), (9,), 1), "x 1\n", "line 1: expected: x <var> <value>"),
+    (AbsIoInstance((((1,), 2),), (0,), (9,), 1), "x 3 1\n",
+     "line 1: variable 3 is not in the instance"),
+    (AbsIoInstance((((1,), 2),), (0,), (9,), 1), "x 1 \uff14\n",
+     "line 1: token '\uff14' holds '_' or a non-ASCII character"),
+]
+
+
+@pytest.mark.parametrize(
+    "instance,text,message", WITNESS_PARSE_ERRORS,
+    ids=[f"{type(inst).__name__}-{k}" for k, (inst, _, _) in enumerate(WITNESS_PARSE_ERRORS)],
+)
+def test_witness_parse_error_text(instance, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_witness(text, instance)
+    assert str(exc.value) == message
 
 
 def test_witness_rejects_graph():

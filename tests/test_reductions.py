@@ -125,6 +125,35 @@ def test_encode_rejects_negations():
         encode_dnf_as_hypergraph(phi)
 
 
+CNF = WeightedFormula("cnf", 2, (((1, 2), 1),), 1)
+NEGATED_DNF = WeightedFormula("dnf", 2, (((1, -2), 1),), 1)
+SUM_DNF = WeightedFormula("dnf", 2, (((1, 2), 1),), 1, "sum")
+
+
+# Each rewrite's rejection of a formula outside its contract, with its text.
+REWRITE_REJECTIONS = [
+    (monotonize_abs_dnf, CNF, "monotonization expects a DNF"),
+    (encode_dnf_as_hypergraph, NEGATED_DNF, "hypergraph encoding expects a monotone DNF"),
+    (abs_cnf_to_abs_dnf, NEGATED_DNF, "minterm expansion expects a CNF"),
+    (expand_conjunctions_to_disjunctions, CNF, "disjunction expansion expects a monotone DNF"),
+    (expand_conjunctions_to_disjunctions, NEGATED_DNF,
+     "disjunction expansion expects a monotone DNF"),
+    (gen_exact_variant, CNF, "exact-variant expects a monotone DNF"),
+    (gen_exact_variant, SUM_DNF, "exact-variant expects the absolute-value objective"),
+    (gen_min_variant, SUM_DNF, "min-variant expects the absolute-value objective"),
+]
+
+
+@pytest.mark.parametrize(
+    "rewrite,phi,message", REWRITE_REJECTIONS,
+    ids=[f"{rewrite.__name__}-{k}" for k, (rewrite, _, _) in enumerate(REWRITE_REJECTIONS)],
+)
+def test_rewrites_reject_other_input(rewrite, phi, message):
+    with pytest.raises(ContractViolationError) as exc:
+        rewrite(phi)
+    assert str(exc.value) == message
+
+
 def test_cnf_to_dnf_minterms():
     phi = WeightedFormula("cnf", 2, (((1, -2), 3),), 1)
     dnf, _ = abs_cnf_to_abs_dnf(phi)
