@@ -6,6 +6,10 @@ ranges over an integer interval whose ends may be infinite.  The solver first
 applies value-preserving simplification and normalization rules, then tries a
 hypergraph shortcut on the monomial supports, then branches on a variable with
 a wide enough range, and finally enumerates the remaining finite box exactly.
+Normalization shifts (x_i = y + t) keep values but multiply the terms, so a
+leaf scans the polynomial as it stood before them, on the box moved back by
+them, when that form has fewer terms and needs no wider integer type; shifts
+keep lexicographic order, so the first hit is the same point.
 That leaf scans the box in numpy slabs of whole rows along x_1, of int64 when
 no sum of term magnitudes can reach ``I64_SAFE`` and of Python ints otherwise.
 One evaluator works straight from the terms, grouped by exponent one variable
@@ -33,7 +37,7 @@ from .errors import (
     InternalGuaranteeError,
     InvalidInstanceError,
 )
-from .kernel import MODE_EDGECOUNT, STATUS_TRIVIAL_YES, kernelize
+from .kernel import MODE_EDGECOUNT, STATUS_TRIVIAL_YES, _links_below_g, kernelize
 from .model import Verdict, WeightedHypergraph, _bare, _check_target, _merge_weighted
 from .pipeline import _checked_value
 
@@ -269,11 +273,17 @@ def shift_variable(inst: AbsIoInstance, i: int, t: int) -> tuple[AbsIoInstance, 
     if not 0 <= i < inst.num_vars:
         raise InvalidInstanceError(f"no variable at index {i}")
     merged: dict[tuple[int, ...], int] = {}
+    # exponent c -> (C(c,k) * t^k, (c - k,)) for k = 0..c
+    rows: dict[int, list[tuple[int, tuple[int]]]] = {}
     for vec, w in inst.terms:
         c = vec[i]
-        for k in range(c + 1):
-            key = vec[:i] + (c - k,) + vec[i + 1:]
-            merged[key] = merged.get(key, 0) + math.comb(c, k) * w * t**k
+        row = rows.get(c)
+        if row is None:
+            row = rows[c] = [(math.comb(c, k) * t**k, (c - k,)) for k in range(c + 1)]
+        head, tail = vec[:i], vec[i + 1:]
+        for b, e in row:
+            key = head + e + tail
+            merged[key] = merged.get(key, 0) + b * w
     lower = list(inst.lower)
     upper = list(inst.upper)
     lower[i] = None if lower[i] is None else lower[i] - t
@@ -503,16 +513,43 @@ def _support_shortcut(inst: AbsIoInstance) -> tuple[tuple[int, ...] | None, tupl
     # Monomial supports as hyperedges; a heavy enough edge count certifies a
     # 0/1 witness.  Rules 5 and 6 ran to their fixpoint first, so every
     # interval holds 0 and 1; with no variables every edge is empty, d < 1.
-    edges = [(frozenset(i + 1 for i, a in enumerate(vec) if a), w) for vec, w in inst.terms]
-    d = max((len(e) for e, _ in edges), default=0)
-    h = WeightedHypergraph._trusted(frozenset(range(1, inst.num_vars + 1)), edges, inst.alpha, d)
-    if h.d < 1:
+    # The edge-count rule needs d >= 1 and an edge count that
+    # ``_links_below_g`` does not rule out; kernelize's rules 1-2 only drop
+    # vertices and edges and keep d, and alpha >= 1 here, so when the terms
+    # already fail that test no hypergraph is built.
+    d = max((len(vec) - vec.count(0) for vec, _ in inst.terms), default=0)
+    if d < 1 or _links_below_g(inst.num_terms, d):
         return None, ()
+    edges = [(frozenset(i + 1 for i, a in enumerate(vec) if a), w) for vec, w in inst.terms]
+    h = WeightedHypergraph._trusted(frozenset(range(1, inst.num_vars + 1)), edges, inst.alpha, d)
     outcome = kernelize(h, MODE_EDGECOUNT)
     if outcome.status != STATUS_TRIVIAL_YES:
         return None, ()
     point = tuple(1 if i + 1 in outcome.witness else 0 for i in range(inst.num_vars))
     return point, outcome.transcript + (f"support yes |X|={len(outcome.witness)}",)
+
+
+def _leaf_form(pre: AbsIoInstance, cur: AbsIoInstance,
+               entries: list[LogEntry]) -> tuple[AbsIoInstance, tuple[int, ...]]:
+    # The instance a leaf scans, cur or pre, and the offsets that take cur's
+    # coordinates to its own.  ``entries`` is the log from pre to cur.  At a
+    # leaf every interval is finite, and rule 6 negates only unbounded ones,
+    # so it only shifted; a shift keeps every variable in use, so rule 5 fixed
+    # none.  pre is then cur on cur's box moved back by each variable's summed
+    # shifts, with the same values, and shifts keep lexicographic order, so
+    # both scans find the same first hit.  pre is scanned when it has fewer
+    # terms, unless its larger values would need Python ints where cur's fit
+    # int64.
+    if pre.var_ids != cur.var_ids or any(entry[0] != "shift" for entry in entries):
+        raise InternalGuaranteeError(f"rule 6 did more than shift a leaf: {entries!r}")
+    offset = dict.fromkeys(cur.var_ids, 0)
+    for _, gid, t in entries:
+        offset[gid] += t
+    if pre.num_terms < cur.num_terms and (
+        _leaf_dtype(pre) is not object or _leaf_dtype(cur) is object
+    ):
+        return pre, tuple(offset.values())
+    return cur, (0,) * cur.num_vars
 
 
 def _pick_branch(inst: AbsIoInstance) -> tuple[int, int] | None:
@@ -614,8 +651,9 @@ def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdic
     support shortcut, then branching on the exponent of a wide variable
     (children ask for a nonzero coefficient, the lowest yes child extends
     its witness by an exact search of a window for the first hit), and exact
-    enumeration once every interval is narrow.  The returned witness is
-    re-verified against the input.
+    enumeration once every interval is narrow, of the pre-shift form when
+    ``_leaf_form`` picks it.  The returned witness is re-verified against
+    the input.
     """
     # target 0 is met by any point, so only domain emptiness matters
     if inst.alpha == 0:
@@ -628,6 +666,7 @@ def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdic
         return Verdict(True, point, eval_poly(inst, point), ("alpha0",))
 
     cur = inst
+    pre = None  # the instance after the first rule 5 pass, before rule 6
     log: list[LogEntry] = []
     transcript: list[str] = []
     while True:
@@ -637,6 +676,8 @@ def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdic
         transcript.extend(simp.transcript)
         if simp.empty_var is not None:
             return Verdict(False, transcript=tuple(transcript))
+        if pre is None:
+            pre, settled = cur, len(log)
         cur, entries, lines = rule6_shift(cur)
         log.extend(entries)
         transcript.extend(lines)
@@ -656,11 +697,12 @@ def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdic
     if picked is None:
         # with no variables left the leaf only evaluates a constant, which
         # the per-leaf cap leaves alone
-        leaf = brute_force_absio(cur, max_points=max_points if cur.num_vars else None)
+        scan, back = _leaf_form(pre, cur, log[settled:])
+        leaf = brute_force_absio(scan, max_points=max_points if cur.num_vars else None)
         transcript.extend(leaf.transcript)
         if not leaf.decision:
             return Verdict(False, transcript=tuple(transcript))
-        return finish(leaf.witness)
+        return finish(tuple(x - t for x, t in zip(leaf.witness, back)))
 
     i, e = picked
     gid = cur.var_ids[i]

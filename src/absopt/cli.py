@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -208,11 +209,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _integer(text: str) -> int:
+    # The file grammar's integers: an optional sign and ASCII digits.  int()
+    # alone would also take 1_0, surrounding blanks and non-ASCII digits.
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
@@ -256,7 +262,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="build a formula from a graph")
     p.add_argument("generator", choices=sorted(_GENERATORS))
     p.add_argument("graph")
-    p.add_argument("k", type=int, help="independent-set size target")
+    p.add_argument("k", type=_integer, help="independent-set size target")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_generate)
 

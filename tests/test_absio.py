@@ -26,13 +26,17 @@ from absopt.absio import (
     _grid,
     _grid_leaf,
     _grid_parts,
+    _leaf_form,
     _replay,
     _scan_window,
+    _support_shortcut,
     negate_variable,
     rule5_simplify,
     rule6_shift,
     shift_variable,
 )
+from absopt.kernel import MODE_EDGECOUNT, STATUS_REDUCED, _links_below_g, kernelize
+from absopt.model import WeightedHypergraph
 from helpers import naive_absio_decide, naive_absio_value, random_absio
 
 
@@ -700,6 +704,109 @@ def test_support_shortcut_real_threshold():
     assert u.decision and "support yes |X|=7" in u.transcript
     ok, value = verify_point(inst, u.witness)
     assert ok and abs(value) >= 1
+
+
+def _scanned_leaves(monkeypatch):
+    # the instances solve_absio hands to brute_force_absio, in call order
+    scanned = []
+    real = absio.brute_force_absio
+
+    def spy(inst, **kwargs):
+        scanned.append(inst)
+        return real(inst, **kwargs)
+
+    monkeypatch.setattr(absio, "brute_force_absio", spy)
+    return scanned
+
+
+def test_pre_shift_leaf_matches_shifted_scan(monkeypatch):
+    # narrow boxes that miss 0 or 1, so rule 6 shifts every wide enough
+    # variable and no branch fires (width <= 3 < 2 * e * alpha)
+    scanned = _scanned_leaves(monkeypatch)
+    rng = random.Random(25)
+    pre_scans = yes = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        lower = [rng.choice((1, -1)) * rng.randint(2, 40) for _ in range(n)]
+        upper = [lo + rng.randint(0, 3) for lo in lower]
+        terms = [(tuple(rng.randint(0, 4) for _ in range(n)), rng.randint(-5, 5))
+                 for _ in range(rng.randint(1, 8))]
+        top = max(abs(naive_absio_value(AbsIoInstance(terms, lower, upper, 0), pt))
+                  for pt in itertools.product(*map(range, lower, [hi + 1 for hi in upper])))
+        inst = AbsIoInstance(terms, lower, upper, max(2, rng.randint(top // 2, top + 1)))
+        scanned.clear()
+        verdict = solve_absio(inst)
+        if any(line.startswith("support yes") for line in verdict.transcript):
+            continue
+        simp = rule5_simplify(inst)
+        shifted, log, _ = rule6_shift(simp.instance)
+        leaf = brute_force_absio(shifted)
+        assert verdict.decision == leaf.decision, inst
+        assert verdict.transcript[-1] == leaf.transcript[-1], inst
+        if leaf.decision:
+            yes += 1
+            assert verdict.witness == _replay(
+                simp.log + log, shifted.var_ids, leaf.witness, inst.var_ids), inst
+        pre_scans += scanned == [simp.instance] and simp.instance.terms != shifted.terms
+    assert pre_scans >= 100 and yes >= 100
+
+
+def test_pre_shift_leaf_keeps_int64(monkeypatch):
+    # (x - T)^2 + z^3 with x in [T, T + 3], z in [2, 3] and T = 2^31: rule 6
+    # cancels the big terms, and the shifted form fits int64 while the
+    # pre-shift form (4 terms against 5) would need Python ints
+    scanned = _scanned_leaves(monkeypatch)
+    t = 1 << 31
+    inst = AbsIoInstance([((2, 0), 1), ((1, 0), -2 * t), ((0, 0), t * t), ((0, 3), 1)],
+                         (t, 2), (t + 3, 3), 30)
+    verdict = solve_absio(inst)
+    assert verdict.decision and verdict.witness == (t + 2, 3)
+    assert scanned[0].num_terms == 5 and scanned[0].lower == (0, 0)
+    assert absio._leaf_dtype(scanned[0]) is np.int64
+    assert absio._leaf_dtype(rule5_simplify(inst).instance) is object
+    # x^3 + z^2 with x in [2^40, 2^40 + 3] needs Python ints in both forms,
+    # so the leaf scans the 2-term pre-shift form, not the 6-term shifted one
+    scanned.clear()
+    big = 1 << 40
+    inst = AbsIoInstance([((3, 0), 1), ((0, 2), 1)], (big, 2), (big + 3, 3), big**3 + 9)
+    verdict = solve_absio(inst)
+    assert verdict.decision and verdict.witness == (big, 3)
+    assert scanned[0] == rule5_simplify(inst).instance
+    assert absio._leaf_dtype(scanned[0]) is object
+
+
+def test_leaf_form_rejects_more_than_shifts():
+    inst = AbsIoInstance([((1, 1), 1)], (2, 2), (3, 3), 5)
+    shifted, log, _ = rule6_shift(inst)
+    assert _leaf_form(inst, shifted, list(log)) == (inst, (2, 2))
+    with pytest.raises(InternalGuaranteeError):
+        _leaf_form(inst, shifted, list(log) + [("negate", 1)])
+    with pytest.raises(InternalGuaranteeError):
+        _leaf_form(inst, replace(shifted, var_ids=(1, 3)), list(log))
+
+
+def test_support_shortcut_early_exit_is_exact():
+    # whenever the terms alone fail _links_below_g, kernelize's edge-count
+    # mode could not have fired on their support hypergraph
+    rng = random.Random(26)
+    exits = 0
+    for _ in range(600):
+        n = rng.randint(0, 5)
+        m = rng.randint(0, 40)
+        terms = [(tuple(rng.randint(0, 2) * (rng.random() < 0.4) for _ in range(n)),
+                  rng.randint(-3, 3)) for _ in range(m)]
+        alpha = rng.randint(1, 4)
+        edges = [(frozenset(i + 1 for i, a in enumerate(vec) if a), w) for vec, w in terms]
+        d = max((len(e) for e, _ in edges), default=0)
+        if d >= 1 and not _links_below_g(len(terms), d):
+            continue
+        exits += 1
+        if d >= 1:
+            h = WeightedHypergraph._trusted(frozenset(range(1, n + 1)), edges, alpha, d)
+            assert kernelize(h, MODE_EDGECOUNT).status == STATUS_REDUCED
+        inst = AbsIoInstance(terms, (0,) * n, (1,) * n, alpha)
+        assert _support_shortcut(inst) == (None, ())
+    assert exits >= 300
 
 
 def test_solve_transcript_shapes():

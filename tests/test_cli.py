@@ -160,12 +160,31 @@ def test_solve_rejects_negative_cap(tmp_path, capsys, name, text):
     assert "argument --cap: must be non-negative, got -1" in capsys.readouterr().err
 
 
+# int() alone takes all but "x": the integers are the file grammar's
+NOT_INTEGERS = ["x", "1_0", "\uff13", "\u0663", " 3", "3\n", "0x3", "3.0"]
+
+
 def test_solve_rejects_non_integer_cap(tmp_path, capsys):
-    f = _write(tmp_path, "a.wdnf", YES_DNF)
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", f, "--cap", "x"])
-    assert exc.value.code == EXIT_ERROR
-    assert "argument --cap: invalid int value: 'x'" in capsys.readouterr().err
+    f = _write(tmp_path, "a.absio", ABSIO_YES)
+    for text in NOT_INTEGERS:
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", f, "--cap", text])
+        assert exc.value.code == EXIT_ERROR
+        assert f"argument --cap: invalid int value: {text!r}" in capsys.readouterr().err
+    assert main(["solve", f, "--cap", "+25"]) == EXIT_YES
+
+
+def test_generate_rejects_non_integer_k(tmp_path, capsys):
+    f = _write(tmp_path, "g.col", GRAPH)
+    for text in NOT_INTEGERS:
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "abs-w1", f, text])
+        assert exc.value.code == EXIT_ERROR
+        assert f"argument k: invalid int value: {text!r}" in capsys.readouterr().err
+    assert main(["generate", "abs-w1", f, "+2"]) == 0
+    signed = capsys.readouterr().out
+    assert main(["generate", "abs-w1", f, "2"]) == 0
+    assert capsys.readouterr().out == signed
 
 
 def test_solve_oracle_on_hypergraph(tmp_path, capsys):
@@ -190,6 +209,25 @@ def test_solve_absio_no(tmp_path, capsys, text, explain):
     assert main(["solve", f, "--explain"]) == EXIT_NO
     comments = "".join(f"c {line}\n" for line in explain)
     assert capsys.readouterr().out == f"c method pipeline\n{comments}s NO\n"
+
+
+# a shift-family polynomial: every box misses 0, so rule 6 shifts all three
+# variables and the leaf scans the 64-point box; the largest |p| is 3195716
+SHIFTED = ("col 2 1:3 2:1 0\ncol -3 2:2 3:2 0\ncol 5 1:1 3:3 0\n"
+           "col -1 1:2 2:1 3:1 0\ncol 4 3:2 0\ncol -2 1:1 0\n"
+           "b 1 20 23\nb 2 -45 -42\nb 3 31 34\n")
+SHIFTED_EXPLAIN = ("c method pipeline\nc rule6 shift x1 t=20\nc rule6 shift x2 t=-45\n"
+                   "c rule6 shift x3 t=31\nc leaf points=64\n")
+
+
+@pytest.mark.parametrize("alpha, code, answer", [
+    (3100000, EXIT_YES, "s YES\no -3143659\nx 1 20\nx 2 -45\nx 3 33\n"),
+    (3195717, EXIT_NO, "s NO\n"),
+], ids=["yes", "no"])
+def test_solve_absio_shifted_leaf_explain(tmp_path, capsys, alpha, code, answer):
+    f = _write(tmp_path, "a.absio", f"p absio 3 6 {alpha}\n{SHIFTED}")
+    assert main(["solve", "--explain", f]) == code
+    assert capsys.readouterr().out == SHIFTED_EXPLAIN + answer
 
 
 def test_solve_missing_file(capsys):

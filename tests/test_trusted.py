@@ -149,6 +149,11 @@ def test_trusted_equals_public(trusted_calls):
     parse_hypergraph("p uhg 3 2 1\nn 2 5 9 0\ne 1 2 9 0\ne 2 9 2 0\n")
     for _ in range(150):
         solve_absio(parse_absio(serialize_absio(random_absio(rng, allow_unbounded=True))))
+    # the support shortcut builds its hypergraph only from eight terms of
+    # degree 1 up, more than the random instances hold
+    solve_absio(parse_absio("p absio 8 8 100\n"
+                            + "".join(f"col 1 {v}:1 0\n" for v in range(1, 9))
+                            + "".join(f"b {v} 0 1\n" for v in range(1, 9))))
     assert {site for site, _, _, _ in trusted_calls} == SITES
     for site, cls, args, out in trusted_calls:
         assert out == cls(*args), site
