@@ -10,14 +10,18 @@ Normalization shifts (x_i = y + t) keep values but multiply the terms, so a
 leaf scans the polynomial as it stood before them, on the box moved back by
 them, when that form has fewer terms and needs no wider integer type; shifts
 keep lexicographic order, so the first hit is the same point.
-That leaf scans the box in numpy slabs of whole rows along x_1, of int64 when
+The solver's leaf walks a box of more than one scan as a tree of sub-boxes in
+lexicographic order, skips each sub-box whose exact interval bound on |p| is
+below alpha, and scans the rest; ``solve --oracle`` scans every point.
+A scan covers its box in numpy slabs of whole rows along x_1, of int64 when
 no sum of term magnitudes can reach ``I64_SAFE`` and of Python ints otherwise.
 One evaluator works straight from the terms, grouped by exponent one variable
-at a time.  When the box spans several slabs, each q_e of p = sum_e x_1^e q_e
-is evaluated once on the box without axis 1 and is the weight of x_1^e on each
-slab; when those q_e would not fit in a bounded store, or the box is one slab,
-each slab evaluates all the terms.  numpy is imported on the first leaf call,
-not with this module, so the formula and hypergraph solvers never load it.
+at a time.  When the box spans several slabs, as only the oracle's whole-box
+scan does, each q_e of p = sum_e x_1^e q_e is evaluated once on the box
+without axis 1 and is the weight of x_1^e on each slab; when those q_e would
+not fit in a bounded store, or the box is one slab, each slab evaluates all
+the terms.  numpy is imported on the first leaf call, not with this module,
+so the formula and hypergraph solvers never load it.
 
 Witnesses are returned in the coordinates of the caller's instance; every
 internal substitution is logged and replayed backwards before returning.
@@ -48,13 +52,15 @@ DEFAULT_POINT_CAP = 2_000_000
 
 # Points per slab of the leaf: slabs are whole rows along variable 1, at
 # least one row, and a hit ends the scan early.  Both the int64 and the
-# Python-int leaf use it.  The q_e that a leaf of several slabs evaluates
+# Python-int leaf use it, and the pruned leaf scans sub-boxes of at most
+# SLAB_POINTS points.  The q_e that a leaf of several slabs evaluates
 # once are kept only when they hold at most 4 * SLAB_POINTS points, so memory
 # follows the slab either way.
 SLAB_POINTS = 1 << 16
 
 Bound = int | None
 Term = tuple[tuple[int, ...], int]
+Factors = tuple[tuple[int, int], ...]  # a term's (axis, exponent) pairs, exponents >= 1
 
 
 def _is_int(x) -> bool:
@@ -451,16 +457,76 @@ def _grid_leaf(inst: AbsIoInstance, dtype) -> tuple[int, ...] | None:
     return None
 
 
+def _abs_bound(terms: list[tuple[int, Factors]], lower: tuple[int, ...],
+               upper: tuple[int, ...]) -> int:
+    # max(-low, high) for the interval [low, high] that holds p on the finite
+    # box: the sum over the terms (weight, factors) of each term's exact range,
+    # in which an even power of an axis across 0 ranges over [0, max].  So it
+    # is at least max |p| on the box, and |p(x)| on a one-point box.
+    low = high = 0
+    for w, factors in terms:
+        lo = hi = w
+        for i, a in factors:
+            l, h = lower[i] ** a, upper[i] ** a
+            if not a & 1 and lower[i] < 0:
+                l, h = (h, l) if upper[i] <= 0 else (0, max(l, h))
+            ends = (lo * l, lo * h, hi * l, hi * h)
+            lo, hi = min(ends), max(ends)
+        low += lo
+        high += hi
+    return max(-low, high)
+
+
+def _pruned_leaf(inst: AbsIoInstance, dtype) -> tuple[int, ...] | None:
+    """``_grid_leaf``'s point, found by skipping sub-boxes that hold no hit.
+
+    The box is walked as a tree of sub-boxes: a sub-box is split by halving
+    its first axis of side above 1, lower half first, so each sub-box is a
+    run of consecutive points in lexicographic order and the first hit is
+    ``_grid_leaf``'s.  A sub-box whose ``_abs_bound`` is below alpha is
+    skipped; one of at most ``SLAB_POINTS`` points is scanned by
+    ``_grid_leaf`` in the whole box's ``dtype``.  A box of one scan is
+    scanned without a bound.  The walk keeps its pending upper halves on a
+    stack, not on the call stack; along any path axis i is split at most
+    ceil(log2 side_i) times, so the depth is below the bits of the point
+    count plus the number of axes.
+    """
+    if math.prod(hi - lo + 1 for lo, hi in zip(inst.lower, inst.upper)) <= SLAB_POINTS:
+        return _grid_leaf(inst, dtype)
+    factors = [(c, tuple([(i, a) for i, a in enumerate(key) if a]))
+               for key, c in _merge_weighted(inst.terms) if c]
+    stack = [(inst.lower, inst.upper)]
+    while stack:
+        lower, upper = stack.pop()
+        if _abs_bound(factors, lower, upper) < inst.alpha:
+            continue
+        if math.prod(hi - lo + 1 for lo, hi in zip(lower, upper)) <= SLAB_POINTS:
+            box = AbsIoInstance._trusted(inst.terms, lower, upper, inst.alpha, inst.var_ids)
+            point = _grid_leaf(box, dtype)
+            if point is not None:
+                return point
+            continue
+        k = next(i for i, (lo, hi) in enumerate(zip(lower, upper)) if hi > lo)
+        mid = (lower[k] + upper[k]) // 2
+        stack.append((lower[:k] + (mid + 1,) + lower[k + 1:], upper))
+        stack.append((lower, upper[:k] + (mid,) + upper[k + 1:]))
+    return None
+
+
 def brute_force_absio(
-    inst: AbsIoInstance, *, max_points: int | None = None
+    inst: AbsIoInstance, *, max_points: int | None = None, prune: bool = False
 ) -> Verdict:
     """Exact decision over a fully finite box by lattice enumeration.
 
     Points are enumerated in lexicographic order, variable 1 outermost and
     values ascending; the first point with |p| >= alpha is the witness.
     The box's point count, one for a box with no variables, may not exceed
-    ``max_points``.  A box with at least one variable is scanned by the
-    numpy leaf, which imports numpy on its first call.
+    ``max_points``, however many points are scanned.  A box with at least
+    one variable is scanned by the numpy leaf, which imports numpy on its
+    first call: every point by default, as ``solve --oracle`` does, and with
+    ``prune``, as ``solve_absio``'s leaves do, by ``_pruned_leaf``, which
+    skips sub-boxes whose interval bound on |p| is below alpha and returns
+    the same point.
     """
     n = inst.num_vars
     for i in range(n):
@@ -484,7 +550,7 @@ def brute_force_absio(
             return Verdict(True, (), value, ("leaf points=1",))
         return Verdict(False, transcript=("leaf points=1",))
     transcript = (f"leaf points={total}",)
-    point = _grid_leaf(inst, _leaf_dtype(inst))
+    point = (_pruned_leaf if prune else _grid_leaf)(inst, _leaf_dtype(inst))
     if point is None:
         return Verdict(False, transcript=transcript)
     return Verdict(True, point, eval_poly(inst, point), transcript)
@@ -698,7 +764,8 @@ def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdic
         # with no variables left the leaf only evaluates a constant, which
         # the per-leaf cap leaves alone
         scan, back = _leaf_form(pre, cur, log[settled:])
-        leaf = brute_force_absio(scan, max_points=max_points if cur.num_vars else None)
+        leaf = brute_force_absio(scan, max_points=max_points if cur.num_vars else None,
+                                 prune=True)
         transcript.extend(leaf.transcript)
         if not leaf.decision:
             return Verdict(False, transcript=tuple(transcript))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -23,10 +24,12 @@ from absopt import (
 from absopt import absio
 from absopt.absio import (
     SLAB_POINTS,
+    _abs_bound,
     _grid,
     _grid_leaf,
     _grid_parts,
     _leaf_form,
+    _pruned_leaf,
     _replay,
     _scan_window,
     _support_shortcut,
@@ -614,6 +617,105 @@ def test_grid_int64_just_below_i64_safe():
     assert _grid_everywhere(inst, np.int64).max() == top
     assert not brute_force_absio(replace(inst, alpha=top + 1)).decision
     _grid_agrees(replace(inst, alpha=1 << 61))
+
+
+def _factors(inst):
+    # the terms in the form _abs_bound takes, (weight, ((axis, exponent), ..))
+    return [(w, tuple((i, a) for i, a in enumerate(vec) if a)) for vec, w in inst.terms]
+
+
+def test_abs_bound_is_sound():
+    # On random boxes and sub-boxes, with even powers across 0 and negative
+    # weights, the bound is at least max |p| and exact on one point.
+    rng = random.Random(53)
+    for _ in range(300):
+        inst = random_absio(rng, max_vars=3, max_terms=6, max_exp=4, bound_range=(-4, 4))
+        if rng.random() < 0.5:
+            # a constant, against which |p| may peak where a power is 0
+            inst = replace(inst, terms=inst.terms + (((0,) * inst.num_vars, rng.randint(-60, 60)),))
+        box = list(zip(inst.lower, inst.upper))
+        for _ in range(4):
+            ends = [sorted((rng.randint(lo, hi), rng.randint(lo, hi))) for lo, hi in box]
+            lower, upper = tuple(lo for lo, _ in ends), tuple(hi for _, hi in ends)
+            points = list(itertools.product(*map(range, lower, [hi + 1 for hi in upper])))
+            top = max(abs(eval_poly(inst, pt)) for pt in points)
+            assert _abs_bound(_factors(inst), lower, upper) >= top, (inst, lower, upper)
+            pt = rng.choice(points)
+            assert _abs_bound(_factors(inst), pt, pt) == abs(eval_poly(inst, pt)), (inst, pt)
+    # x^2 - 5 on [-3, 2]: x^2 ranges over [0, 9], so the bound is 5, at x = 0
+    assert _abs_bound([(1, ((0, 2),)), (-5, ())], (-3,), (2,)) == 5
+
+
+def _record_walk(monkeypatch):
+    # Sizes of the sub-boxes the walk skipped, and the points it scanned
+    log = {"pruned": [], "scanned": 0}
+    bound, grid_leaf = absio._abs_bound, absio._grid_leaf
+
+    def spy_bound(terms, lower, upper):
+        value = bound(terms, lower, upper)
+        if value < log["alpha"]:
+            log["pruned"].append(math.prod(h - l + 1 for l, h in zip(lower, upper)))
+        return value
+
+    def spy_leaf(inst, dtype):
+        log["scanned"] += math.prod(h - l + 1 for l, h in zip(inst.lower, inst.upper))
+        return grid_leaf(inst, dtype)
+
+    monkeypatch.setattr(absio, "_abs_bound", spy_bound)
+    monkeypatch.setattr(absio, "_grid_leaf", spy_leaf)
+    return log
+
+
+def test_pruned_leaf_matches_grid_leaf(monkeypatch):
+    # The walk at 64 points a scan returns _grid_leaf's point on random boxes
+    # with axes of side 1, even powers across 0 and negative weights, at
+    # alpha the box optimum and one above, in _leaf_dtype's type and in
+    # Python ints; in Python ints alone once the weights put every value past
+    # I64_SAFE, or the box is moved past int64 (p(y - 2^70) on the box + 2^70).
+    log = _record_walk(monkeypatch)
+    monkeypatch.setattr(absio, "SLAB_POINTS", 64)
+    rng = random.Random(59)
+    hits_after_prune = 0
+    pruned_sizes = set()
+    for case in range(200):
+        n = rng.randint(1, 4)
+        lower = [rng.randint(-8, 4) for _ in range(n)]
+        upper = [lo + rng.choice((0, rng.randint(1, 10))) for lo in lower]
+        terms = [(tuple(rng.randint(0, 4) for _ in range(n)), rng.randint(-9, 9))
+                 for _ in range(rng.randint(1, 6))]
+        if case % 2:
+            terms.append(((0,) * n, rng.randint(-200, 200)))
+        inst = AbsIoInstance(terms, lower, upper, 1)
+        boxes = [inst, replace(inst, terms=[(vec, w * 10**20) for vec, w in terms])]
+        if case % 4 == 0:
+            moved = inst
+            for i in range(n):
+                moved, _ = shift_variable(moved, i, -(2**70))
+            boxes.append(moved)
+        for box in boxes:
+            top = int(np.abs(_grid_everywhere(box, object)).max())
+            for alpha in (max(1, top), top + 1):
+                box = replace(box, alpha=alpha)
+                for dtype in {absio._leaf_dtype(box), object}:
+                    log.update(alpha=alpha, pruned=[])
+                    point = _pruned_leaf(box, dtype)
+                    assert point == _grid_leaf(box, dtype), (box, dtype)
+                    hits_after_prune += point is not None and bool(log["pruned"])
+                    pruned_sizes.update(log["pruned"])
+    # prunes at several levels of the split, and hits past a pruned sub-box
+    assert hits_after_prune >= 20 and len(pruned_sizes) >= 5, (hits_after_prune, pruned_sizes)
+
+
+def test_pruned_leaf_skips_to_a_later_sub_box(monkeypatch):
+    # p = x1 on [0, 255] x [0, 3] at 64 points a scan: x1 in [0, 127] and
+    # [128, 191] are bounded by 127 and 191 and skipped whole, and the hit,
+    # x1 = 200, is in the one scan, x1 in [192, 207]
+    log = _record_walk(monkeypatch)
+    monkeypatch.setattr(absio, "SLAB_POINTS", 64)
+    inst = AbsIoInstance([((1, 0), 1)], (0, 0), (255, 3), 200)
+    log.update(alpha=200, pruned=[], scanned=0)
+    assert _pruned_leaf(inst, np.int64) == _grid_leaf(inst, np.int64) == (200, 0)
+    assert log["pruned"] == [512, 256] and log["scanned"] == 64
 
 
 def test_solve_matches_brute_finite():

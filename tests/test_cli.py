@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from absopt import WeightedFormula, brute_force_formula, cli, eval_formula
+from absopt import WeightedFormula, absio, brute_force_formula, cli, eval_formula
 from helpers import mask_vars
 from absopt.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from absopt.errors import InternalGuaranteeError
@@ -228,6 +230,72 @@ def test_solve_absio_shifted_leaf_explain(tmp_path, capsys, alpha, code, answer)
     f = _write(tmp_path, "a.absio", f"p absio 3 6 {alpha}\n{SHIFTED}")
     assert main(["solve", "--explain", f]) == code
     assert capsys.readouterr().out == SHIFTED_EXPLAIN + answer
+
+
+# p = x1 x2 - 3 x1 + 7 on [-100, 199]^2: 90,000 points, more than one scan,
+# so the leaf skips the sub-boxes whose bound on |p| is below the target; at
+# the largest |p|, 39011 at the last point, it skips half the box
+PRUNED = "col 1 1:1 2:1 0\ncol -3 1:1 0\ncol 7 0\nb 1 -100 199\nb 2 -100 199\n"
+
+
+def _scanned_points(monkeypatch):
+    # points the leaf hands to _grid_leaf, summed over its scans
+    scanned = [0]
+    grid_leaf = absio._grid_leaf
+
+    def spy(inst, dtype):
+        scanned[0] += math.prod(h - l + 1 for l, h in zip(inst.lower, inst.upper))
+        return grid_leaf(inst, dtype)
+
+    monkeypatch.setattr(absio, "_grid_leaf", spy)
+    return scanned
+
+
+PRUNED_ANSWERS = [
+    (39011, EXIT_YES, "s YES\no 39011\nx 1 199\nx 2 199\n"),
+    (39012, EXIT_NO, "s NO\n"),
+]
+
+
+@pytest.mark.parametrize("alpha, code, answer", PRUNED_ANSWERS, ids=["yes", "no"])
+def test_solve_absio_pruned_leaf_explain(tmp_path, capsys, monkeypatch, alpha, code, answer):
+    # pruning leaves the transcript's point count at the box's
+    scanned = _scanned_points(monkeypatch)
+    f = _write(tmp_path, "a.absio", f"p absio 2 3 {alpha}\n{PRUNED}")
+    assert main(["solve", "--explain", f]) == code
+    assert capsys.readouterr().out == "c method pipeline\nc leaf points=90000\n" + answer
+    assert scanned[0] == 45000
+
+
+def test_solve_absio_cap_counts_the_box_not_the_scan(tmp_path, capsys, monkeypatch):
+    # at this target the bound skips the whole box, yet the cap counts it
+    scanned = _scanned_points(monkeypatch)
+    f = _write(tmp_path, "a.absio", f"p absio 2 3 {10**9}\n{PRUNED}")
+    assert main(["solve", f, "--cap", "89999"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == "budget: point enumeration over 90000+ exceeds cap 89999\n"
+    assert main(["solve", "--explain", f, "--cap", "90000"]) == EXIT_NO
+    assert capsys.readouterr().out == "c method pipeline\nc leaf points=90000\ns NO\n"
+    assert scanned[0] == 0
+
+
+@pytest.mark.parametrize("alpha, code, answer", PRUNED_ANSWERS, ids=["yes", "no"])
+def test_solve_absio_oracle_scans_without_the_bound(tmp_path, capsys, monkeypatch,
+                                                    alpha, code, answer):
+    # --oracle scans every point and never bounds; the pipeline's leaf does
+    class Bounded(Exception):
+        pass
+
+    def bound(*args):
+        raise Bounded
+
+    monkeypatch.setattr(absio, "_abs_bound", bound)
+    scanned = _scanned_points(monkeypatch)
+    f = _write(tmp_path, "a.absio", f"p absio 2 3 {alpha}\n{PRUNED}")
+    assert main(["solve", "--oracle", f]) == code
+    assert capsys.readouterr().out == "c method oracle\n" + answer
+    assert scanned[0] == 90000
+    with pytest.raises(Bounded):
+        main(["solve", f])
 
 
 def test_solve_missing_file(capsys):
