@@ -12,7 +12,11 @@ them, when that form has fewer terms and needs no wider integer type; shifts
 keep lexicographic order, so the first hit is the same point.
 The solver's leaf walks a box of more than one scan as a tree of sub-boxes in
 lexicographic order, skips each sub-box whose exact interval bound on |p| is
-below alpha, and scans the rest; ``solve --oracle`` scans every point.
+below alpha, and scans the rest; ``solve --oracle`` scans every point.  A scan
+unit is ``SLAB_POINTS`` points in int64 and 1/64 of that in Python ints, which
+cost some 15-20 times more a point, so a box of Python ints is bounded and
+split down to small sub-boxes, and each of them is scanned in int64 where its
+own values fit.
 A scan covers its box in numpy slabs of whole rows along x_1, of int64 when
 no sum of term magnitudes can reach ``I64_SAFE`` and of Python ints otherwise.
 One evaluator works straight from the terms, grouped by exponent one variable
@@ -52,10 +56,13 @@ DEFAULT_POINT_CAP = 2_000_000
 
 # Points per slab of the leaf: slabs are whole rows along variable 1, at
 # least one row, and a hit ends the scan early.  Both the int64 and the
-# Python-int leaf use it, and the pruned leaf scans sub-boxes of at most
-# SLAB_POINTS points.  The q_e that a leaf of several slabs evaluates
-# once are kept only when they hold at most 4 * SLAB_POINTS points, so memory
-# follows the slab either way.
+# Python-int leaf use it.  The pruned leaf scans sub-boxes of at most
+# SLAB_POINTS points in int64, and of at most SLAB_POINTS >> 6 in Python ints:
+# a scan of Python ints costs about 110 ns a point against 7 ns in int64
+# (numpy 2.4, 2-core x86-64), and bounding a sub-box costs microseconds, so
+# there the walk bounds and splits far down.  The q_e that a leaf of several
+# slabs evaluates once are kept only when they hold at most 4 * SLAB_POINTS
+# points, so memory follows the slab either way.
 SLAB_POINTS = 1 << 16
 
 Bound = int | None
@@ -400,7 +407,9 @@ def _leaf_dtype(inst: AbsIoInstance) -> type:
     # np.int64 when ``_grid_leaf`` on the finite box cannot overflow it, else
     # object (Python ints).  Every value the leaf forms, a power of an axis
     # included, is at most a sum of merged terms |c| * prod |x_i|^a with
-    # |c| >= 1, so at most bound: int64 is exact below I64_SAFE.
+    # |c| >= 1, so at most bound: int64 is exact below I64_SAFE.  The bound of
+    # a sub-box is at most its box's, so a sub-box of an int64 box is int64,
+    # while a sub-box of an object box may be either.
     import numpy as np
 
     top = [max(abs(lo), abs(hi), 1) for lo, hi in zip(inst.lower, inst.upper)]
@@ -484,14 +493,19 @@ def _pruned_leaf(inst: AbsIoInstance, dtype) -> tuple[int, ...] | None:
     its first axis of side above 1, lower half first, so each sub-box is a
     run of consecutive points in lexicographic order and the first hit is
     ``_grid_leaf``'s.  A sub-box whose ``_abs_bound`` is below alpha is
-    skipped; one of at most ``SLAB_POINTS`` points is scanned by
-    ``_grid_leaf`` in the whole box's ``dtype``.  A box of one scan is
-    scanned without a bound.  The walk keeps its pending upper halves on a
-    stack, not on the call stack; along any path axis i is split at most
-    ceil(log2 side_i) times, so the depth is below the bits of the point
-    count plus the number of axes.
+    skipped; one of at most a scan unit of points is scanned by
+    ``_grid_leaf``.  The unit is ``SLAB_POINTS`` points when ``dtype`` is
+    int64, and ``SLAB_POINTS >> 6`` (at least 1) when it is object, where a
+    point costs far more to scan than to bound.  An int64 walk scans in int64
+    throughout; an object walk scans each sub-box in ``_leaf_dtype`` of that
+    sub-box, int64 wherever its own bound fits, which is exact, so the first
+    hit is unchanged.  A box of one unit is scanned without a bound.  The
+    walk keeps its pending upper halves on a stack, not on the call stack;
+    along any path axis i is split at most ceil(log2 side_i) times, so the
+    depth is below the bits of the point count plus the number of axes.
     """
-    if math.prod(hi - lo + 1 for lo, hi in zip(inst.lower, inst.upper)) <= SLAB_POINTS:
+    unit = max(1, SLAB_POINTS >> 6) if dtype is object else SLAB_POINTS
+    if math.prod(hi - lo + 1 for lo, hi in zip(inst.lower, inst.upper)) <= unit:
         return _grid_leaf(inst, dtype)
     factors = [(c, tuple([(i, a) for i, a in enumerate(key) if a]))
                for key, c in _merge_weighted(inst.terms) if c]
@@ -500,9 +514,9 @@ def _pruned_leaf(inst: AbsIoInstance, dtype) -> tuple[int, ...] | None:
         lower, upper = stack.pop()
         if _abs_bound(factors, lower, upper) < inst.alpha:
             continue
-        if math.prod(hi - lo + 1 for lo, hi in zip(lower, upper)) <= SLAB_POINTS:
+        if math.prod(hi - lo + 1 for lo, hi in zip(lower, upper)) <= unit:
             box = AbsIoInstance._trusted(inst.terms, lower, upper, inst.alpha, inst.var_ids)
-            point = _grid_leaf(box, dtype)
+            point = _grid_leaf(box, _leaf_dtype(box) if dtype is object else dtype)
             if point is not None:
                 return point
             continue

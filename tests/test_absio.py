@@ -647,8 +647,9 @@ def test_abs_bound_is_sound():
 
 
 def _record_walk(monkeypatch):
-    # Sizes of the sub-boxes the walk skipped, and the points it scanned
-    log = {"pruned": [], "scanned": 0}
+    # Sizes of the sub-boxes the walk skipped, the points it scanned, and
+    # each scan's box and dtype
+    log = {"pruned": [], "scanned": 0, "scans": []}
     bound, grid_leaf = absio._abs_bound, absio._grid_leaf
 
     def spy_bound(terms, lower, upper):
@@ -659,6 +660,7 @@ def _record_walk(monkeypatch):
 
     def spy_leaf(inst, dtype):
         log["scanned"] += math.prod(h - l + 1 for l, h in zip(inst.lower, inst.upper))
+        log["scans"].append((inst, dtype))
         return grid_leaf(inst, dtype)
 
     monkeypatch.setattr(absio, "_abs_bound", spy_bound)
@@ -666,12 +668,24 @@ def _record_walk(monkeypatch):
     return log
 
 
+def _scans_in_own_dtype(log, box, dtype):
+    # A scan of the whole box runs in the walk's dtype; a scan of a sub-box in
+    # _leaf_dtype of that sub-box, which an int64 walk never widens
+    for sub, scanned in log["scans"]:
+        whole = (sub.lower, sub.upper) == (box.lower, box.upper)
+        want = dtype if whole else absio._leaf_dtype(sub)
+        assert scanned is want, (box, sub, scanned)
+    return any(scanned is np.int64 for _, scanned in log["scans"])
+
+
 def test_pruned_leaf_matches_grid_leaf(monkeypatch):
-    # The walk at 64 points a scan returns _grid_leaf's point on random boxes
-    # with axes of side 1, even powers across 0 and negative weights, at
-    # alpha the box optimum and one above, in _leaf_dtype's type and in
-    # Python ints; in Python ints alone once the weights put every value past
-    # I64_SAFE, or the box is moved past int64 (p(y - 2^70) on the box + 2^70).
+    # The walk at 64 points a scan in int64, and so one point in Python ints,
+    # returns _grid_leaf's point on random boxes with axes of side 1, even
+    # powers across 0 and negative weights, at alpha the box optimum and one
+    # above, in _leaf_dtype's type and in Python ints; in Python ints alone
+    # once the weights put every value past I64_SAFE, or the box is moved
+    # past int64 (p(y - 2^70) on the box + 2^70).
+    # Each scan runs in its own sub-box's dtype.
     log = _record_walk(monkeypatch)
     monkeypatch.setattr(absio, "SLAB_POINTS", 64)
     rng = random.Random(59)
@@ -697,13 +711,34 @@ def test_pruned_leaf_matches_grid_leaf(monkeypatch):
             for alpha in (max(1, top), top + 1):
                 box = replace(box, alpha=alpha)
                 for dtype in {absio._leaf_dtype(box), object}:
-                    log.update(alpha=alpha, pruned=[])
+                    log.update(alpha=alpha, pruned=[], scans=[])
                     point = _pruned_leaf(box, dtype)
                     assert point == _grid_leaf(box, dtype), (box, dtype)
+                    _scans_in_own_dtype(log, box, dtype)
                     hits_after_prune += point is not None and bool(log["pruned"])
                     pruned_sizes.update(log["pruned"])
     # prunes at several levels of the split, and hits past a pruned sub-box
     assert hits_after_prune >= 20 and len(pruned_sizes) >= 5, (hits_after_prune, pruned_sizes)
+    # Boxes shaped like perfbench's big family: w x1^22 on [0, 9] puts the
+    # box past I64_SAFE, while rows of small x1 fit int64.  The targets are
+    # the optimum, one above, and |p| at a random point, whose first hit
+    # may lie in such a row.
+    mixed = 0
+    for _ in range(40):
+        terms = [((22, 0, 0), rng.choice((-1, 1)) * rng.randint(1, 9))]
+        terms += [(tuple(rng.randint(0, 3) for _ in range(3)), rng.randint(-9, 9))
+                  for _ in range(4)]
+        box = AbsIoInstance(terms, (0, -4, -2), (9, 4, 2), 1)
+        assert absio._leaf_dtype(box) is object
+        values = _grid_everywhere(box, object)
+        top = int(np.abs(values).max())
+        some = abs(int(values[tuple(rng.randrange(side) for side in values.shape)]))
+        for alpha in (top, top + 1, max(1, some)):
+            box = replace(box, alpha=alpha)
+            log.update(alpha=alpha, pruned=[], scans=[])
+            assert _pruned_leaf(box, object) == _grid_leaf(box, object), box
+            mixed += _scans_in_own_dtype(log, box, object)
+    assert mixed >= 10, mixed
 
 
 def test_pruned_leaf_skips_to_a_later_sub_box(monkeypatch):

@@ -267,6 +267,28 @@ def test_solve_absio_pruned_leaf_explain(tmp_path, capsys, monkeypatch, alpha, c
     assert scanned[0] == 45000
 
 
+# p = 5 x1^22 + 9 x2^3 x3 - 4 x2^2 x3^3 + 7 x3^2 on [0, 9] x [-60, 60] x [-8, 8],
+# shaped like perfbench's big family: 20,570 points, values past I64_SAFE, so
+# Python ints.  Its optimum, 5 * 9^22 + 9 * 60^3 * 8 + 4 * 3600 * 512 + 448 at
+# (9, -60, -8), lies in the row x1 = 9, which alone the bound keeps.
+BIG = "col 5 1:22 0\ncol 9 2:3 3:1 0\ncol -4 2:2 3:3 0\ncol 7 3:2 0\n" \
+      "b 1 0 9\nb 2 -60 60\nb 3 -8 8\n"
+
+
+@pytest.mark.parametrize("alpha, code, answer", [
+    (4923854510918079089653, EXIT_YES, "s YES\no 4923854510918079089653\nx 1 9\nx 2 -60\nx 3 -8\n"),
+    (4923854510918079089654, EXIT_NO, "s NO\n"),
+], ids=["yes", "no"])
+def test_solve_absio_big_leaf_explain(tmp_path, capsys, monkeypatch, alpha, code, answer):
+    # a box of Python ints is bounded and split too: at most one x1 row of
+    # 2,057 points is scanned, yet the transcript counts the whole box
+    scanned = _scanned_points(monkeypatch)
+    f = _write(tmp_path, "a.absio", f"p absio 3 4 {alpha}\n{BIG}")
+    assert main(["solve", "--explain", f]) == code
+    assert capsys.readouterr().out == "c method pipeline\nc leaf points=20570\n" + answer
+    assert scanned[0] <= 2057
+
+
 def test_solve_absio_cap_counts_the_box_not_the_scan(tmp_path, capsys, monkeypatch):
     # at this target the bound skips the whole box, yet the cap counts it
     scanned = _scanned_points(monkeypatch)
