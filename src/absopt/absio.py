@@ -10,22 +10,18 @@ Normalization shifts (x_i = y + t) keep values but multiply the terms, so a
 leaf scans the polynomial as it stood before them, on the box moved back by
 them, when that form has fewer terms and needs no wider integer type; shifts
 keep lexicographic order, so the first hit is the same point.
-The solver's leaf walks a box of more than one scan as a tree of sub-boxes in
-lexicographic order, skips each sub-box whose exact interval bound on |p| is
-below alpha, and scans the rest; ``solve --oracle`` scans every point.  A scan
-unit is ``SLAB_POINTS`` points in int64 and 1/64 of that in Python ints, which
-cost some 15-20 times more a point, so a box of Python ints is bounded and
-split down to small sub-boxes, and each of them is scanned in int64 where its
-own values fit.
-A scan covers its box in numpy slabs of whole rows along x_1, of int64 when
-no sum of term magnitudes can reach ``I64_SAFE`` and of Python ints otherwise.
-One evaluator works straight from the terms, grouped by exponent one variable
-at a time.  When the box spans several slabs, as only the oracle's whole-box
-scan does, each q_e of p = sum_e x_1^e q_e is evaluated once on the box
-without axis 1 and is the weight of x_1^e on each slab; when those q_e would
-not fit in a bounded store, or the box is one slab, each slab evaluates all
-the terms.  numpy is imported on the first leaf call, not with this module,
-so the formula and hypergraph solvers never load it.
+A leaf walks a box of more than one scan as a tree of sub-boxes in
+lexicographic order and scans each sub-box of at most ``SCAN_POINTS`` points
+in one numpy grid, so memory follows the scan, not the box.  The solver's
+leaf skips each sub-box whose exact interval bound on |p| is below alpha;
+``solve --oracle`` skips none and scans every point.  The solver's scan unit
+is 1/64 of ``SCAN_POINTS`` in Python ints, which cost some 15-20 times more
+a point than int64, so a box of Python ints is bounded and split down to small
+sub-boxes.  A sub-box is scanned in int64 when no sum of term magnitudes over
+it can reach ``I64_SAFE``, and in Python ints otherwise.  One evaluator works
+straight from the terms, grouped by exponent one variable at a time.  numpy
+is imported on the first leaf call, not with this module, so the formula and
+hypergraph solvers never load it.
 
 Witnesses are returned in the coordinates of the caller's instance; every
 internal substitution is logged and replayed backwards before returning.
@@ -54,16 +50,15 @@ if TYPE_CHECKING:
 
 DEFAULT_POINT_CAP = 2_000_000
 
-# Points per slab of the leaf: slabs are whole rows along variable 1, at
-# least one row, and a hit ends the scan early.  Both the int64 and the
-# Python-int leaf use it.  The pruned leaf scans sub-boxes of at most
-# SLAB_POINTS points in int64, and of at most SLAB_POINTS >> 6 in Python ints:
-# a scan of Python ints costs about 110 ns a point against 7 ns in int64
-# (numpy 2.4, 2-core x86-64), and bounding a sub-box costs microseconds, so
-# there the walk bounds and splits far down.  The q_e that a leaf of several
-# slabs evaluates once are kept only when they hold at most 4 * SLAB_POINTS
-# points, so memory follows the slab either way.
-SLAB_POINTS = 1 << 16
+# Points per scan of the leaf: the leaf walks its box as sub-boxes of at
+# most SCAN_POINTS points, each scanned in one grid, so memory follows this
+# constant and not the box, and a hit ends the walk early.  The pruning walk
+# scans at most SCAN_POINTS >> 6 points at a time in Python ints: a scan of
+# Python ints costs about 110 ns a point against 7 ns in int64 (numpy 2.4,
+# 2-core x86-64), and bounding a sub-box costs microseconds, so there the walk
+# bounds and splits far down.  The oracle bounds nothing, so it keeps the
+# full unit.
+SCAN_POINTS = 1 << 16
 
 Bound = int | None
 Term = tuple[tuple[int, ...], int]
@@ -364,14 +359,13 @@ def _grid(terms: list[Term], order: tuple[int, ...], powers: list[dict[int, np.n
     # Values of the terms' sum on the grid: grouped by their exponent e of
     # variable i = order[0], each group evaluated on order[1:] times
     # powers[i][e], x_i^e shaped to axis i; with order empty, the sum of the
-    # weights, which may be arrays.  Two exponent vectors differ only on
-    # variables in order.  The result keeps size 1 on every axis the terms do
-    # not use (no axis at all when they are constant).
+    # weights.  Two exponent vectors differ only on variables in order.  The
+    # result keeps size 1 on every axis the terms do not use (no axis at all
+    # when they are constant).
     if not order:
         import numpy as np
 
-        # started at the first weight, so a lone array weight is not copied
-        return np.asarray(sum((w for _, w in terms[1:]), terms[0][1]), dtype=dtype)
+        return np.asarray(sum(w for _, w in terms), dtype=dtype)
     i, rest = order[0], order[1:]
     groups: dict[int, list[Term]] = {}
     for term in terms:
@@ -420,15 +414,10 @@ def _leaf_dtype(inst: AbsIoInstance) -> type:
 def _grid_leaf(inst: AbsIoInstance, dtype) -> tuple[int, ...] | None:
     """First point of the finite box in lexicographic order with |p| >= alpha.
 
-    The box is scanned in slabs of whole rows along variable 1.  When it
-    spans more than one slab and the q_e of p = sum_e x_1^e q_e(x_2..x_n)
-    fit in the store (at most 4 * ``SLAB_POINTS`` points, each q_e counted
-    over the axes it uses), ``_grid`` evaluates every q_e once on the box
-    without axis 1, and each slab evaluates the terms x_1^e of weight q_e.
-    Otherwise ``_grid`` evaluates all the terms per slab, variable n first.
-    A slab's values are tested by their max and min before a hit mask is
-    built; in the mask, the C-ordered argmax is the lexicographically first
-    hit, also across axes of size 1.
+    The box, of at most one scan unit, is evaluated in one ``_grid`` call,
+    variable n first.  Its values are tested by their max and min before a
+    hit mask is built; in the mask, the C-ordered argmax is the
+    lexicographically first hit, also across axes of size 1.
     ``dtype`` is ``np.int64`` or ``object`` (Python ints), as ``_leaf_dtype``
     picks it.
     """
@@ -436,33 +425,12 @@ def _grid_leaf(inst: AbsIoInstance, dtype) -> tuple[int, ...] | None:
 
     terms, powers = _grid_parts(inst, dtype)
     n = inst.num_vars
-    sides = [hi - lo + 1 for lo, hi in zip(inst.lower, inst.upper)]
-    rows = max(1, SLAB_POINTS // math.prod(sides[1:]))
-    down = tuple(range(n - 1, 0, -1))
-    hoist = False
-    if rows < sides[0]:
-        groups: dict[int, list[Term]] = {}
-        for term in terms:
-            groups.setdefault(term[0][0], []).append(term)
-        store = sum(math.prod(sides[i] for i in down if any(key[i] for key, _ in group))
-                    for group in groups.values())
-        hoist = store <= 4 * SLAB_POINTS
-    order = down + (0,)
-    if hoist:
-        # each q_e, evaluated once, is the array weight of the term x_1^e
-        terms = [((e,) + (0,) * (n - 1), _grid(group, down, powers, dtype))
-                 for e, group in groups.items()]
-        order = (0,)
-    first = powers[0]
-    for start in range(0, sides[0], rows):
-        powers[0] = {a: p[start:start + rows] for a, p in first.items()}
-        total = _grid(terms, order, powers, dtype)
-        if total.max() >= inst.alpha or total.min() <= -inst.alpha:
-            hits = np.abs(total) >= inst.alpha  # a bool when p is constant
-            shape = np.shape(hits)
-            coords = (0,) * (n - len(shape)) + np.unravel_index(int(np.argmax(hits)), shape)
-            corner = (inst.lower[0] + start,) + inst.lower[1:]
-            return tuple(lo + int(c) for lo, c in zip(corner, coords))
+    total = _grid(terms, tuple(range(n - 1, -1, -1)), powers, dtype)
+    if total.max() >= inst.alpha or total.min() <= -inst.alpha:
+        hits = np.abs(total) >= inst.alpha  # a bool when p is constant
+        shape = np.shape(hits)
+        coords = (0,) * (n - len(shape)) + np.unravel_index(int(np.argmax(hits)), shape)
+        return tuple(lo + int(c) for lo, c in zip(inst.lower, coords))
     return None
 
 
@@ -486,25 +454,27 @@ def _abs_bound(terms: list[tuple[int, Factors]], lower: tuple[int, ...],
     return max(-low, high)
 
 
-def _pruned_leaf(inst: AbsIoInstance, dtype) -> tuple[int, ...] | None:
-    """``_grid_leaf``'s point, found by skipping sub-boxes that hold no hit.
+def _walk_leaf(inst: AbsIoInstance, dtype, prune: bool) -> tuple[int, ...] | None:
+    """First point of the finite box in lexicographic order with |p| >= alpha.
 
     The box is walked as a tree of sub-boxes: a sub-box is split by halving
     its first axis of side above 1, lower half first, so each sub-box is a
-    run of consecutive points in lexicographic order and the first hit is
-    ``_grid_leaf``'s.  A sub-box whose ``_abs_bound`` is below alpha is
-    skipped; one of at most a scan unit of points is scanned by
-    ``_grid_leaf``.  The unit is ``SLAB_POINTS`` points when ``dtype`` is
-    int64, and ``SLAB_POINTS >> 6`` (at least 1) when it is object, where a
-    point costs far more to scan than to bound.  An int64 walk scans in int64
-    throughout; an object walk scans each sub-box in ``_leaf_dtype`` of that
-    sub-box, int64 wherever its own bound fits, which is exact, so the first
-    hit is unchanged.  A box of one unit is scanned without a bound.  The
-    walk keeps its pending upper halves on a stack, not on the call stack;
-    along any path axis i is split at most ceil(log2 side_i) times, so the
-    depth is below the bits of the point count plus the number of axes.
+    run of consecutive points in lexicographic order.  A sub-box of at most a
+    scan unit of points is scanned by ``_grid_leaf``, so the first hit found
+    is the box's first, and memory follows the unit, not the box.  The unit
+    is ``SCAN_POINTS``.  With ``prune``, a sub-box whose ``_abs_bound`` is
+    below alpha is skipped, and when ``dtype`` is object the unit is
+    ``SCAN_POINTS >> 6`` (at least 1), since there a point costs far more to
+    scan than to bound; without ``prune`` every point is scanned.  An int64
+    walk scans in int64 throughout; an object walk scans each sub-box in
+    ``_leaf_dtype`` of that sub-box, int64 wherever its own bound fits,
+    which is exact, so the first hit is unchanged.  A box of one unit is
+    scanned without a bound.  The walk keeps its pending upper halves on a
+    stack, not on the call stack; along any path axis i is split at most
+    ceil(log2 side_i) times, so the depth is below the bits of the point
+    count plus the number of axes.
     """
-    unit = max(1, SLAB_POINTS >> 6) if dtype is object else SLAB_POINTS
+    unit = max(1, SCAN_POINTS >> 6) if prune and dtype is object else SCAN_POINTS
     if math.prod(hi - lo + 1 for lo, hi in zip(inst.lower, inst.upper)) <= unit:
         return _grid_leaf(inst, dtype)
     factors = [(c, tuple([(i, a) for i, a in enumerate(key) if a]))
@@ -512,7 +482,7 @@ def _pruned_leaf(inst: AbsIoInstance, dtype) -> tuple[int, ...] | None:
     stack = [(inst.lower, inst.upper)]
     while stack:
         lower, upper = stack.pop()
-        if _abs_bound(factors, lower, upper) < inst.alpha:
+        if prune and _abs_bound(factors, lower, upper) < inst.alpha:
             continue
         if math.prod(hi - lo + 1 for lo, hi in zip(lower, upper)) <= unit:
             box = AbsIoInstance._trusted(inst.terms, lower, upper, inst.alpha, inst.var_ids)
@@ -536,11 +506,11 @@ def brute_force_absio(
     values ascending; the first point with |p| >= alpha is the witness.
     The box's point count, one for a box with no variables, may not exceed
     ``max_points``, however many points are scanned.  A box with at least
-    one variable is scanned by the numpy leaf, which imports numpy on its
-    first call: every point by default, as ``solve --oracle`` does, and with
-    ``prune``, as ``solve_absio``'s leaves do, by ``_pruned_leaf``, which
-    skips sub-boxes whose interval bound on |p| is below alpha and returns
-    the same point.
+    one variable is walked by ``_walk_leaf``, which imports numpy on its
+    first call and scans the box in sub-boxes of at most a scan unit: every
+    point by default, as ``solve --oracle`` does, and with ``prune``, as
+    ``solve_absio``'s leaves do, skipping sub-boxes whose interval bound on
+    |p| is below alpha, which returns the same point.
     """
     n = inst.num_vars
     for i in range(n):
@@ -564,7 +534,7 @@ def brute_force_absio(
             return Verdict(True, (), value, ("leaf points=1",))
         return Verdict(False, transcript=("leaf points=1",))
     transcript = (f"leaf points={total}",)
-    point = (_pruned_leaf if prune else _grid_leaf)(inst, _leaf_dtype(inst))
+    point = _walk_leaf(inst, _leaf_dtype(inst), prune)
     if point is None:
         return Verdict(False, transcript=transcript)
     return Verdict(True, point, eval_poly(inst, point), transcript)

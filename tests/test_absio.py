@@ -23,16 +23,16 @@ from absopt import (
 )
 from absopt import absio
 from absopt.absio import (
-    SLAB_POINTS,
+    SCAN_POINTS,
     _abs_bound,
     _grid,
     _grid_leaf,
     _grid_parts,
     _leaf_form,
-    _pruned_leaf,
     _replay,
     _scan_window,
     _support_shortcut,
+    _walk_leaf,
     negate_variable,
     rule5_simplify,
     rule6_shift,
@@ -294,18 +294,18 @@ def test_numpy_and_pure_leaves_agree():
             assert a.witness == b.witness
 
 
-def _slab_box(alpha):
-    # p = 1000 * x1 + x2 over x1 in [0, about 3 slabs of rows], x2 in
-    # [-350, 349]: the box spans more than one slab, and p grows in lex order.
+def _multi_scan_box(alpha):
+    # p = 1000 * x1 + x2 over x1 in [0, about 3 scans of rows], x2 in
+    # [-350, 349]: the box spans more than one scan, and p grows in lex order.
     side = 700
-    rows = 3 * (SLAB_POINTS // side) - 5
+    rows = 3 * (SCAN_POINTS // side) - 5
     return AbsIoInstance([((1, 0), 1000), ((0, 1), 1)], (0, -350), (rows - 1, side - 351), alpha)
 
 
 def _leaf_agrees_with_naive(inst):
     verdict = brute_force_absio(inst)
     points = (inst.upper[0] + 1) * (inst.upper[1] - inst.lower[1] + 1)
-    assert points > SLAB_POINTS
+    assert points > SCAN_POINTS
     assert verdict.transcript == (f"leaf points={points}",)
     want = naive_absio_decide(inst)
     if want is None:
@@ -316,20 +316,20 @@ def _leaf_agrees_with_naive(inst):
 
 
 def test_numpy_leaf_hit_in_later_slab():
-    verdict = _leaf_agrees_with_naive(_slab_box(200 * 1000 + 300))
+    verdict = _leaf_agrees_with_naive(_multi_scan_box(200 * 1000 + 300))
     assert verdict.witness == (200, 300)
-    assert verdict.witness[0] >= SLAB_POINTS // 700  # past the first slab's rows
+    assert verdict.witness[0] >= SCAN_POINTS // 700  # past the first scan's rows
 
 
 def test_numpy_leaf_only_hit_is_last_point():
-    top = _slab_box(0).upper
-    verdict = _leaf_agrees_with_naive(_slab_box(1000 * top[0] + top[1]))
+    top = _multi_scan_box(0).upper
+    verdict = _leaf_agrees_with_naive(_multi_scan_box(1000 * top[0] + top[1]))
     assert verdict.witness == top
 
 
 def test_numpy_leaf_no_hit():
-    top = _slab_box(0).upper
-    assert not _leaf_agrees_with_naive(_slab_box(1000 * top[0] + top[1] + 1)).decision
+    top = _multi_scan_box(0).upper
+    assert not _leaf_agrees_with_naive(_multi_scan_box(1000 * top[0] + top[1] + 1)).decision
 
 
 def _window_reference(inst, i, e, partial):
@@ -445,10 +445,10 @@ def test_pure_leaf_matches_naive():
 def test_leaf_box_ends_past_int64(monkeypatch):
     # Box ends past 2^63 send the leaf to Python ints through the magnitude
     # bound alone, or leave it in int64 on a variable that no term uses;
-    # hits at a later point, in a later slab, at the last point, and none.
+    # hits at a later point, in a later scan, at the last point, and none.
     big = 2**70
-    for slab in (1, 4, SLAB_POINTS):
-        monkeypatch.setattr(absio, "SLAB_POINTS", slab)
+    for unit in (1, 4, SCAN_POINTS):
+        monkeypatch.setattr(absio, "SCAN_POINTS", unit)
         # p = x2 with x1 on [2^70, 2^70 + 3]
         for alpha in (2, 3, 4):
             _pure_leaf_agrees(AbsIoInstance([((0, 1), 1)], (big, 0), (big + 3, 3), alpha))
@@ -456,7 +456,7 @@ def test_leaf_box_ends_past_int64(monkeypatch):
         for alpha in (2, 3, 4):
             _pure_leaf_agrees(AbsIoInstance([((1,), 1), ((0,), -big)], (big,), (big + 3,), alpha))
         # p = x1 + x2 - 2^71 on [2^70, 2^70 + 3]^2, so one row of x1 per
-        # slab at slab = 4
+        # scan at 4 points a scan
         for alpha in (5, 6, 7):
             _pure_leaf_agrees(AbsIoInstance([((1, 0), 1), ((0, 1), 1), ((0, 0), -2 * big)],
                                             (big, big), (big + 3, big + 3), alpha))
@@ -519,90 +519,69 @@ def test_grid_matches_eval_poly():
     _grid_agrees(AbsIoInstance([((0, 3, 0), -2), ((1, 0, 0), 1)], (-3, -2, -1), (-1, 2, 0), 3))
 
 
-def test_grid_leaf_slabs(monkeypatch):
-    # Rows along variable 1 a few to a slab with a partial last one, and one
-    # row to a slab when the other axes alone hold more than SLAB_POINTS
+def test_walk_leaf_matches_naive(monkeypatch):
+    # The oracle's walk and the pruning one, at a few points a scan, so that
+    # boxes split into sub-boxes with partial last rows and single points,
+    # give the naive scan's answer on the same random boxes
     rng = random.Random(41)
-    for slab in (1, 5, 7, 40):
-        monkeypatch.setattr(absio, "SLAB_POINTS", slab)
+    for unit in (1, 5, 7, 40):
+        monkeypatch.setattr(absio, "SCAN_POINTS", unit)
         for _ in range(40):
             inst = random_absio(rng, max_vars=4, max_terms=6, max_exp=3, bound_range=(-4, 4),
                                 max_alpha=200)
             if inst.num_vars == 0:
                 continue
             want = naive_absio_decide(inst)
-            for dtype in (np.int64, object):
-                assert _grid_leaf(inst, dtype) == (None if want is None else want[0]), inst
+            for prune in (False, True):
+                verdict = brute_force_absio(inst, prune=prune)
+                if want is None:
+                    assert not verdict.decision, (inst, prune)
+                else:
+                    assert (verdict.decision, verdict.witness, verdict.achieved) == (True,) + want
 
 
-def _record_paths(monkeypatch):
-    # One flag per _grid call: True when the terms it gets have array
-    # weights, the q_e that the leaf evaluated once before its slabs
-    calls = []
-    grid = absio._grid
-
-    def spy(terms, order, powers, dtype):
-        calls.append(any(isinstance(w, np.ndarray) for _, w in terms))
-        return grid(terms, order, powers, dtype)
-
-    monkeypatch.setattr(absio, "_grid", spy)
-    return calls
-
-
-def _lex_box(m, side, alpha):
-    # p = (x1 + .. + x1^m) * x2 over x1 in [0, 2], x2 in [1, side]: one row of
-    # x1 to a slab when side > SLAB_POINTS / 2, and the q_e, x2 for each
-    # e = 1..m, hold m * side points
-    return AbsIoInstance([((e, 1), 1) for e in range(1, m + 1)], (0, 1), (2, side), alpha)
-
-
-def test_grid_leaf_paths(monkeypatch):
-    # Both leaf paths against the naive scan: the q_e evaluated once when
-    # they fit in 4 * SLAB_POINTS points, all the terms per slab otherwise
-    calls = _record_paths(monkeypatch)
-    rng = random.Random(47)
-    for slab in (1, 5, 40, SLAB_POINTS):
-        monkeypatch.setattr(absio, "SLAB_POINTS", slab)
-        side = slab // 2 + 1
-        cases = []
-        for m, hoisted in ((2, True), (8, False)):
-            top = (2 ** (m + 1) - 2) * side  # p at the last point, x1 = 2 and x2 = side
-            # a hit in the third slab, only at the last point, and none
-            for alpha in (m * side + 1, top, top + 1):
-                cases.append((_lex_box(m, side, alpha), hoisted))
-        if slab < SLAB_POINTS:
-            for _ in range(60):
-                inst = random_absio(rng, max_vars=4, max_terms=6, max_exp=3, bound_range=(-4, 4),
-                                    max_alpha=200)
-                if inst.num_vars:
-                    cases.append((inst, None))
-        seen = set()
-        for inst, hoisted in cases:
-            want = naive_absio_decide(inst)
-            for dtype in (np.int64, object):
-                calls.clear()
-                assert _grid_leaf(inst, dtype) == (None if want is None else want[0]), inst
-                if hoisted is not None:
-                    assert any(calls) == hoisted, inst
-                seen.add(any(calls))
-        assert seen == {True, False}, slab
+def _traced_peak(inst):
+    # brute_force_absio's verdict and its tracemalloc peak in bytes
+    tracemalloc.start()
+    try:
+        verdict = brute_force_absio(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return verdict, peak
 
 
 def test_leaf_store_bound():
     # x1 in [0, 1], x2 in [0, 65535] and p = sum_e x1^e x2 for e = 1..1000:
-    # two slabs, but the q_e would hold 1000 * 65536 points, so the leaf
-    # evaluates all the terms per slab and its memory follows the slab
+    # the oracle walks the box as two scans of 65,536 points, each of which
+    # evaluates all 1000 terms, and its memory follows the scan, not the terms
     terms = [((e, 1), 1) for e in range(1, 1001)]
     for alpha in (10**9, 1 << 62):
-        inst = AbsIoInstance(terms, (0, 0), (1, 65535), alpha)
-        tracemalloc.start()
-        try:
-            verdict = brute_force_absio(inst)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        verdict, peak = _traced_peak(AbsIoInstance(terms, (0, 0), (1, 65535), alpha))
         assert not verdict.decision
         assert peak < 8 << 20, peak
+
+
+def test_oracle_memory_follows_the_scan(monkeypatch):
+    # One x1 row of [0, 99]^2 holds 10,000 points, nearly ten scans of 1024.
+    # The oracle scans every point, in Python ints here (weights of 10^19),
+    # yet holds no more than a few scans' values at a time: about 80 bytes a
+    # scan point, where the values of one whole row take over 1 MB.
+    monkeypatch.setattr(absio, "SCAN_POINTS", 1 << 10)
+    scale = 10**19
+    terms = [((1, 1, 1), 3 * scale), ((0, 2, 0), -7 * scale), ((0, 0, 1), scale)]
+    inst = AbsIoInstance(terms, (0, 0, 0), (1, 99, 99), 1)
+    top = max(abs(naive_absio_value(inst, pt)) for pt in
+              itertools.product(range(2), range(100), range(100)))
+    for alpha in (top, top + 1):
+        inst = replace(inst, alpha=alpha)
+        verdict, peak = _traced_peak(inst)
+        want = naive_absio_decide(inst)
+        if want is None:
+            assert not verdict.decision
+        else:
+            assert (verdict.decision, verdict.witness, verdict.achieved) == (True,) + want
+        assert peak < 200 * absio.SCAN_POINTS, peak
 
 
 def test_grid_int64_just_below_i64_safe():
@@ -687,7 +666,7 @@ def test_pruned_leaf_matches_grid_leaf(monkeypatch):
     # past int64 (p(y - 2^70) on the box + 2^70).
     # Each scan runs in its own sub-box's dtype.
     log = _record_walk(monkeypatch)
-    monkeypatch.setattr(absio, "SLAB_POINTS", 64)
+    monkeypatch.setattr(absio, "SCAN_POINTS", 64)
     rng = random.Random(59)
     hits_after_prune = 0
     pruned_sizes = set()
@@ -712,7 +691,7 @@ def test_pruned_leaf_matches_grid_leaf(monkeypatch):
                 box = replace(box, alpha=alpha)
                 for dtype in {absio._leaf_dtype(box), object}:
                     log.update(alpha=alpha, pruned=[], scans=[])
-                    point = _pruned_leaf(box, dtype)
+                    point = _walk_leaf(box, dtype, True)
                     assert point == _grid_leaf(box, dtype), (box, dtype)
                     _scans_in_own_dtype(log, box, dtype)
                     hits_after_prune += point is not None and bool(log["pruned"])
@@ -736,7 +715,7 @@ def test_pruned_leaf_matches_grid_leaf(monkeypatch):
         for alpha in (top, top + 1, max(1, some)):
             box = replace(box, alpha=alpha)
             log.update(alpha=alpha, pruned=[], scans=[])
-            assert _pruned_leaf(box, object) == _grid_leaf(box, object), box
+            assert _walk_leaf(box, object, True) == _grid_leaf(box, object), box
             mixed += _scans_in_own_dtype(log, box, object)
     assert mixed >= 10, mixed
 
@@ -746,10 +725,10 @@ def test_pruned_leaf_skips_to_a_later_sub_box(monkeypatch):
     # [128, 191] are bounded by 127 and 191 and skipped whole, and the hit,
     # x1 = 200, is in the one scan, x1 in [192, 207]
     log = _record_walk(monkeypatch)
-    monkeypatch.setattr(absio, "SLAB_POINTS", 64)
+    monkeypatch.setattr(absio, "SCAN_POINTS", 64)
     inst = AbsIoInstance([((1, 0), 1)], (0, 0), (255, 3), 200)
     log.update(alpha=200, pruned=[], scanned=0)
-    assert _pruned_leaf(inst, np.int64) == _grid_leaf(inst, np.int64) == (200, 0)
+    assert _walk_leaf(inst, np.int64, True) == _grid_leaf(inst, np.int64) == (200, 0)
     assert log["pruned"] == [512, 256] and log["scanned"] == 64
 
 
