@@ -7,21 +7,22 @@ applies value-preserving simplification and normalization rules, then tries a
 hypergraph shortcut on the monomial supports, then branches on a variable with
 a wide enough range, and finally enumerates the remaining finite box exactly.
 Normalization shifts (x_i = y + t) keep values but multiply the terms, so a
-leaf scans the polynomial as it stood before them, on the box moved back by
-them, when that form has fewer terms and needs no wider integer type; shifts
-keep lexicographic order, so the first hit is the same point.
-A leaf walks a box of more than one scan as a tree of sub-boxes in
-lexicographic order and scans each sub-box of at most ``SCAN_POINTS`` points
+leaf scans the polynomial as it stood before them, on its own box, when that
+form has fewer terms and needs no wider integer type; shifts keep
+lexicographic order, so the first hit is the same point, and it is replayed
+through the log of the steps before the shifts.
+A leaf merges its terms once and walks its box as a tree of sub-boxes in
+lexicographic order, scanning each sub-box of at most ``SCAN_POINTS`` points
 in one numpy grid, so memory follows the scan, not the box.  The solver's
-leaf skips each sub-box whose exact interval bound on |p| is below alpha;
-``solve --oracle`` skips none and scans every point.  The solver's scan unit
-is 1/64 of ``SCAN_POINTS`` in Python ints, which cost some 15-20 times more
-a point than int64, so a box of Python ints is bounded and split down to small
-sub-boxes.  A sub-box is scanned in int64 when no sum of term magnitudes over
-it can reach ``I64_SAFE``, and in Python ints otherwise.  One evaluator works
-straight from the terms, grouped by exponent one variable at a time.  numpy
-is imported on the first leaf call, not with this module, so the formula and
-hypergraph solvers never load it.
+leaf skips each sub-box, the whole box included, whose exact interval bound
+on |p| is below alpha; ``solve --oracle`` skips none and scans every point.
+The solver's scan unit is 1/64 of ``SCAN_POINTS`` in Python ints, which cost
+some 15-20 times more a point than int64, so a box of Python ints is bounded
+and split down to small sub-boxes.  A sub-box is scanned in int64 when no sum
+of term magnitudes over it can reach ``I64_SAFE``, and in Python ints
+otherwise.  One evaluator works straight from the terms, grouped by exponent
+one variable at a time.  numpy is imported on the first leaf call, not with
+this module, so the formula and hypergraph solvers never load it.
 
 Witnesses are returned in the coordinates of the caller's instance; every
 internal substitution is logged and replayed backwards before returning.
@@ -379,25 +380,8 @@ def _grid(terms: list[Term], order: tuple[int, ...], powers: list[dict[int, np.n
     return total
 
 
-def _grid_parts(inst: AbsIoInstance, dtype) -> tuple[list[Term], list[dict[int, np.ndarray]]]:
-    # The terms, with equal exponent vectors merged and zero sums dropped (the
-    # constant 0 when none is left), and the powers of each axis of the box
-    # that they use, axis i shaped (1, .., side_i, .., 1).
-    import numpy as np
-
-    n = inst.num_vars
-    terms = [(key, c) for key, c in _merge_weighted(inst.terms) if c] or [((0,) * n, 0)]
-    powers = []
-    for i in range(n):
-        # an axis only where p uses it, as unused ends may lie past int64
-        used = {key[i] for key, _ in terms if key[i]}
-        axis = np.arange(inst.lower[i], inst.upper[i] + 1, dtype=dtype) if used else None
-        shape = (1,) * i + (-1,) + (1,) * (n - 1 - i)
-        powers.append({a: axis.reshape(shape) ** a for a in used})
-    return terms, powers
-
-
-def _leaf_dtype(inst: AbsIoInstance) -> type:
+def _leaf_dtype(terms: list[Term], lower: tuple[int, ...], upper: tuple[int, ...],
+                alpha: int) -> type:
     # np.int64 when ``_grid_leaf`` on the finite box cannot overflow it, else
     # object (Python ints).  Every value the leaf forms, a power of an axis
     # included, is at most a sum of merged terms |c| * prod |x_i|^a with
@@ -406,31 +390,39 @@ def _leaf_dtype(inst: AbsIoInstance) -> type:
     # while a sub-box of an object box may be either.
     import numpy as np
 
-    top = [max(abs(lo), abs(hi), 1) for lo, hi in zip(inst.lower, inst.upper)]
-    bound = sum(abs(w) * math.prod(map(pow, top, vec)) for vec, w in inst.terms)
-    return np.int64 if bound < I64_SAFE and inst.alpha < I64_SAFE else object
+    top = [max(abs(lo), abs(hi), 1) for lo, hi in zip(lower, upper)]
+    bound = sum(abs(w) * math.prod(map(pow, top, vec)) for vec, w in terms)
+    return np.int64 if bound < I64_SAFE and alpha < I64_SAFE else object
 
 
-def _grid_leaf(inst: AbsIoInstance, dtype) -> tuple[int, ...] | None:
+def _grid_leaf(terms: list[Term], lower: tuple[int, ...], upper: tuple[int, ...],
+               alpha: int, dtype) -> tuple[int, ...] | None:
     """First point of the finite box in lexicographic order with |p| >= alpha.
 
-    The box, of at most one scan unit, is evaluated in one ``_grid`` call,
-    variable n first.  Its values are tested by their max and min before a
-    hit mask is built; in the mask, the C-ordered argmax is the
-    lexicographically first hit, also across axes of size 1.
-    ``dtype`` is ``np.int64`` or ``object`` (Python ints), as ``_leaf_dtype``
-    picks it.
+    ``terms`` is not empty.  The box, of at most one scan unit, is evaluated
+    in one ``_grid`` call, variable n first, from the powers of each axis
+    that the terms use, axis i shaped (1, .., side_i, .., 1).  Its values
+    are tested by their max and min before a hit mask is built; in the
+    mask, the C-ordered argmax is the lexicographically first hit, also
+    across axes of size 1.  ``dtype`` is ``np.int64`` or ``object`` (Python
+    ints), as ``_leaf_dtype`` picks it.
     """
     import numpy as np
 
-    terms, powers = _grid_parts(inst, dtype)
-    n = inst.num_vars
+    n = len(lower)
+    powers = []
+    for i in range(n):
+        # an axis only where p uses it, as unused ends may lie past int64
+        used = {key[i] for key, _ in terms if key[i]}
+        axis = np.arange(lower[i], upper[i] + 1, dtype=dtype) if used else None
+        shape = (1,) * i + (-1,) + (1,) * (n - 1 - i)
+        powers.append({a: axis.reshape(shape) ** a for a in used})
     total = _grid(terms, tuple(range(n - 1, -1, -1)), powers, dtype)
-    if total.max() >= inst.alpha or total.min() <= -inst.alpha:
-        hits = np.abs(total) >= inst.alpha  # a bool when p is constant
+    if total.max() >= alpha or total.min() <= -alpha:
+        hits = np.abs(total) >= alpha  # a bool when p is constant
         shape = np.shape(hits)
         coords = (0,) * (n - len(shape)) + np.unravel_index(int(np.argmax(hits)), shape)
-        return tuple(lo + int(c) for lo, c in zip(inst.lower, coords))
+        return tuple(lo + int(c) for lo, c in zip(lower, coords))
     return None
 
 
@@ -457,36 +449,35 @@ def _abs_bound(terms: list[tuple[int, Factors]], lower: tuple[int, ...],
 def _walk_leaf(inst: AbsIoInstance, dtype, prune: bool) -> tuple[int, ...] | None:
     """First point of the finite box in lexicographic order with |p| >= alpha.
 
-    The box is walked as a tree of sub-boxes: a sub-box is split by halving
-    its first axis of side above 1, lower half first, so each sub-box is a
-    run of consecutive points in lexicographic order.  A sub-box of at most a
-    scan unit of points is scanned by ``_grid_leaf``, so the first hit found
-    is the box's first, and memory follows the unit, not the box.  The unit
-    is ``SCAN_POINTS``.  With ``prune``, a sub-box whose ``_abs_bound`` is
-    below alpha is skipped, and when ``dtype`` is object the unit is
-    ``SCAN_POINTS >> 6`` (at least 1), since there a point costs far more to
-    scan than to bound; without ``prune`` every point is scanned.  An int64
-    walk scans in int64 throughout; an object walk scans each sub-box in
-    ``_leaf_dtype`` of that sub-box, int64 wherever its own bound fits,
-    which is exact, so the first hit is unchanged.  A box of one unit is
-    scanned without a bound.  The walk keeps its pending upper halves on a
-    stack, not on the call stack; along any path axis i is split at most
+    The terms are merged once, zero sums dropped (the constant 0 when none
+    is left).  The box is walked as a tree of sub-boxes: a sub-box is split
+    by halving its first axis of side above 1, lower half first, so each
+    sub-box is a run of consecutive points in lexicographic order.  A
+    sub-box of at most a scan unit of points is scanned by ``_grid_leaf``,
+    so the first hit found is the box's first, and memory follows the unit,
+    not the box.  The unit is ``SCAN_POINTS``.  With ``prune``, every
+    sub-box, the whole box included, whose ``_abs_bound`` is below alpha is
+    skipped, and when ``dtype`` is object the unit is ``SCAN_POINTS >> 6``
+    (at least 1), since there a point costs far more to scan than to bound;
+    without ``prune`` every point is scanned.  An int64 walk scans in int64
+    throughout; an object walk scans each sub-box in ``_leaf_dtype`` of that
+    sub-box, int64 wherever its own bound fits, which is exact, so the first
+    hit is unchanged.  The walk keeps its pending upper halves on a stack,
+    not on the call stack; along any path axis i is split at most
     ceil(log2 side_i) times, so the depth is below the bits of the point
     count plus the number of axes.
     """
+    terms = [(key, c) for key, c in _merge_weighted(inst.terms) if c] or [((0,) * inst.num_vars, 0)]
+    factors = [(c, tuple([(i, a) for i, a in enumerate(key) if a])) for key, c in terms]
     unit = max(1, SCAN_POINTS >> 6) if prune and dtype is object else SCAN_POINTS
-    if math.prod(hi - lo + 1 for lo, hi in zip(inst.lower, inst.upper)) <= unit:
-        return _grid_leaf(inst, dtype)
-    factors = [(c, tuple([(i, a) for i, a in enumerate(key) if a]))
-               for key, c in _merge_weighted(inst.terms) if c]
     stack = [(inst.lower, inst.upper)]
     while stack:
         lower, upper = stack.pop()
         if prune and _abs_bound(factors, lower, upper) < inst.alpha:
             continue
         if math.prod(hi - lo + 1 for lo, hi in zip(lower, upper)) <= unit:
-            box = AbsIoInstance._trusted(inst.terms, lower, upper, inst.alpha, inst.var_ids)
-            point = _grid_leaf(box, _leaf_dtype(box) if dtype is object else dtype)
+            scan = _leaf_dtype(terms, lower, upper, inst.alpha) if dtype is object else dtype
+            point = _grid_leaf(terms, lower, upper, inst.alpha, scan)
             if point is not None:
                 return point
             continue
@@ -534,7 +525,7 @@ def brute_force_absio(
             return Verdict(True, (), value, ("leaf points=1",))
         return Verdict(False, transcript=("leaf points=1",))
     transcript = (f"leaf points={total}",)
-    point = _walk_leaf(inst, _leaf_dtype(inst), prune)
+    point = _walk_leaf(inst, _leaf_dtype(inst.terms, inst.lower, inst.upper, inst.alpha), prune)
     if point is None:
         return Verdict(False, transcript=transcript)
     return Verdict(True, point, eval_poly(inst, point), transcript)
@@ -579,27 +570,23 @@ def _support_shortcut(inst: AbsIoInstance) -> tuple[tuple[int, ...] | None, tupl
     return point, outcome.transcript + (f"support yes |X|={len(outcome.witness)}",)
 
 
-def _leaf_form(pre: AbsIoInstance, cur: AbsIoInstance,
-               entries: list[LogEntry]) -> tuple[AbsIoInstance, tuple[int, ...]]:
-    # The instance a leaf scans, cur or pre, and the offsets that take cur's
-    # coordinates to its own.  ``entries`` is the log from pre to cur.  At a
-    # leaf every interval is finite, and rule 6 negates only unbounded ones,
-    # so it only shifted; a shift keeps every variable in use, so rule 5 fixed
-    # none.  pre is then cur on cur's box moved back by each variable's summed
-    # shifts, with the same values, and shifts keep lexicographic order, so
+def _leaf_form(pre: AbsIoInstance, cur: AbsIoInstance, entries: list[LogEntry]) -> AbsIoInstance:
+    # The instance a leaf scans, cur or pre.  ``entries`` is the log from pre
+    # to cur.  At a leaf every interval is finite, and rule 6 negates only
+    # unbounded ones, so it only shifted; a shift keeps every variable in
+    # use, so rule 5 fixed none.  pre then takes cur's values on its own
+    # box, which the shifts moved, and shifts keep lexicographic order, so
     # both scans find the same first hit.  pre is scanned when it has fewer
     # terms, unless its larger values would need Python ints where cur's fit
     # int64.
     if pre.var_ids != cur.var_ids or any(entry[0] != "shift" for entry in entries):
         raise InternalGuaranteeError(f"rule 6 did more than shift a leaf: {entries!r}")
-    offset = dict.fromkeys(cur.var_ids, 0)
-    for _, gid, t in entries:
-        offset[gid] += t
     if pre.num_terms < cur.num_terms and (
-        _leaf_dtype(pre) is not object or _leaf_dtype(cur) is object
+        _leaf_dtype(pre.terms, pre.lower, pre.upper, pre.alpha) is not object
+        or _leaf_dtype(cur.terms, cur.lower, cur.upper, cur.alpha) is object
     ):
-        return pre, tuple(offset.values())
-    return cur, (0,) * cur.num_vars
+        return pre
+    return cur
 
 
 def _pick_branch(inst: AbsIoInstance) -> tuple[int, int] | None:
@@ -747,13 +734,15 @@ def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdic
     if picked is None:
         # with no variables left the leaf only evaluates a constant, which
         # the per-leaf cap leaves alone
-        scan, back = _leaf_form(pre, cur, log[settled:])
+        scan = _leaf_form(pre, cur, log[settled:])
         leaf = brute_force_absio(scan, max_points=max_points if cur.num_vars else None,
                                  prune=True)
         transcript.extend(leaf.transcript)
         if not leaf.decision:
             return Verdict(False, transcript=tuple(transcript))
-        return finish(tuple(x - t for x, t in zip(leaf.witness, back)))
+        if scan is pre:
+            del log[settled:]  # pre's witness is replayed only through the steps before it
+        return finish(leaf.witness)
 
     i, e = picked
     gid = cur.var_ids[i]

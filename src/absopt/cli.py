@@ -275,8 +275,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    # The file grammar bounds no integer's length and all arithmetic is
+    # exact, so Python's int-to-string digit limit (4300 digits by default,
+    # where it exists) is lifted while the command runs, and restored after.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -287,6 +293,9 @@ def main(argv=None) -> int:
     except (InvalidInstanceError, ContractViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

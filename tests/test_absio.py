@@ -27,7 +27,6 @@ from absopt.absio import (
     _abs_bound,
     _grid,
     _grid_leaf,
-    _grid_parts,
     _leaf_form,
     _replay,
     _scan_window,
@@ -39,7 +38,7 @@ from absopt.absio import (
     shift_variable,
 )
 from absopt.kernel import MODE_EDGECOUNT, STATUS_REDUCED, _links_below_g, kernelize
-from absopt.model import WeightedHypergraph
+from absopt.model import WeightedHypergraph, _merge_weighted
 from helpers import naive_absio_decide, naive_absio_value, random_absio
 
 
@@ -480,10 +479,31 @@ def test_leaf_box_ends_past_int64(monkeypatch):
             _pure_leaf_agrees(replace(shifted, alpha=alpha + 1))
 
 
+def _leaf_terms(inst):
+    # The terms as _walk_leaf hands them to _grid_leaf: merged, zero sums
+    # dropped, the constant 0 when none is left
+    return [(vec, w) for vec, w in _merge_weighted(inst.terms) if w] or [((0,) * inst.num_vars, 0)]
+
+
+def _scan(inst, dtype):
+    # _grid_leaf on the whole box of inst
+    return _grid_leaf(_leaf_terms(inst), inst.lower, inst.upper, inst.alpha, dtype)
+
+
+def _dtype(inst):
+    # _leaf_dtype of the whole box of inst
+    return absio._leaf_dtype(inst.terms, inst.lower, inst.upper, inst.alpha)
+
+
 def _grid_everywhere(inst, dtype):
-    # The evaluator's values over the whole box in one grid, broadcast out
-    terms, powers = _grid_parts(inst, dtype)
-    values = _grid(terms, tuple(range(inst.num_vars)), powers, dtype)
+    # The evaluator's values over the whole box in one grid, variable 1
+    # first, broadcast out
+    terms, n = _leaf_terms(inst), inst.num_vars
+    powers = []
+    for i, (lo, hi) in enumerate(zip(inst.lower, inst.upper)):
+        axis = np.arange(lo, hi + 1, dtype=dtype).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+        powers.append({a: axis**a for a in {vec[i] for vec, _ in terms if vec[i]}})
+    values = _grid(terms, tuple(range(n)), powers, dtype)
     return np.broadcast_to(values, tuple(h - l + 1 for l, h in zip(inst.lower, inst.upper)))
 
 
@@ -495,7 +515,7 @@ def _grid_agrees(inst):
         for index in itertools.product(*(range(len(b)) for b in boxes)):
             point = tuple(b[k] for b, k in zip(boxes, index))
             assert values[index] == eval_poly(inst, point), (inst, point)
-        assert _grid_leaf(inst, dtype) == (None if want is None else want[0]), inst
+        assert _scan(inst, dtype) == (None if want is None else want[0]), inst
 
 
 def test_grid_matches_eval_poly():
@@ -590,7 +610,7 @@ def test_grid_int64_just_below_i64_safe():
     # in int64 with no headroom
     top = (1 << 62) - 1
     inst = AbsIoInstance([((60, 1), 3), ((0, 2), (1 << 60) - 1)], (-2, -1), (2, 1), top)
-    assert _grid_leaf(inst, np.int64) == _grid_leaf(inst, object) == (-2, 1)
+    assert _scan(inst, np.int64) == _scan(inst, object) == (-2, 1)
     assert brute_force_absio(inst).witness == (-2, 1)
     assert brute_force_absio(inst).achieved == top
     assert _grid_everywhere(inst, np.int64).max() == top
@@ -637,10 +657,10 @@ def _record_walk(monkeypatch):
             log["pruned"].append(math.prod(h - l + 1 for l, h in zip(lower, upper)))
         return value
 
-    def spy_leaf(inst, dtype):
-        log["scanned"] += math.prod(h - l + 1 for l, h in zip(inst.lower, inst.upper))
-        log["scans"].append((inst, dtype))
-        return grid_leaf(inst, dtype)
+    def spy_leaf(terms, lower, upper, alpha, dtype):
+        log["scanned"] += math.prod(h - l + 1 for l, h in zip(lower, upper))
+        log["scans"].append((terms, lower, upper, alpha, dtype))
+        return grid_leaf(terms, lower, upper, alpha, dtype)
 
     monkeypatch.setattr(absio, "_abs_bound", spy_bound)
     monkeypatch.setattr(absio, "_grid_leaf", spy_leaf)
@@ -648,13 +668,14 @@ def _record_walk(monkeypatch):
 
 
 def _scans_in_own_dtype(log, box, dtype):
-    # A scan of the whole box runs in the walk's dtype; a scan of a sub-box in
-    # _leaf_dtype of that sub-box, which an int64 walk never widens
-    for sub, scanned in log["scans"]:
-        whole = (sub.lower, sub.upper) == (box.lower, box.upper)
-        want = dtype if whole else absio._leaf_dtype(sub)
-        assert scanned is want, (box, sub, scanned)
-    return any(scanned is np.int64 for _, scanned in log["scans"])
+    # Every scan gets the walk's merged terms.  An int64 walk scans in int64
+    # throughout; an object walk scans each sub-box, the whole box included,
+    # in _leaf_dtype of that sub-box
+    for terms, lower, upper, alpha, scanned in log["scans"]:
+        assert terms == _leaf_terms(box) and alpha == box.alpha, (box, terms, alpha)
+        want = dtype if dtype is np.int64 else absio._leaf_dtype(terms, lower, upper, alpha)
+        assert scanned is want, (box, lower, upper, scanned)
+    return any(scan[-1] is np.int64 for scan in log["scans"])
 
 
 def test_pruned_leaf_matches_grid_leaf(monkeypatch):
@@ -689,10 +710,10 @@ def test_pruned_leaf_matches_grid_leaf(monkeypatch):
             top = int(np.abs(_grid_everywhere(box, object)).max())
             for alpha in (max(1, top), top + 1):
                 box = replace(box, alpha=alpha)
-                for dtype in {absio._leaf_dtype(box), object}:
+                for dtype in {_dtype(box), object}:
                     log.update(alpha=alpha, pruned=[], scans=[])
                     point = _walk_leaf(box, dtype, True)
-                    assert point == _grid_leaf(box, dtype), (box, dtype)
+                    assert point == _scan(box, dtype), (box, dtype)
                     _scans_in_own_dtype(log, box, dtype)
                     hits_after_prune += point is not None and bool(log["pruned"])
                     pruned_sizes.update(log["pruned"])
@@ -708,14 +729,14 @@ def test_pruned_leaf_matches_grid_leaf(monkeypatch):
         terms += [(tuple(rng.randint(0, 3) for _ in range(3)), rng.randint(-9, 9))
                   for _ in range(4)]
         box = AbsIoInstance(terms, (0, -4, -2), (9, 4, 2), 1)
-        assert absio._leaf_dtype(box) is object
+        assert _dtype(box) is object
         values = _grid_everywhere(box, object)
         top = int(np.abs(values).max())
         some = abs(int(values[tuple(rng.randrange(side) for side in values.shape)]))
         for alpha in (top, top + 1, max(1, some)):
             box = replace(box, alpha=alpha)
             log.update(alpha=alpha, pruned=[], scans=[])
-            assert _walk_leaf(box, object, True) == _grid_leaf(box, object), box
+            assert _walk_leaf(box, object, True) == _scan(box, object), box
             mixed += _scans_in_own_dtype(log, box, object)
     assert mixed >= 10, mixed
 
@@ -728,8 +749,30 @@ def test_pruned_leaf_skips_to_a_later_sub_box(monkeypatch):
     monkeypatch.setattr(absio, "SCAN_POINTS", 64)
     inst = AbsIoInstance([((1, 0), 1)], (0, 0), (255, 3), 200)
     log.update(alpha=200, pruned=[], scanned=0)
-    assert _walk_leaf(inst, np.int64, True) == _grid_leaf(inst, np.int64) == (200, 0)
+    assert _walk_leaf(inst, np.int64, True) == _scan(inst, np.int64) == (200, 0)
     assert log["pruned"] == [512, 256] and log["scanned"] == 64
+
+
+def test_walk_leaf_bounds_a_box_of_one_unit(monkeypatch):
+    # p = x1 - 2 x2 on [0, 3]^2, 16 points, far below a scan unit, ranges
+    # over [-6, 3]: at alpha 7 its bound, 6, lets the pruning walk return
+    # without a scan, while the oracle's walk scans the box; at alpha 6 both
+    # find (0, 3)
+    scans = []
+    grid_leaf = absio._grid_leaf
+
+    def spy(terms, lower, upper, alpha, dtype):
+        scans.append((lower, upper))
+        return grid_leaf(terms, lower, upper, alpha, dtype)
+
+    monkeypatch.setattr(absio, "_grid_leaf", spy)
+    inst = AbsIoInstance([((1, 0), 1), ((0, 1), -2)], (0, 0), (3, 3), 7)
+    assert _walk_leaf(inst, np.int64, True) is None and scans == []
+    assert _walk_leaf(inst, np.int64, False) is None and scans == [((0, 0), (3, 3))]
+    inst = replace(inst, alpha=6)
+    for prune in (True, False):
+        scans.clear()
+        assert _walk_leaf(inst, np.int64, prune) == (0, 3) and scans == [((0, 0), (3, 3))]
 
 
 def test_solve_matches_brute_finite():
@@ -878,8 +921,8 @@ def test_pre_shift_leaf_keeps_int64(monkeypatch):
     verdict = solve_absio(inst)
     assert verdict.decision and verdict.witness == (t + 2, 3)
     assert scanned[0].num_terms == 5 and scanned[0].lower == (0, 0)
-    assert absio._leaf_dtype(scanned[0]) is np.int64
-    assert absio._leaf_dtype(rule5_simplify(inst).instance) is object
+    assert _dtype(scanned[0]) is np.int64
+    assert _dtype(rule5_simplify(inst).instance) is object
     # x^3 + z^2 with x in [2^40, 2^40 + 3] needs Python ints in both forms,
     # so the leaf scans the 2-term pre-shift form, not the 6-term shifted one
     scanned.clear()
@@ -888,13 +931,19 @@ def test_pre_shift_leaf_keeps_int64(monkeypatch):
     verdict = solve_absio(inst)
     assert verdict.decision and verdict.witness == (big, 3)
     assert scanned[0] == rule5_simplify(inst).instance
-    assert absio._leaf_dtype(scanned[0]) is object
+    assert _dtype(scanned[0]) is object
 
 
 def test_leaf_form_rejects_more_than_shifts():
+    # x1 x2 on [2, 3]^2 has one term, and four once rule 6 shifts both
+    # variables, so the leaf scans the pre-shift form and its witness, the
+    # first point with |p| >= 5, needs no shift undone
     inst = AbsIoInstance([((1, 1), 1)], (2, 2), (3, 3), 5)
     shifted, log, _ = rule6_shift(inst)
-    assert _leaf_form(inst, shifted, list(log)) == (inst, (2, 2))
+    assert _leaf_form(inst, shifted, list(log)) is inst
+    verdict = solve_absio(inst)
+    assert verdict.transcript[-1] == "leaf points=4"
+    assert (verdict.witness, verdict.achieved) == ((2, 3), 6)
     with pytest.raises(InternalGuaranteeError):
         _leaf_form(inst, shifted, list(log) + [("negate", 1)])
     with pytest.raises(InternalGuaranteeError):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -243,9 +244,9 @@ def _scanned_points(monkeypatch):
     scanned = [0]
     grid_leaf = absio._grid_leaf
 
-    def spy(inst, dtype):
-        scanned[0] += math.prod(h - l + 1 for l, h in zip(inst.lower, inst.upper))
-        return grid_leaf(inst, dtype)
+    def spy(terms, lower, upper, alpha, dtype):
+        scanned[0] += math.prod(h - l + 1 for l, h in zip(lower, upper))
+        return grid_leaf(terms, lower, upper, alpha, dtype)
 
     monkeypatch.setattr(absio, "_grid_leaf", spy)
     return scanned
@@ -488,6 +489,43 @@ def test_verify_reads_solve_output(tmp_path, capsys, name, text):
     w = _write(tmp_path, "w.txt", capsys.readouterr().out)
     assert main(["verify", f, w]) == 0
     assert "s VALID" in capsys.readouterr().out
+
+
+# x1^20000 on [0, 2] at target 2: the witness x1 = 2 scores 2^20000, 6,021
+# digits, and the weight 10^4301 - 1 has 4,301; Python refuses by default to
+# convert an int of more than 4,300 digits to or from a string
+HUGE_VALUE = "p absio 1 1 2\ncol 1 1:20000 0\nb 1 0 2\n"
+HUGE_WEIGHT = "9" * 4301
+
+
+def _digit_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+@pytest.mark.parametrize("flags", [[], ["--oracle"]], ids=["pipeline", "oracle"])
+def test_solve_and_verify_integers_of_any_length(tmp_path, capsys, flags):
+    # the command lifts the digit limit while it runs and restores it after
+    limit = _digit_limit()
+    f = _write(tmp_path, "a.absio", HUGE_VALUE)
+    assert main(["solve", f, *flags]) == EXIT_YES
+    out = capsys.readouterr().out
+    _, status, o_line, x_line = out.splitlines()
+    assert (status, o_line[:2], x_line) == ("s YES", "o ", "x 1 2")
+    value = o_line[2:]
+    assert len(value) == 6021 and value[-20:] == f"{pow(2, 20000, 10**20):020d}"
+    assert _digit_limit() == limit
+    w = _write(tmp_path, "w.txt", out)
+    assert main(["verify", f, w]) == 0
+    assert capsys.readouterr().out == f"c value={value}\ns VALID\n"
+    assert _digit_limit() == limit
+    f = _write(tmp_path, "a.wdnf", f"p wdnf 1 1 1\nw {HUGE_WEIGHT} 1 0\n")
+    assert main(["solve", f, *flags]) == EXIT_YES
+    out = capsys.readouterr().out
+    assert out.splitlines()[1:] == ["s YES", f"o {HUGE_WEIGHT}", "v 1"]
+    w = _write(tmp_path, "w.txt", out)
+    assert main(["verify", f, w]) == 0
+    assert capsys.readouterr().out == f"c value={HUGE_WEIGHT}\ns VALID\n"
+    assert _digit_limit() == limit
 
 
 def test_verify_rejects_bare_graph(tmp_path, capsys):
