@@ -4,8 +4,9 @@
    assignments in lexicographic order (variable 1 first, false before true),
    with the same bounds and pruning, so it reports the same first hit.  It
    keeps one bit per kept row, as the pure core does above its unary bound,
-   and sums weights row by row; the pure core sums them there by bit planes
-   of |w|, or row by row only where fewer rows change than there are planes.
+   and sums weights row by row; the pure core weighs a set of rows there by
+   bit planes of |w|, or row by row where the set holds fewer rows than
+   there are planes.
    Plain C with no Python API, and one export, absopt_decide.
    The caller guarantees at most 62 variables and an absolute weight sum T
    below 2^62, and closes every target endpoint within [-T-1, T+1], so no

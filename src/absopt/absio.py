@@ -431,18 +431,27 @@ def _abs_bound(terms: list[tuple[int, Factors]], lower: tuple[int, ...],
     # max(-low, high) for the interval [low, high] that holds p on the finite
     # box: the sum over the terms (weight, factors) of each term's exact range,
     # in which an even power of an axis across 0 ranges over [0, max].  So it
-    # is at least max |p| on the box, and |p(x)| on a one-point box.
+    # is at least max |p| on the box, and |p(x)| on a one-point box.  The
+    # monomial's range [lo, hi] is formed first, a plain product while both
+    # ranges are non-negative, and the weight scales it last.
     low = high = 0
     for w, factors in terms:
-        lo = hi = w
+        lo = hi = 1
         for i, a in factors:
             l, h = lower[i] ** a, upper[i] ** a
             if not a & 1 and lower[i] < 0:
                 l, h = (h, l) if upper[i] <= 0 else (0, max(l, h))
-            ends = (lo * l, lo * h, hi * l, hi * h)
-            lo, hi = min(ends), max(ends)
-        low += lo
-        high += hi
+            if lo >= 0 and l >= 0:
+                lo, hi = lo * l, hi * h
+            else:
+                ends = (lo * l, lo * h, hi * l, hi * h)
+                lo, hi = min(ends), max(ends)
+        if w > 0:
+            low += w * lo
+            high += w * hi
+        else:
+            low += w * hi
+            high += w * lo
     return max(-low, high)
 
 

@@ -333,9 +333,16 @@ def _subset(mask: int, order: list[int]) -> frozenset[int]:
     return frozenset(v for i, v in enumerate(order) if mask >> i & 1)
 
 
-def _first_hit(clauses, cnf: bool, targets) -> tuple[frozenset[int], int] | None:
-    """The first set of true ids whose value lies in a target interval, and that value."""
+def _first_hit(
+    clauses, cnf: bool, targets, cap: int | None, what: str
+) -> tuple[frozenset[int], int] | None:
+    """The first set of true ids whose value lies in a target interval, and that value.
+
+    The ids that occur in some clause, the ones the core enumerates, are
+    counted against ``cap``.
+    """
     order, rows = _rows(clauses, cnf)
+    _check_cap(len(order), cap, what)
     found, mask, value = engine.decide(len(order), rows, targets)
     return (_subset(mask, order), value) if found else None
 
@@ -347,9 +354,8 @@ def brute_force_formula(phi: WeightedFormula, *, max_vars: int | None = None) ->
     lexicographic order (variables ascending, false before true) together
     with its signed value.
     """
-    _check_cap(phi.num_vars, max_vars, "assignment")
     targets = _target_intervals(phi.alpha, phi.objective, phi.comparison)
-    hit = _first_hit(phi.clauses, phi.kind == KIND_CNF, targets)
+    hit = _first_hit(phi.clauses, phi.kind == KIND_CNF, targets, max_vars, "assignment")
     if hit is None:
         return Verdict(False)
     return Verdict(True, *hit)
@@ -363,8 +369,8 @@ def brute_force_hypergraph(h: WeightedHypergraph, *, max_vertices: int | None = 
     |w[X]| >= alpha is the witness.  An edge inside X behaves exactly like a
     monotone conjunction over its vertices, so the formula engine is reused.
     """
-    _check_cap(h.num_vertices, max_vertices, "subset")
-    hit = _first_hit(h.edges, False, _target_intervals(h.alpha, OBJ_ABS, CMP_ATLEAST))
+    targets = _target_intervals(h.alpha, OBJ_ABS, CMP_ATLEAST)
+    hit = _first_hit(h.edges, False, targets, max_vertices, "subset")
     if hit is None:
         return Verdict(False)
     return Verdict(True, *hit)

@@ -148,7 +148,8 @@ def _enumerate_survivors(
     if len(kept) >= len(reduced.edges):
         return brute_force_hypergraph(reduced, max_vertices=max_vertices).witness
     clauses = [([l for l in lits if abs(l) in survivors], wt) for lits, wt in kept]
-    hit = _first_hit(clauses, False, _target_intervals(phi.alpha, OBJ_ABS, CMP_ATLEAST))
+    targets = _target_intervals(phi.alpha, OBJ_ABS, CMP_ATLEAST)
+    hit = _first_hit(clauses, False, targets, max_vertices, "subset")
     return None if hit is None else hit[0]
 
 

@@ -37,6 +37,7 @@ from absopt.absio import (
     rule6_shift,
     shift_variable,
 )
+from absopt.engine import I64_SAFE
 from absopt.kernel import MODE_EDGECOUNT, STATUS_REDUCED, _links_below_g, kernelize
 from absopt.model import WeightedHypergraph, _merge_weighted
 from helpers import naive_absio_decide, naive_absio_value, random_absio
@@ -643,6 +644,45 @@ def test_abs_bound_is_sound():
             assert _abs_bound(_factors(inst), pt, pt) == abs(eval_poly(inst, pt)), (inst, pt)
     # x^2 - 5 on [-3, 2]: x^2 ranges over [0, 9], so the bound is 5, at x = 0
     assert _abs_bound([(1, ((0, 2),)), (-5, ())], (-3,), (2,)) == 5
+
+
+def _weight_first_bound(terms, lower, upper):
+    # each term's range formed with the weight as its first factor, every
+    # product by the four ends: the form _abs_bound must agree with
+    low = high = 0
+    for w, factors in terms:
+        lo = hi = w
+        for i, a in factors:
+            l, h = lower[i] ** a, upper[i] ** a
+            if not a & 1 and lower[i] < 0:
+                l, h = (h, l) if upper[i] <= 0 else (0, max(l, h))
+            ends = (lo * l, lo * h, hi * l, hi * h)
+            lo, hi = min(ends), max(ends)
+        low += lo
+        high += hi
+    return max(-low, high)
+
+
+def test_abs_bound_matches_weight_first_form():
+    # Negative weights, even and odd powers across 0 and on either side of
+    # it, and weights and sides whose products pass I64_SAFE
+    rng = random.Random(59)
+    past = 0
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        side = rng.choice((4, 1 << 20, 1 << 40))
+        top = rng.choice((9, 1 << 40, 1 << 70))
+        terms = []
+        for _ in range(rng.randint(1, 6)):
+            axes = rng.sample(range(n), rng.randint(0, n))
+            factors = tuple(sorted((i, rng.randint(1, 4)) for i in axes))
+            terms.append((rng.choice((-1, 1)) * rng.randint(1, top), factors))
+        ends = [sorted((rng.randint(-side, side), rng.randint(-side, side))) for _ in range(n)]
+        lower, upper = tuple(lo for lo, _ in ends), tuple(hi for _, hi in ends)
+        want = _weight_first_bound(terms, lower, upper)
+        assert _abs_bound(terms, lower, upper) == want, (terms, lower, upper)
+        past += want >= I64_SAFE
+    assert past > 500
 
 
 def _record_walk(monkeypatch):

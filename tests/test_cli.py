@@ -98,6 +98,23 @@ def test_solve_rejects_bare_graph(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_cap_counts_used_variables(tmp_path, capsys):
+    # 30 declared variables, 3 used: the core enumerates 3, so the default
+    # cap of 24 lets it answer
+    sparse = "p wdnf 30 3 1 sum exact\nw 1 1 0\nw 1 2 0\nw -1 30 0\n"
+    f = _write(tmp_path, "sparse.wdnf", sparse)
+    assert main(["solve", f]) == EXIT_YES
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["c method oracle", "s YES", "o 1"]
+    assert out[3] == "v -1 2 " + " ".join(str(-v) for v in range(3, 31))
+    # 25 distinct variables used, 5 declared ones not: over the cap
+    dense = "p wdnf 30 25 1 sum exact\n" + "".join(f"w 1 {v} 0\n" for v in range(1, 26))
+    g = _write(tmp_path, "dense.wdnf", dense)
+    assert main(["solve", g]) == EXIT_BUDGET
+    assert capsys.readouterr().err == "budget: assignment enumeration over 25 exceeds cap 24\n"
+    assert main(["solve", g, "--cap", "25"]) == EXIT_YES
+
+
 def test_solve_budget(tmp_path, capsys):
     wide = "p wdnf 30 1 1\nw 1 " + " ".join(str(v) for v in range(1, 31)) + " 0\n"
     f = _write(tmp_path, "wide.wdnf", wide)

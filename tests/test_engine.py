@@ -484,22 +484,43 @@ def test_weight_sum_edge_cases(name, backend):
             assert got == _naive_rows_decide(num_vars, rows, closed), (rows, targets)
     # kept rows weighing at most the bound take |w| bits each, and some cases
     # do; the others take one bit each.  Of those, some cases have more bit
-    # planes than rows, so every sum runs row by row; the others have fewer,
-    # so nodes that change many rows sum by planes
+    # planes than rows, so every set is weighed row by row; the others have
+    # fewer, so sets of many rows are weighed by planes
     unary, more_planes = False, set()
     for num_vars, rows in _edge_cases():
-        weights = [w for pos, neg, w in rows if (pos | neg) and w]
-        total = sum(abs(w) for w in weights)
+        mags = [abs(w) for pos, neg, w in rows if (pos | neg) and w]
+        total = sum(mags)
         width = pure._setup(num_vars, rows)[0].bit_length()
         if total <= pure.UNARY_BOUND:
             assert width == total
             unary = True
             continue
-        assert width == len(weights)
-        planes = len(pure._planes(weights, 1)) + len(pure._planes(weights, -1))
-        more_planes.add(planes > len(weights))
+        assert width == len(mags)
+        more_planes.add(len(pure._bit_planes(mags)) > len(mags))
     assert unary
     assert more_planes == {False, True}
+
+
+def test_steps_split_the_rows_they_close(monkeypatch):
+    # each step's gain and loss are disjoint, and together they are exactly
+    # the rows the step closes, in both layouts; each set weighs the |w| of
+    # its rows
+    rng = random.Random(49)
+    for _ in range(60):
+        num_vars = rng.randint(0, 7)
+        rows = _mixed_rows(rng, num_vars, rng.randint(0, 25), rng.choice((1, 3, 8)))
+        rows += [(0, 0, rng.randint(-5, 5)), (1 << num_vars >> 1, 0, 0)]
+        mags = [abs(w) for pos, neg, w in rows if (pos | neg) and w]
+        for bound in (0, 1 << 200):
+            monkeypatch.setattr(pure, "UNARY_BOUND", bound)
+            live0, lb0, ub0, steps, weigh = pure._setup(num_vars, rows)
+            assert weigh(live0) == sum(mags) == ub0 - lb0
+            assert len(steps) == num_vars
+            for d, step in enumerate(steps):
+                assert [bit for *_, bit in step] == [0, 1 << d]
+                for keep, gain, loss, _ in step:
+                    assert gain & loss == 0
+                    assert gain | loss == live0 & ~keep
 
 
 def test_layouts_agree(monkeypatch):

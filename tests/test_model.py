@@ -262,13 +262,22 @@ def test_brute_force_hypergraph_sparse_ids():
 
 
 def test_enumeration_cap():
-    h = WeightedHypergraph(30, (((1,), 1),), 1)
-    with pytest.raises(BudgetExceededError):
+    # the cap counts the variables that occur in some clause or edge, 25
+    # here, not the 30 declared
+    used = tuple(range(1, 26))
+    h = WeightedHypergraph(30, ((used, 1),), 1)
+    with pytest.raises(BudgetExceededError, match="subset enumeration over 25 exceeds cap 24"):
         brute_force_hypergraph(h)
-    phi = WeightedFormula("dnf", 30, (((1,), 1),), 1)
-    with pytest.raises(BudgetExceededError):
+    assert brute_force_hypergraph(h, max_vertices=25).decision
+    phi = WeightedFormula("dnf", 30, ((used, 1),), 1)
+    with pytest.raises(BudgetExceededError, match="assignment enumeration over 25 exceeds cap 24"):
         brute_force_formula(phi)
-    assert brute_force_formula(phi, max_vars=30).decision
+    assert brute_force_formula(phi, max_vars=25).decision
+    # one used variable of 30 declared fits the default cap
+    sparse = brute_force_hypergraph(WeightedHypergraph(30, (((30,), 1),), 1))
+    assert (sparse.witness, sparse.achieved) == (frozenset({30}), 1)
+    sparse = brute_force_formula(WeightedFormula("dnf", 30, (((30,), 1),), 1))
+    assert (sparse.witness, sparse.achieved) == (frozenset({30}), 1)
 
 
 def test_iter_subsets_lex_order():
