@@ -5,7 +5,7 @@ kernelize (run the hypergraph reduction rules), generate (build a formula
 from a graph), verify (check a witness file against an instance file).
 
 Exit codes: 10 answer yes, 20 answer no, 0 for non-decision outputs,
-1 usage or input errors, 2 enumeration budget exceeded.  verify exits 0
+1 usage or input errors, 2 enumeration or witness budget exceeded.  verify exits 0
 when the witness is valid and 1 otherwise.
 """
 
@@ -53,6 +53,11 @@ EXIT_NO = 20
 EXIT_ERROR = 1
 EXIT_BUDGET = 2
 
+# A formula's witness line names every declared variable, and the pipeline
+# makes each one a hypergraph vertex, so solve refuses (exit 2) a formula
+# that declares more than this before any work; --cap does not move it.
+DECLARED_VARS_CAP = 1 << 20
+
 _GENERATORS = {
     "max-dnf": gen_is_to_max_monotone_dnf,
     "abs-np": gen_is_to_abs_monotone_dnf_np,
@@ -83,6 +88,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "a bare graph carries no weights or target; run generate first"
         )
     if isinstance(instance, WeightedFormula):
+        if instance.num_vars > DECLARED_VARS_CAP:
+            raise BudgetExceededError(
+                f"witness line over {instance.num_vars} variables exceeds cap {DECLARED_VARS_CAP}"
+            )
         routed = (
             instance.objective == OBJ_ABS and instance.comparison == CMP_ATLEAST
         )

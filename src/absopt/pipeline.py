@@ -20,7 +20,6 @@ from .model import (
     Verdict,
     WeightedFormula,
     WeightedHypergraph,
-    _check_cap,
     _first_hit,
     _target_intervals,
     brute_force_hypergraph,
@@ -140,10 +139,9 @@ def _enumerate_survivors(
     deleted plain literal dropped, negated deleted literals dropped) agree
     with the reduced hypergraph at every point, in the same variable order.
     Whichever has fewer clauses is enumerated; both give the same lex-first
-    witness.
+    witness.  The cap counts the survivors that occur in those clauses.
     """
     survivors = reduced.vertices
-    _check_cap(len(survivors), max_vertices, "subset")
     kept = [(lits, wt) for lits, wt in phi.clauses if all(l < 0 or l in survivors for l in lits)]
     if len(kept) >= len(reduced.edges):
         return brute_force_hypergraph(reduced, max_vertices=max_vertices).witness

@@ -115,6 +115,25 @@ def test_solve_cap_counts_used_variables(tmp_path, capsys):
     assert main(["solve", g, "--cap", "25"]) == EXIT_YES
 
 
+def test_solve_refuses_a_huge_declared_count(tmp_path, capsys, monkeypatch):
+    # The v line names every declared variable, so a one-clause file that
+    # declares 10^12 of them exits 2 at once on both routes
+    n = 10**12
+    msg = f"budget: witness line over {n} variables exceeds cap {1 << 20}\n"
+    for head, flags in (("sum atleast", []), ("abs atleast", []), ("abs atleast", ["--oracle"])):
+        f = _write(tmp_path, "huge.wdnf", f"p wdnf {n} 1 1 {head}\nw 1 1 0\n")
+        assert main(["solve", f, *flags]) == EXIT_BUDGET
+        assert capsys.readouterr().err == msg
+    g = _write(tmp_path, "huge.wcnf", f"p wcnf {n} 1 1\nw 1 1 0\n")
+    assert main(["solve", g]) == EXIT_BUDGET
+    # the bound counts declared variables, used or not
+    monkeypatch.setattr(cli, "DECLARED_VARS_CAP", 30)
+    sparse = "p wdnf {} 3 1 sum exact\nw 1 1 0\nw 1 2 0\nw -1 30 0\n"
+    assert main(["solve", _write(tmp_path, "s30.wdnf", sparse.format(30))]) == EXIT_YES
+    assert main(["solve", _write(tmp_path, "s31.wdnf", sparse.format(31))]) == EXIT_BUDGET
+    assert capsys.readouterr().err.endswith("witness line over 31 variables exceeds cap 30\n")
+
+
 def test_solve_budget(tmp_path, capsys):
     wide = "p wdnf 30 1 1\nw 1 " + " ".join(str(v) for v in range(1, 31)) + " 0\n"
     f = _write(tmp_path, "wide.wdnf", wide)
