@@ -579,23 +579,35 @@ def _support_shortcut(inst: AbsIoInstance) -> tuple[tuple[int, ...] | None, tupl
     return point, outcome.transcript + (f"support yes |X|={len(outcome.witness)}",)
 
 
-def _leaf_form(pre: AbsIoInstance, cur: AbsIoInstance, entries: list[LogEntry]) -> AbsIoInstance:
-    # The instance a leaf scans, cur or pre.  ``entries`` is the log from pre
-    # to cur.  At a leaf every interval is finite, and rule 6 negates only
-    # unbounded ones, so it only shifted; a shift keeps every variable in
-    # use, so rule 5 fixed none.  pre then takes cur's values on its own
-    # box, which the shifts moved, and shifts keep lexicographic order, so
-    # both scans find the same first hit.  pre is scanned when it has fewer
-    # terms, unless its larger values would need Python ints where cur's fit
-    # int64.
-    if pre.var_ids != cur.var_ids or any(entry[0] != "shift" for entry in entries):
-        raise InternalGuaranteeError(f"rule 6 did more than shift a leaf: {entries!r}")
-    if pre.num_terms < cur.num_terms and (
-        _leaf_dtype(pre.terms, pre.lower, pre.upper, pre.alpha) is not object
-        or _leaf_dtype(cur.terms, cur.lower, cur.upper, cur.alpha) is object
-    ):
-        return pre
-    return cur
+def _leaf_shifts(inst: AbsIoInstance) -> list[tuple[int, int]] | None:
+    # Rule 6's shifts (index, t) of an instance after rule 5, when its solve
+    # may end in a leaf that scans it as it stands, on its own box, so no
+    # shifted term is built; None when something reads the shifted terms.
+    # Rule 5 left every interval at least two points wide, so on a finite box
+    # rule 6 only shifts, each interval missing 0 or 1 by its lower end.  A
+    # shift keeps each variable's top exponent and width, so _pick_branch
+    # decides the same on both forms, and it keeps the largest support d.  A
+    # shifted term's support is its term's support less some of the shifted
+    # variables in it, so where _links_below_g holds on the sum of 2^(those
+    # variables) the support shortcut cannot fire.  The shifted form has at
+    # most the sum of prod (c_i + 1) over the shifted exponents c_i terms:
+    # this form is scanned when it has fewer, and where its leaf is int64 or
+    # the shifted one needs Python ints as well, since every value of p,
+    # that at the lower corner included, bounds the shifted form's terms.
+    lower, upper = inst.lower, inst.upper
+    if None in lower or None in upper or _pick_branch(inst) is not None:
+        return None
+    moved = [i for i, (lo, hi) in enumerate(zip(lower, upper)) if not lo <= 0 < hi]
+    vecs = [vec for vec, _ in inst.terms]
+    d = max((len(vec) - vec.count(0) for vec in vecs), default=0)
+    if d >= 1 and not _links_below_g(sum(1 << sum(1 for i in moved if vec[i]) for vec in vecs), d):
+        return None
+    if inst.num_terms >= sum(math.prod(vec[i] + 1 for i in moved) for vec in vecs):
+        return None
+    if (_leaf_dtype(inst.terms, lower, upper, inst.alpha) is object
+            and max(abs(eval_poly(inst, lower)), inst.alpha) < I64_SAFE):
+        return None
+    return [(i, lower[i]) for i in moved]
 
 
 def _pick_branch(inst: AbsIoInstance) -> tuple[int, int] | None:
@@ -697,9 +709,10 @@ def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdic
     support shortcut, then branching on the exponent of a wide variable
     (children ask for a nonzero coefficient, the lowest yes child extends
     its witness by an exact search of a window for the first hit), and exact
-    enumeration once every interval is narrow, of the pre-shift form when
-    ``_leaf_form`` picks it.  The returned witness is re-verified against
-    the input.
+    enumeration once every interval is narrow.  When ``_leaf_shifts`` finds
+    that the solve ends in a leaf that may scan the form before rule 6, the
+    shifts are logged in the transcript and never applied.  The returned
+    witness is re-verified against the input.
     """
     # target 0 is met by any point, so only domain emptiness matters
     if inst.alpha == 0:
@@ -711,28 +724,41 @@ def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdic
         )
         return Verdict(True, point, eval_poly(inst, point), ("alpha0",))
 
-    cur = inst
-    pre = None  # the instance after the first rule 5 pass, before rule 6
-    log: list[LogEntry] = []
-    transcript: list[str] = []
-    while True:
-        simp = rule5_simplify(cur)
-        cur = simp.instance
-        log.extend(simp.log)
-        transcript.extend(simp.transcript)
-        if simp.empty_var is not None:
+    def finish(point_cur: tuple[int, ...]) -> Verdict:
+        point = _replay(tuple(log), cur.var_ids, point_cur, inst.var_ids)
+        return Verdict(True, point, _checked_value(inst, point), tuple(transcript))
+
+    def leaf() -> Verdict:
+        # with no variables left the leaf only evaluates a constant, which
+        # the per-leaf cap leaves alone
+        scan = brute_force_absio(cur, max_points=max_points if cur.num_vars else None,
+                                 prune=True)
+        transcript.extend(scan.transcript)
+        if not scan.decision:
             return Verdict(False, transcript=tuple(transcript))
-        if pre is None:
-            pre, settled = cur, len(log)
+        return finish(scan.witness)
+
+    simp = rule5_simplify(inst)
+    cur, log, transcript = simp.instance, list(simp.log), list(simp.transcript)
+    shifts = None if simp.empty_var is not None else _leaf_shifts(cur)
+    if shifts is not None:
+        # Rule 6 moves the box only.  Shifts keep lexicographic order, so the
+        # leaf's first hit on cur's own box is the shifted form's, and it
+        # needs no shift undone.
+        transcript.extend(f"rule6 shift x{cur.var_ids[i]} t={t}" for i, t in shifts)
+        return leaf()
+    while simp.empty_var is None:
         cur, entries, lines = rule6_shift(cur)
         log.extend(entries)
         transcript.extend(lines)
         if not lines:
             break
-
-    def finish(point_cur: tuple[int, ...]) -> Verdict:
-        point = _replay(tuple(log), cur.var_ids, point_cur, inst.var_ids)
-        return Verdict(True, point, _checked_value(inst, point), tuple(transcript))
+        simp = rule5_simplify(cur)
+        cur = simp.instance
+        log.extend(simp.log)
+        transcript.extend(simp.transcript)
+    if simp.empty_var is not None:
+        return Verdict(False, transcript=tuple(transcript))
 
     shortcut, lines = _support_shortcut(cur)
     transcript.extend(lines)
@@ -741,17 +767,7 @@ def solve_absio(inst: AbsIoInstance, *, max_points: int | None = None) -> Verdic
 
     picked = _pick_branch(cur)
     if picked is None:
-        # with no variables left the leaf only evaluates a constant, which
-        # the per-leaf cap leaves alone
-        scan = _leaf_form(pre, cur, log[settled:])
-        leaf = brute_force_absio(scan, max_points=max_points if cur.num_vars else None,
-                                 prune=True)
-        transcript.extend(leaf.transcript)
-        if not leaf.decision:
-            return Verdict(False, transcript=tuple(transcript))
-        if scan is pre:
-            del log[settled:]  # pre's witness is replayed only through the steps before it
-        return finish(leaf.witness)
+        return leaf()
 
     i, e = picked
     gid = cur.var_ids[i]

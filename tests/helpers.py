@@ -218,6 +218,9 @@ def random_graph(rng, *, max_vertices=7, p=0.4):
 
 def random_absio(rng, *, max_vars=4, max_terms=6, max_exp=2, bound_range=(-6, 6),
                  max_alpha=4, allow_unbounded=False):
+    """A seeded random instance.  ``bound_range`` holds the finite interval
+    ends: one (low, high) pair, or a list of pairs of which each variable
+    draws one, so one box can lie on both sides of 0."""
     n = rng.randint(0, max_vars)
     m = rng.randint(0, max_terms)
     terms = tuple(
@@ -233,8 +236,9 @@ def random_absio(rng, *, max_vars=4, max_terms=6, max_exp=2, bound_range=(-6, 6)
             if lower[-1] is None and rng.random() < 0.5:
                 upper[-1] = rng.randint(*bound_range)
         else:
-            lo = rng.randint(*bound_range)
-            hi = rng.randint(lo, bound_range[1])
+            ends = rng.choice(bound_range) if isinstance(bound_range, list) else bound_range
+            lo = rng.randint(*ends)
+            hi = rng.randint(lo, ends[1])
             lower.append(lo)
             upper.append(hi)
     return AbsIoInstance(terms, tuple(lower), tuple(upper), rng.randint(0, max_alpha))

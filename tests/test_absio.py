@@ -27,7 +27,7 @@ from absopt.absio import (
     _abs_bound,
     _grid,
     _grid_leaf,
-    _leaf_form,
+    _leaf_shifts,
     _replay,
     _scan_window,
     _support_shortcut,
@@ -974,20 +974,155 @@ def test_pre_shift_leaf_keeps_int64(monkeypatch):
     assert _dtype(scanned[0]) is object
 
 
-def test_leaf_form_rejects_more_than_shifts():
+def _no_shift(*args):
+    raise AssertionError("a shifted term was built")
+
+
+def test_leaf_shifts_scans_the_pre_shift_form(monkeypatch):
     # x1 x2 on [2, 3]^2 has one term, and four once rule 6 shifts both
     # variables, so the leaf scans the pre-shift form and its witness, the
     # first point with |p| >= 5, needs no shift undone
     inst = AbsIoInstance([((1, 1), 1)], (2, 2), (3, 3), 5)
-    shifted, log, _ = rule6_shift(inst)
-    assert _leaf_form(inst, shifted, list(log)) is inst
+    assert _leaf_shifts(inst) == [(0, 2), (1, 2)]
+    monkeypatch.setattr(absio, "shift_variable", _no_shift)
     verdict = solve_absio(inst)
-    assert verdict.transcript[-1] == "leaf points=4"
+    assert verdict.transcript == ("rule6 shift x1 t=2", "rule6 shift x2 t=2", "leaf points=4")
     assert (verdict.witness, verdict.achieved) == ((2, 3), 6)
-    with pytest.raises(InternalGuaranteeError):
-        _leaf_form(inst, shifted, list(log) + [("negate", 1)])
-    with pytest.raises(InternalGuaranteeError):
-        _leaf_form(inst, replace(shifted, var_ids=(1, 3)), list(log))
+
+
+def _shift_like(rng, n, m):
+    # like the benchmark's shift family, smaller: boxes of side 5 at 20..60
+    # from 0 on either side, m monomials of degree at most 6
+    lower = [rng.choice((1, -1)) * rng.randint(20, 60) for _ in range(n)]
+    terms = {}
+    while len(terms) < m:
+        vec = tuple(rng.randint(0, 3) for _ in range(n))
+        if 0 < sum(vec) <= 6:
+            terms[vec] = rng.choice((1, -1)) * rng.randint(1, 5)
+    return list(terms.items()), lower, [lo + 4 for lo in lower]
+
+
+def test_lazy_leaf_builds_no_shifted_terms(monkeypatch):
+    monkeypatch.setattr(absio, "shift_variable", _no_shift)
+    rng = random.Random(31)
+    answers = set()
+    for _ in range(12):
+        terms, lower, upper = _shift_like(rng, 4, 20)
+        top = max(abs(naive_absio_value(AbsIoInstance(terms, lower, upper, 0), pt))
+                  for pt in itertools.product(*map(range, lower, [hi + 1 for hi in upper])))
+        for alpha in (top // 2, top, top + 1):
+            inst = AbsIoInstance(terms, lower, upper, alpha)
+            verdict, want = solve_absio(inst), brute_force_absio(inst)
+            assert (verdict.decision, verdict.witness, verdict.achieved) == (
+                want.decision, want.witness, want.achieved), inst
+            assert sum(line.startswith("rule6 shift") for line in verdict.transcript) == 4
+            answers.add(verdict.decision)
+    assert answers == {True, False}
+
+
+def test_lazy_leaf_on_a_large_exponent(monkeypatch):
+    # x^20000 on [5, 6]: rule 6 would expand one term into 20001
+    monkeypatch.setattr(absio, "shift_variable", _no_shift)
+    verdict = solve_absio(AbsIoInstance([((20000,), 1)], (5,), (6,), 2))
+    assert verdict.decision and (verdict.witness, verdict.achieved) == ((5,), 5**20000)
+    assert verdict.transcript == ("rule6 shift x1 t=5", "leaf points=2")
+
+
+def test_lazy_leaf_keeps_the_point_cap(monkeypatch):
+    # x1 x2 on [2, 12]^2: 121 points, no branch below alpha = 6
+    monkeypatch.setattr(absio, "shift_variable", _no_shift)
+    inst = AbsIoInstance([((1, 1), 1)], (2, 2), (12, 12), 100)
+    with pytest.raises(BudgetExceededError):
+        solve_absio(inst, max_points=120)
+    assert solve_absio(inst, max_points=121).witness == (9, 12)
+
+
+def _counted_shifts(monkeypatch):
+    calls = []
+    real = absio.shift_variable
+
+    def spy(inst, i, t):
+        calls.append((inst.var_ids[i], t))
+        return real(inst, i, t)
+
+    monkeypatch.setattr(absio, "shift_variable", spy)
+    return calls
+
+
+def test_branch_and_shortcut_still_shift(monkeypatch):
+    calls = _counted_shifts(monkeypatch)
+    # x1 + x2^2 with x1 in [5, 100] wide enough to branch on
+    inst = AbsIoInstance([((1, 0), 1), ((0, 2), 1)], (5, 3), (100, 4), 3)
+    verdict = solve_absio(inst)
+    assert "branch x1 e=1" in verdict.transcript and calls == [(1, 5), (2, 3)]
+    assert verdict.decision and verdict.achieved == eval_poly(inst, verdict.witness)
+    # x1^2 + .. + x7^2 on [2, 3]^7: the 7 pre-shift supports fail
+    # _links_below_g only in the bound (14 supports), and after the shifts the
+    # empty support makes 8 edges, which the edge-count rule needs for d = 1
+    calls.clear()
+    n = 7
+    inst = AbsIoInstance([(tuple(int(r == i) * 2 for r in range(n)), 1) for i in range(n)],
+                         (2,) * n, (3,) * n, 1)
+    assert not _links_below_g(14, 1) and _links_below_g(7, 1)
+    verdict = solve_absio(inst)
+    assert any(line.startswith("support yes") for line in verdict.transcript)
+    assert calls == [(i, 2) for i in range(1, n + 1)]
+    assert verdict.decision and verdict.achieved == eval_poly(inst, verdict.witness)
+
+
+def test_links_bound_failing_still_shifts(monkeypatch):
+    # x1^2 + .. + x4^2 on [2, 3]^4: 8 supports in the bound, too many for
+    # _links_below_g at d = 1, so the terms are shifted; 5 edges then stay
+    # below the edge-count rule, and the leaf scans the shifted form
+    calls = _counted_shifts(monkeypatch)
+    scanned = _scanned_leaves(monkeypatch)
+    n = 4
+    terms = [(tuple(int(r == i) * 2 for r in range(n)), 1) for i in range(n)]
+    for alpha in (20, 36, 37):
+        calls.clear()
+        scanned.clear()
+        inst = AbsIoInstance(terms, (2,) * n, (3,) * n, alpha)
+        verdict, want = solve_absio(inst), brute_force_absio(inst)
+        assert len(calls) == n and scanned[0].lower == (0,) * n
+        assert (verdict.decision, verdict.witness) == (want.decision, want.witness)
+
+
+MIXED = [(20, 30), (-30, -20), (-2, 2)]
+
+
+def _first_factor(vec):
+    # the exponent vector with its first nonzero exponent alone
+    k = next((r for r, a in enumerate(vec) if a), None)
+    return tuple(a if r == k else 0 for r, a in enumerate(vec))
+
+
+@pytest.mark.parametrize("bound_range, univariate", [
+    ((20, 30), False),
+    ((-30, -20), False),
+    (MIXED, False),
+    ([(2**40, 2**40 + 5), (-2**40 - 5, -2**40), (20, 30)], False),
+    (MIXED, True),
+], ids=["above", "below", "mixed", "python-ints", "univariate"])
+def test_solve_matches_brute_on_boxes_off_zero(bound_range, univariate):
+    # both paths answer as the oracle does: the leaf that scans the
+    # pre-shift form, and the expansion, which univariate terms (d = 1) take
+    # once four of them are shifted, as _links_below_g then fails on the bound
+    rng = random.Random(f"{bound_range}{univariate}")
+    for _ in range(150):
+        inst = random_absio(rng, max_vars=5, max_terms=14, bound_range=bound_range)
+        if univariate:
+            inst = replace(inst, terms=[(_first_factor(vec), w) for vec, w in inst.terms])
+        top = max(abs(naive_absio_value(inst, pt)) for pt in itertools.product(
+            *map(range, inst.lower, [hi + 1 for hi in inst.upper])))
+        inst = replace(inst, alpha=max(1, rng.choice((top // 2, top, top + 1))))
+        verdict, want = solve_absio(inst), brute_force_absio(inst)
+        assert verdict.decision == want.decision, inst
+        if verdict.decision:
+            assert verify_point(inst, verdict.witness) == (True, verdict.achieved), inst
+        if not any(line.startswith("rule5 unused") for line in verdict.transcript):
+            # rule 5 fixes an unused variable to 0 or an end, not to the
+            # oracle's lowest value; with none fixed the witness is the first hit
+            assert verdict.witness == want.witness, inst
 
 
 def test_support_shortcut_early_exit_is_exact():
