@@ -6,11 +6,12 @@ ranges over an integer interval whose ends may be infinite.  The solver first
 applies value-preserving simplification and normalization rules, then tries a
 hypergraph shortcut on the monomial supports, then branches on a variable with
 a wide enough range, and finally enumerates the remaining finite box exactly.
-Normalization shifts (x_i = y + t) keep values but multiply the terms, so a
-leaf scans the polynomial as it stood before them, on its own box, when that
-form has fewer terms and needs no wider integer type; shifts keep
-lexicographic order, so the first hit is the same point, and it is replayed
-through the log of the steps before the shifts.
+Normalization shifts (x_i = y + t) keep values but multiply the terms, so
+rule 6 moves the box only, and the shifted terms are built only for a branch
+or a support shortcut that could fire on them.  Otherwise the leaf scans the
+polynomial as it stood before the shifts, on its own box, when that form has
+fewer terms and needs no wider integer type; shifts keep lexicographic
+order, so the first hit is the same point, and it needs no shift undone.
 A leaf merges its terms once and walks its box as a tree of sub-boxes in
 lexicographic order, scanning each sub-box of at most ``SCAN_POINTS`` points
 in one numpy grid, so memory follows the scan, not the box.  The solver's
@@ -580,29 +581,36 @@ def _support_shortcut(inst: AbsIoInstance) -> tuple[tuple[int, ...] | None, tupl
 
 
 def _leaf_shifts(inst: AbsIoInstance) -> list[tuple[int, int]] | None:
-    # Rule 6's shifts (index, t) of an instance after rule 5, when its solve
-    # may end in a leaf that scans it as it stands, on its own box, so no
-    # shifted term is built; None when something reads the shifted terms.
-    # Rule 5 left every interval at least two points wide, so on a finite box
-    # rule 6 only shifts, each interval missing 0 or 1 by its lower end.  A
-    # shift keeps each variable's top exponent and width, so _pick_branch
-    # decides the same on both forms, and it keeps the largest support d.  A
-    # shifted term's support is its term's support less some of the shifted
-    # variables in it, so where _links_below_g holds on the sum of 2^(those
-    # variables) the support shortcut cannot fire.  The shifted form has at
-    # most the sum of prod (c_i + 1) over the shifted exponents c_i terms:
-    # this form is scanned when it has fewer, and where its leaf is int64 or
-    # the shifted one needs Python ints as well, since every value of p,
-    # that at the lower corner included, bounds the shifted form's terms.
+    # Rule 6's shifts (index, t) of an instance that rule 5 left, when the
+    # solve may skip them and scan the instance as it stands, on its own box;
+    # None when something would read the shifted terms, or nothing shifts.
+    # On a finite box, where rule 5 left every interval at least two points
+    # wide and every variable in use, rule 6 only shifts each interval that
+    # misses 0 or 1 to start at 0.  The shifted form is never built, so it
+    # is bounded from these terms:
+    # - a shift keeps each variable's top exponent and width, so
+    #   _pick_branch decides the same on both forms;
+    # - it keeps the largest support d, and a shifted term's support is its
+    #   term's support less some of the shifted variables in it, so the
+    #   support shortcut cannot fire where _links_below_g holds on the sum of
+    #   2^(shifted variables in the support);
+    # - it has more terms than this form, as a term with a shifted variable
+    #   of exponent c expands into c + 1;
+    # - every |p| on the box is at most the shifted form's leaf bound, so
+    #   where this form needs Python ints and |p| at the lower corner or
+    #   alpha reaches I64_SAFE, the shifted form needs them as well.
     lower, upper = inst.lower, inst.upper
-    if None in lower or None in upper or _pick_branch(inst) is not None:
+    if None in lower or None in upper:
         return None
     moved = [i for i, (lo, hi) in enumerate(zip(lower, upper)) if not lo <= 0 < hi]
-    vecs = [vec for vec, _ in inst.terms]
-    d = max((len(vec) - vec.count(0) for vec in vecs), default=0)
-    if d >= 1 and not _links_below_g(sum(1 << sum(1 for i in moved if vec[i]) for vec in vecs), d):
+    if not moved or _pick_branch(inst) is not None:
         return None
-    if inst.num_terms >= sum(math.prod(vec[i] + 1 for i in moved) for vec in vecs):
+    vecs = [vec for vec, _ in inst.terms]
+    d = max(len(vec) - vec.count(0) for vec in vecs)
+    # each term has at most 2^d shifted supports, so the sum is formed only
+    # when that coarser bound is too large
+    if not (_links_below_g(len(vecs) << d, d)
+            or _links_below_g(sum(1 << sum(vec[i] > 0 for i in moved) for vec in vecs), d)):
         return None
     if (_leaf_dtype(inst.terms, lower, upper, inst.alpha) is object
             and max(abs(eval_poly(inst, lower)), inst.alpha) < I64_SAFE):

@@ -1028,15 +1028,6 @@ def test_lazy_leaf_on_a_large_exponent(monkeypatch):
     assert verdict.transcript == ("rule6 shift x1 t=5", "leaf points=2")
 
 
-def test_lazy_leaf_keeps_the_point_cap(monkeypatch):
-    # x1 x2 on [2, 12]^2: 121 points, no branch below alpha = 6
-    monkeypatch.setattr(absio, "shift_variable", _no_shift)
-    inst = AbsIoInstance([((1, 1), 1)], (2, 2), (12, 12), 100)
-    with pytest.raises(BudgetExceededError):
-        solve_absio(inst, max_points=120)
-    assert solve_absio(inst, max_points=121).witness == (9, 12)
-
-
 def _counted_shifts(monkeypatch):
     calls = []
     real = absio.shift_variable
@@ -1056,9 +1047,9 @@ def test_branch_and_shortcut_still_shift(monkeypatch):
     verdict = solve_absio(inst)
     assert "branch x1 e=1" in verdict.transcript and calls == [(1, 5), (2, 3)]
     assert verdict.decision and verdict.achieved == eval_poly(inst, verdict.witness)
-    # x1^2 + .. + x7^2 on [2, 3]^7: the 7 pre-shift supports fail
-    # _links_below_g only in the bound (14 supports), and after the shifts the
-    # empty support makes 8 edges, which the edge-count rule needs for d = 1
+    # x1^2 + .. + x7^2 on [2, 3]^7: _links_below_g holds on the 7 pre-shift
+    # supports but not on the bound of 14, and after the shifts the empty
+    # support makes the 8 edges that the edge-count rule needs at d = 1
     calls.clear()
     n = 7
     inst = AbsIoInstance([(tuple(int(r == i) * 2 for r in range(n)), 1) for i in range(n)],
