@@ -7,11 +7,12 @@ applies value-preserving simplification and normalization rules, then tries a
 hypergraph shortcut on the monomial supports, then branches on a variable with
 a wide enough range, and finally enumerates the remaining finite box exactly.
 Normalization shifts (x_i = y + t) keep values but multiply the terms, so
-rule 6 moves the box only, and the shifted terms are built only for a branch
-or a support shortcut that could fire on them.  Otherwise the leaf scans the
-polynomial as it stood before the shifts, on its own box, when that form has
-fewer terms and needs no wider integer type; shifts keep lexicographic
-order, so the first hit is the same point, and it needs no shift undone.
+when the solve ends in a leaf, rule 6 moves the box only: the leaf scans the
+polynomial as it stood before the shifts, on its own box, unless that form
+needs a wider integer type than the shifted one might.  Shifts keep
+lexicographic order, so the first hit is the same point, and it needs no
+shift undone.  The shifted terms are built for a branch, a support shortcut
+that could fire on them, or a leaf that needs them.
 A leaf merges its terms once and walks its box as a tree of sub-boxes in
 lexicographic order, scanning each sub-box of at most ``SCAN_POINTS`` points
 in one numpy grid, so memory follows the scan, not the box.  The solver's
@@ -594,8 +595,9 @@ def _leaf_shifts(inst: AbsIoInstance) -> list[tuple[int, int]] | None:
     #   term's support less some of the shifted variables in it, so the
     #   support shortcut cannot fire where _links_below_g holds on the sum of
     #   2^(shifted variables in the support);
-    # - it has more terms than this form, as a term with a shifted variable
-    #   of exponent c expands into c + 1;
+    # - its expansion has more terms than this form, as a term with a
+    #   shifted variable of exponent c expands into c + 1 (terms that cancel
+    #   may leave fewer, which this test does not see);
     # - every |p| on the box is at most the shifted form's leaf bound, so
     #   where this form needs Python ints and |p| at the lower corner or
     #   alpha reaches I64_SAFE, the shifted form needs them as well.

@@ -269,23 +269,28 @@ def test_solve_absio_shifted_leaf_explain(tmp_path, capsys, alpha, code, answer)
     assert capsys.readouterr().out == SHIFTED_EXPLAIN + answer
 
 
+def _no_shift(*args):
+    raise AssertionError("a shifted term was built")
+
+
 def test_solve_absio_shift_logs_no_cancellation(tmp_path, capsys, monkeypatch):
     # x^2 - 10x + 25 on [5, 6] is y^2 once rule 6 shifts x = y + 5, and the
     # two terms that cancel were logged as "rule5 zerocols=2"; rule 6 now
     # moves the box only, so no shifted term is built and none cancels
-    def no_shift(*args):
-        raise AssertionError("a shifted term was built")
-
-    monkeypatch.setattr(absio, "shift_variable", no_shift)
+    monkeypatch.setattr(absio, "shift_variable", _no_shift)
     f = _write(tmp_path, "a.absio", "p absio 1 3 1\ncol 1 1:2 0\ncol -10 1:1 0\ncol 25 0\nb 1 5 6\n")
     assert main(["solve", "--explain", f]) == EXIT_YES
     assert capsys.readouterr().out == (
         "c method pipeline\nc rule6 shift x1 t=5\nc leaf points=2\ns YES\no 1\nx 1 6\n")
-    # the leaf that scans the pre-shift form keeps the point cap: x1 x2 on
-    # [2, 12]^2 is 121 points
-    g = _write(tmp_path, "b.absio", "p absio 2 1 100\ncol 1 1:1 2:1 0\nb 1 2 12\nb 2 2 12\n")
-    assert main(["solve", "--cap", "120", g]) == EXIT_BUDGET
-    assert main(["solve", "--cap", "121", g]) == EXIT_YES
+
+
+def test_solve_absio_pre_shift_leaf_keeps_the_cap(tmp_path, monkeypatch):
+    # x1 x2 on [2, 12]^2 is 121 points, and at alpha = 100 no side is wide
+    # enough to branch on
+    monkeypatch.setattr(absio, "shift_variable", _no_shift)
+    f = _write(tmp_path, "a.absio", "p absio 2 1 100\ncol 1 1:1 2:1 0\nb 1 2 12\nb 2 2 12\n")
+    assert main(["solve", "--cap", "120", f]) == EXIT_BUDGET
+    assert main(["solve", "--cap", "121", f]) == EXIT_YES
 
 
 # p = x1 x2 - 3 x1 + 7 on [-100, 199]^2: 90,000 points, more than one scan,
